@@ -21,15 +21,6 @@ def compensated_sum(values: np.ndarray | Iterable[float]) -> float:
     return math.fsum(values)
 
 
-def compensated_mean(values: np.ndarray | Iterable[float]) -> float:
-    """Exactly rounded sum divided by the number of terms."""
-    if not isinstance(values, np.ndarray):
-        values = np.asarray(list(values), dtype=float)
-    if values.size == 0:
-        raise ValueError("mean of an empty collection")
-    return compensated_sum(values) / values.size
-
-
 def row_sums(matrix: np.ndarray) -> np.ndarray:
     """Compensated sum of every row of a 2-d array."""
     return np.array([math.fsum(row) for row in matrix.tolist()], dtype=float)

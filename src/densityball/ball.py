@@ -1,12 +1,18 @@
 """Model selection by radius minimization and the resulting confidence ball.
 
-For every model in a nested collection the radius combines the closed-form
-resampling variance estimate with the nested-bias U-statistic and the
-explicit deviation terms; the ball is centered at the projection estimator
-of the model with the smallest radius (ties go to the smallest dimension).
-Membership is evaluated in the coefficient space of the collection's top
-model, with an optional quadrature term for candidates that have mass
-outside the top model.
+Every model of a collection spans a leading block of the top model's
+orthonormal system, so one pass over the sample suffices for the whole
+collection: the top basis is evaluated once, a chunk of points at a time,
+and reduced to the per-coefficient sums ``S_l = sum_i psi_l(X_i)`` and
+``Q_l = sum_i psi_l(X_i)^2``.  Prefix sums of ``max(Q_l - S_l^2 / n, 0)``
+give every closed-form resampling variance estimate, suffix sums of
+``S_l^2 - Q_l`` give every nested-bias U-statistic, and ``S[:d] / n`` is
+the projection estimator of the model of dimension ``d``.  The bounds of
+all models are then evaluated together; the ball is centered at the
+projection estimator of the model with the smallest radius (ties go to the
+smallest dimension).  Membership is evaluated in the coefficient space of
+the collection's top model, with an optional quadrature term for candidates
+that have mass outside the top model.
 """
 
 from __future__ import annotations
@@ -19,22 +25,15 @@ import numpy as np
 
 from .accumulate import compensated_sum
 from .basis import Model, ModelCollection, check_dimension_growth
-from .bounds import (
-    BoundConfig,
-    ModelRadius,
-    RadiusReport,
-    bias_bound,
-    radius,
-    variance_bound,
-)
-from .estimators import (
-    Sample,
-    project,
-    projection_bias_estimate,
-    resampling_statistics,
-    resampling_variance,
-)
+from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, variance_bounds
+# resampling_variance stays importable from here for perfbench's traced runs,
+# which look it up in this namespace; the ball itself no longer calls it.
+from .estimators import Sample, resampling_statistics, resampling_variance  # noqa: F401
 from .weights import WeightScheme, sample_weights_batch
+
+# Basis entries evaluated per chunk of points: memory stays O(CHUNK_ENTRIES)
+# whatever the sample size, instead of a dense (top dim, n) matrix.
+CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,22 @@ def select_model_index(radius_sq_values: Sequence[float], dims: Sequence[int]) -
     return min(order, key=lambda i: (radius_sq_values[i], dims[i], i))
 
 
+def top_basis_sums(sample: Sample, top: Model) -> tuple[np.ndarray, np.ndarray]:
+    """``S_l = sum_i psi_l(X_i)`` and ``Q_l = sum_i psi_l(X_i)^2`` over the top basis.
+
+    The points are streamed in chunks of about ``CHUNK_ENTRIES`` basis
+    entries, so each basis function is evaluated once per point.
+    """
+    step = max(CHUNK_ENTRIES // top.dim, 1)
+    sums = np.zeros(top.dim)
+    squares = np.zeros(top.dim)
+    for start in range(0, sample.n, step):
+        psi = top.basis_matrix(sample.points[start : start + step])
+        sums += psi.sum(axis=1)
+        squares += np.einsum("ij,ij->i", psi, psi)
+    return sums, squares
+
+
 def build_confidence_ball(
     sample: Sample,
     collection: ModelCollection,
@@ -100,45 +115,52 @@ def build_confidence_ball(
 ) -> ConfidenceBall:
     """Compute every model's radius, select the minimizer, build the ball.
 
+    The estimates equal :func:`~densityball.estimators.resampling_variance`
+    and :func:`~densityball.estimators.projection_bias_estimate` of each
+    model, and the center equals :func:`~densityball.estimators.project` of
+    the selected one, all obtained from one pass of :func:`top_basis_sums`.
     The dimension-growth check is advisory here: a failure is recorded in
     ``growth_check_ok`` and the construction proceeds.
     """
     if scheme.n != sample.n:
         raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
     growth = check_dimension_growth(collection, sample.n, config.beta)
-    top = collection.top
-    rows = []
-    for model in collection:
-        v_est = resampling_variance(sample, model, scheme)
-        b_est = projection_bias_estimate(sample, model, top)
-        v = variance_bound(v_est, model, collection, config, sample.n)
-        k = bias_bound(b_est, model, collection, config, sample.n)
-        rho, clamped = radius(v_est, b_est, model, collection, config, sample.n)
-        rows.append(
-            ModelRadius(
-                model=model.label,
-                dim=model.dim,
-                variance_estimate=v_est,
-                bias_estimate=b_est,
-                variance_bound=v,
-                bias_bound=k,
-                radius_sq=config.eta**2 + k + v,
-                radius=rho,
-                clamped=clamped,
-            )
+    n = sample.n
+    dims = np.array([model.dim for model in collection])
+    sums, squares = top_basis_sums(sample, collection.top)
+    pairs = n * (n - 1.0)
+    variance = np.cumsum(np.maximum(squares - sums * sums / n, 0.0))[dims - 1] / pairs
+    # suffix[d] = sum over l >= d of the off-diagonal terms; 0 at the top model
+    suffix = np.append(np.cumsum((sums * sums - squares)[::-1])[::-1], 0.0)
+    bias = suffix[dims] / pairs
+    v = variance_bounds(variance, dims, collection, config, n)
+    k = bias_bounds(bias, collection, config, n)
+    radius_sq, rho, clamped = radii(v, k, config.eta)
+    rows = tuple(
+        ModelRadius(
+            model=model.label,
+            dim=model.dim,
+            variance_estimate=float(variance[i]),
+            bias_estimate=float(bias[i]),
+            variance_bound=float(v[i]),
+            bias_bound=float(k[i]),
+            radius_sq=float(radius_sq[i]),
+            radius=float(rho[i]),
+            clamped=bool(clamped[i]),
         )
+        for i, model in enumerate(collection)
+    )
     chosen = select_model_index([r.radius_sq for r in rows], [r.dim for r in rows])
-    center = project(sample, collection.models[chosen]).coefficients
     return ConfidenceBall(
         selected_model=rows[chosen].model,
         selected_index=chosen,
-        center=center,
+        center=sums[: rows[chosen].dim] / n,
         radius=rows[chosen].radius,
-        top_dim=top.dim,
+        top_dim=collection.top.dim,
         beta=config.beta,
         eta=config.eta,
         growth_check_ok=growth.holds,
-        report=tuple(rows),
+        report=rows,
     )
 
 

@@ -426,7 +426,8 @@ class ModelCollection:
     The last model spans every other one and the member of dimension ``d``
     is exactly the span of the first ``d`` indices of the top system, so
     coefficient vectors of members embed into the top model by zero padding.
-    ``c_m`` is the cap used by the dimension-growth check.
+    ``c_m`` is the cap used by the dimension-growth check and ``c1`` the
+    largest sup-norm constant of the members.
     """
 
     def __init__(self, models: Sequence[Model], c_m: float = 4.0):
@@ -444,6 +445,7 @@ class ModelCollection:
             raise ValueError("c_m must be positive")
         self.models = models
         self.c_m = float(c_m)
+        self.c1 = max(m.c1 for m in models)
 
     @property
     def top(self) -> Model:
@@ -456,10 +458,6 @@ class ModelCollection:
     @property
     def cardinality(self) -> int:
         return len(self.models)
-
-    @property
-    def c1(self) -> float:
-        return max(m.c1 for m in self.models)
 
     def __iter__(self):
         return iter(self.models)

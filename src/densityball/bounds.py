@@ -72,6 +72,66 @@ def _deviation_level(cardinality: int, beta: float, prefactor: float) -> float:
     return max(2.0 * math.log(prefactor * cardinality / beta), 2.0)
 
 
+def variance_bounds(
+    variance_estimates: np.ndarray,
+    dims: np.ndarray,
+    collection: ModelCollection,
+    config: BoundConfig,
+    n: int,
+) -> np.ndarray:
+    """Uniform high-probability bounds on the estimation-error term.
+
+    One entry per (estimate, dimension) pair: the data-driven estimate plus
+    the deviation term
+    ``kappa (1 + sqrt(min(m_inf, m2 sqrt(d), d))) sqrt(d) x / n``.
+    """
+    estimates = np.asarray(variance_estimates, dtype=float)
+    if np.any(estimates < 0):
+        raise ValueError("the variance estimate is nonnegative by construction")
+    d = np.asarray(dims, dtype=float)
+    x = _deviation_level(collection.cardinality, config.beta, 2.0)
+    kappa = variance_deviation_constant(collection.c1, collection.c_m)
+    root_d = np.sqrt(d)
+    norm_part = 1.0 + np.sqrt(np.minimum(np.minimum(config.m_inf, config.m2 * root_d), d))
+    return estimates + config.kappa_scale * kappa * norm_part * root_d * x / n
+
+
+def bias_bounds(
+    bias_estimates: np.ndarray,
+    collection: ModelCollection,
+    config: BoundConfig,
+    n: int,
+) -> np.ndarray:
+    """Uniform high-probability bounds on the squared bias term.
+
+    Each entry minimizes ``(estimate + kappa(eps) A) / (1 - eps)`` over the
+    epsilon grid, where ``A`` involves the *top* dimension of the
+    collection, so the bound depends on the sub-model only through its
+    estimate.  Negative estimates are allowed in the numerator.
+    """
+    d_top = collection.top.dim
+    x = _deviation_level(collection.cardinality, config.beta, 6.0)
+    norm_part = 1.0 + math.sqrt(min(config.m_inf, config.m2 * math.sqrt(d_top)))
+    base = config.kappa_scale * norm_part * math.sqrt(d_top) * x / n
+    eps = np.array(EPSILON_GRID)
+    kappa = np.array([bias_deviation_constant(e, collection.c1, collection.c_m) for e in eps])
+    estimates = np.asarray(bias_estimates, dtype=float)
+    return np.min((estimates[:, None] + kappa * base) / (1.0 - eps), axis=1)
+
+
+def radii(
+    variance_bound_values: np.ndarray, bias_bound_values: np.ndarray, eta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(radius_sq, radius, clamped)`` with ``radius_sq = eta^2 + bias + variance``.
+
+    The radicand can only go negative when ``kappa_scale`` is tiny and a bias
+    estimate very negative; such a radius is clamped at zero and flagged.
+    """
+    radius_sq = eta**2 + bias_bound_values + variance_bound_values
+    clamped = radius_sq < 0.0
+    return radius_sq, np.sqrt(np.where(clamped, 0.0, radius_sq)), clamped
+
+
 def variance_bound(
     variance_estimate: float,
     model: Model,
@@ -79,18 +139,9 @@ def variance_bound(
     config: BoundConfig,
     n: int,
 ) -> float:
-    """Uniform high-probability bound on the estimation-error term.
-
-    Adds to the data-driven estimate the deviation term
-    ``kappa (1 + sqrt(min(m_inf, m2 sqrt(d), d))) sqrt(d) x / n``.
-    """
-    if variance_estimate < 0:
-        raise ValueError("the variance estimate is nonnegative by construction")
-    d = model.dim
-    x = _deviation_level(collection.cardinality, config.beta, 2.0)
-    kappa = variance_deviation_constant(collection.c1, collection.c_m)
-    norm_part = 1.0 + math.sqrt(min(config.m_inf, config.m2 * math.sqrt(d), float(d)))
-    return variance_estimate + config.kappa_scale * kappa * norm_part * math.sqrt(d) * x / n
+    """:func:`variance_bounds` for one model."""
+    bound = variance_bounds(np.array([variance_estimate]), np.array([model.dim]), collection, config, n)
+    return float(bound[0])
 
 
 def bias_bound(
@@ -100,23 +151,10 @@ def bias_bound(
     config: BoundConfig,
     n: int,
 ) -> float:
-    """Uniform high-probability bound on the squared bias term.
-
-    Minimizes ``(estimate + kappa(eps) A) / (1 - eps)`` over the epsilon
-    grid, where ``A`` involves the *top* dimension of the collection.  A
-    negative estimate is allowed in the numerator.
-    """
+    """:func:`bias_bounds` for one sub-model nested in the collection's top model."""
     if not sub_model.shares_prefix_with(collection.top):
         raise ValueError(f"{sub_model.label} is not nested in the collection's top model")
-    d_top = collection.top.dim
-    x = _deviation_level(collection.cardinality, config.beta, 6.0)
-    norm_part = 1.0 + math.sqrt(min(config.m_inf, config.m2 * math.sqrt(d_top)))
-    base = config.kappa_scale * norm_part * math.sqrt(d_top) * x / n
-    best = math.inf
-    for eps in EPSILON_GRID:
-        kappa = bias_deviation_constant(eps, collection.c1, collection.c_m)
-        best = min(best, (bias_estimate + kappa * base) / (1.0 - eps))
-    return float(best)
+    return float(bias_bounds(np.array([bias_estimate]), collection, config, n)[0])
 
 
 def radius(
@@ -129,16 +167,12 @@ def radius(
 ) -> tuple[float, bool]:
     """Radius ``sqrt(eta^2 + bias bound + variance bound)`` for one model.
 
-    Returns ``(value, clamped)``; the radicand can only go negative when
-    ``kappa_scale`` is tiny and the bias estimate very negative, in which
-    case it is clamped at zero and flagged.
+    Returns ``(value, clamped)``; see :func:`radii`.
     """
     v = variance_bound(variance_estimate, model, collection, config, n)
     k = bias_bound(bias_estimate, model, collection, config, n)
-    radicand = config.eta**2 + k + v
-    if radicand < 0.0:
-        return 0.0, True
-    return math.sqrt(radicand), False
+    _, rho, clamped = radii(np.array([v]), np.array([k]), config.eta)
+    return float(rho[0]), bool(clamped[0])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ this module provides:
   quantities used to validate the algebraic decomposition
   ``projection_error_sq - resampling_variance = centered_u_statistic``.
 
-Accuracy-critical reductions use compensated summation throughout.
+These per-model functions are the references for the one-pass statistics
+of :func:`densityball.ball.build_confidence_ball`, which obtains every
+model's variance and bias estimate and the selected center from a single
+evaluation of the top basis.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class Sample:
             raise ValueError("sample points must form a 1-d sequence")
         if pts.size < 2:
             raise ValueError("need at least two observations")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("sample points must lie in [0, 1]")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

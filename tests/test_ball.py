@@ -1,11 +1,13 @@
 """Tests for model selection and the confidence ball."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from densityball.ball import (
+    CHUNK_ENTRIES,
     ball_from_doc,
     ball_to_doc,
     build_confidence_ball,
@@ -13,9 +15,20 @@ from densityball.ball import (
     resampled_quantile_radius,
     select_model_index,
 )
-from densityball.basis import HistogramModel, fourier_collection, histogram_collection
-from densityball.bounds import BoundConfig
-from densityball.estimators import Sample, resampling_statistics
+from densityball.basis import (
+    HistogramModel,
+    fourier_collection,
+    histogram_collection,
+    piecewise_polynomial_collection,
+)
+from densityball.bounds import BoundConfig, bias_bound, radius, variance_bound
+from densityball.estimators import (
+    Sample,
+    project,
+    projection_bias_estimate,
+    resampling_statistics,
+    resampling_variance,
+)
 from densityball.oracle import UniformDensity, sample_from
 from densityball.weights import make_scheme, replication_rng, sample_weights_batch
 
@@ -177,3 +190,68 @@ def test_fourier_collection_ball_runs():
     for row in ball.report:
         assert row.variance_bound >= row.variance_estimate
         assert row.radius == pytest.approx(math.sqrt(max(row.radius_sq, 0.0)), rel=1e-12)
+
+
+COLLECTIONS = {
+    "histogram": lambda: histogram_collection([1, 2, 4, 8, 16]),
+    "fourier": lambda: fourier_collection(dims=[1, 3, 5, 9]),
+    "piecewise-polynomial": lambda: piecewise_polynomial_collection([1, 2, 4], 2),
+}
+
+
+@pytest.mark.parametrize("size", [2, 57, "three-chunks"])
+@pytest.mark.parametrize("family", list(COLLECTIONS))
+def test_one_pass_matches_per_model_references(family, size):
+    coll = COLLECTIONS[family]()
+    top = coll.top
+    n = 2 * (CHUNK_ENTRIES // top.dim) + 7 if size == "three-chunks" else size
+    sample = Sample(np.random.default_rng(n).beta(2.0, 5.0, n))
+    cfg = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0, eta=0.05, kappa_scale=1e-3)
+    ball = build_confidence_ball(sample, coll, make_scheme("efron", n), cfg)
+
+    psi = top.basis_matrix(sample.points)
+    sums = psi.sum(axis=1)
+    squares = (psi * psi).sum(axis=1)
+    pairs = n * (n - 1.0)
+    for model, row in zip(coll, ball.report):
+        d = model.dim
+        # tolerances are relative to the largest term that cancels in each estimate
+        v_scale = squares[:d].sum() / pairs
+        b_scale = max((sums[d:] ** 2).sum(), squares[d:].sum()) / pairs
+        assert abs(row.variance_estimate - resampling_variance(sample, model)) <= 1e-12 * v_scale
+        b_ref = projection_bias_estimate(sample, model, top)
+        assert abs(row.bias_estimate - b_ref) <= 1e-12 * b_scale
+
+        v = variance_bound(row.variance_estimate, model, coll, cfg, n)
+        k = bias_bound(row.bias_estimate, model, coll, cfg, n)
+        assert row.variance_bound == v
+        assert row.bias_bound == k
+        assert row.radius_sq == cfg.eta**2 + k + v
+        assert (row.radius, row.clamped) == radius(
+            row.variance_estimate, row.bias_estimate, model, coll, cfg, n
+        )
+
+    center = project(sample, coll.models[ball.selected_index]).coefficients
+    np.testing.assert_allclose(ball.center, center, rtol=0, atol=1e-12 * np.abs(center).max())
+
+
+def test_one_pass_accuracy_on_a_long_histogram_chain():
+    # n * d_top = 1e8 basis entries; references are exact integer closed forms
+    # of the cell counts, since sum_l psi_l(x)^2 = d on the first d indices.
+    dims = [2**k for k in range(11)]
+    n = 100_000
+    points = np.random.default_rng(1024).beta(2.0, 5.0, n)
+    ball = build_confidence_ball(
+        Sample(points), histogram_collection(dims), make_scheme("efron", n), CFG
+    )
+    norms = {}  # Q_d = sum_l (sum_i psi_l(X_i))^2 = d sum_k c_k^2 over the d-cell grid
+    for d in dims:
+        counts = np.bincount(np.minimum((points * d).astype(int), d - 1), minlength=d)
+        norms[d] = d * sum(int(c) ** 2 for c in counts)
+    top = dims[-1]
+    pairs = n * (n - 1)
+    for d, row in zip(dims, ball.report):
+        variance = float(Fraction(n * n * d - norms[d], n * pairs))
+        bias = float(Fraction(norms[top] - norms[d] - n * (top - d), pairs))
+        assert abs(row.variance_estimate - variance) <= 1e-10 * (n * d / pairs)
+        assert abs(row.bias_estimate - bias) <= 1e-10 * ((norms[top] + n * top) / pairs)

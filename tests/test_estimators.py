@@ -27,8 +27,9 @@ from densityball.weights import make_scheme, replication_rng
 def test_sample_validation():
     with pytest.raises(ValueError):
         Sample(np.array([0.5]))
-    with pytest.raises(ValueError):
-        Sample(np.array([0.5, 1.2]))
+    for bad in (1.2, -0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Sample(np.array([0.5, bad]))
     with pytest.raises(ValueError):
         Sample(np.array([[0.1, 0.2], [0.3, 0.4]]))
     s = Sample(np.array([0.0, 1.0, 0.5]))
