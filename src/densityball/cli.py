@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -94,6 +95,9 @@ class Settings:
     seed: int = DEFAULT_SEED
 
     def validate(self) -> None:
+        reals = (self.beta, self.eta, self.m2, self.m_inf, self.kappa_scale)
+        if not all(np.isfinite(reals)):
+            raise ConfigError("beta, eta, m2, mInf and kappaScale must be finite")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must lie in (0, 1)")
         if self.eta < 0:
@@ -130,43 +134,101 @@ def load_config(path: str) -> Settings:
     return settings_from_mapping(raw)
 
 
+_JSON_TYPE_NAMES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+# (config key, Settings attribute, integral?) for the scalar numeric keys
+NUMERIC_KEYS = (
+    ("beta", "beta", False),
+    ("eta", "eta", False),
+    ("m2", "m2", False),
+    ("mInf", "m_inf", False),
+    ("kappaScale", "kappa_scale", False),
+    ("n", "n", True),
+    ("dm", "dm", True),
+    ("nb", "nb", True),
+    ("reps", "reps", True),
+    ("seed", "seed", True),
+)
+
+
+def _type_name(value) -> str:
+    return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, not {_type_name(value)}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, not {_type_name(value)}")
+    return value
+
+
+def _number(value, where: str, integral: bool = False) -> float | int:
+    """A finite JSON number; with ``integral``, one with an integer value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, not {_type_name(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    if not integral:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(value, where: str, integral: bool = False) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be an array of numbers, not {_type_name(value)}")
+    return [_number(v, f"{where}[{i}]", integral) for i, v in enumerate(value)]
+
+
+def _section(raw: dict, name: str) -> dict:
+    section = _object(raw[name], name)
+    _require_keys(section, CONFIG_KEYS[name], name)
+    return section
+
+
 def settings_from_mapping(raw: dict) -> Settings:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(raw, TOP_LEVEL_KEYS, "config")
+    """Type-check a parsed config mapping; any ill-typed value is a ConfigError."""
+    _require_keys(_object(raw, "config"), TOP_LEVEL_KEYS, "config")
     s = Settings()
     if "collection" in raw:
-        section = raw["collection"]
-        _require_keys(section, CONFIG_KEYS["collection"], "collection")
-        s.collection_family = section.get("family")
-        dims = section.get("dims")
-        s.collection_dims = [int(d) for d in dims] if dims is not None else None
+        section = _section(raw, "collection")
+        if "family" in section:
+            s.collection_family = _string(section["family"], "collection.family")
+        if "dims" in section:
+            s.collection_dims = _numbers(section["dims"], "collection.dims", integral=True)
     if "weights" in raw:
-        section = raw["weights"]
-        _require_keys(section, CONFIG_KEYS["weights"], "weights")
-        s.weights_kind = str(section.get("kind", s.weights_kind))
+        section = _section(raw, "weights")
+        if "kind" in section:
+            s.weights_kind = _string(section["kind"], "weights.kind")
     if "oracle" in raw:
-        section = raw["oracle"]
-        _require_keys(section, CONFIG_KEYS["oracle"], "oracle")
-        s.oracle_kind = str(section.get("kind", s.oracle_kind))
-        s.oracle_params = dict(section.get("params", {}))
-    for key, attr, cast in (
-        ("beta", "beta", float),
-        ("eta", "eta", float),
-        ("m2", "m2", float),
-        ("mInf", "m_inf", float),
-        ("kappaScale", "kappa_scale", float),
-        ("n", "n", int),
-        ("dm", "dm", int),
-        ("nb", "nb", int),
-        ("reps", "reps", int),
-        ("seed", "seed", int),
-        ("input", "input_path", str),
-    ):
+        section = _section(raw, "oracle")
+        if "kind" in section:
+            s.oracle_kind = _string(section["kind"], "oracle.kind")
+        if "params" in section:
+            s.oracle_params = dict(_object(section["params"], "oracle.params"))
+    for key, attr, integral in NUMERIC_KEYS:
         if key in raw:
-            setattr(s, attr, cast(raw[key]))
+            setattr(s, attr, _number(raw[key], key, integral))
+    if "input" in raw:
+        s.input_path = _string(raw["input"], "input")
     if "alphaGrid" in raw:
-        s.alpha_grid = [float(a) for a in raw["alphaGrid"]]
+        s.alpha_grid = _numbers(raw["alphaGrid"], "alphaGrid")
     return s
 
 
@@ -213,9 +275,10 @@ def apply_flags(settings: Settings, args: argparse.Namespace) -> Settings:
         updates["alpha_grid"] = _parse_float_list(args.alpha_grid)
     if getattr(args, "oracle_params", None) is not None:
         try:
-            updates["oracle_params"] = json.loads(args.oracle_params)
+            params = json.loads(args.oracle_params)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--oracle-params is not valid JSON: {exc}") from exc
+        updates["oracle_params"] = _object(params, "--oracle-params")
     return replace(settings, **updates)
 
 
@@ -240,12 +303,13 @@ def build_oracle(settings: Settings) -> DensityOracle:
         _require_keys(params, {"cellValues"}, "oracle.params (histogram)")
         if "cellValues" not in params:
             raise ConfigError("histogram oracle needs oracle.params.cellValues")
-        return HistogramDensity(params["cellValues"])
+        return HistogramDensity(_numbers(params["cellValues"], "oracle.params.cellValues"))
     if kind == "cosine":
         _require_keys(params, {"amplitude", "frequency"}, "oracle.params (cosine)")
         try:
             return CosineTiltDensity(
-                float(params.get("amplitude", 0.3)), int(params.get("frequency", 1))
+                _number(params.get("amplitude", 0.3), "oracle.params.amplitude"),
+                _number(params.get("frequency", 1), "oracle.params.frequency", integral=True),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -4,7 +4,9 @@ A weight scheme is a law for ``(W_1, ..., W_n)`` that is invariant under
 permutations of the coordinates.  Two schemes ship:
 
 * ``EFRON_MULTINOMIAL`` -- multinomial(n; 1/n, ..., 1/n), the classical
-  bootstrap counts;
+  bootstrap counts, drawn as they are defined: ``W_i`` is the number of times
+  index ``i`` occurs among ``n`` indices resampled uniformly with
+  replacement (one integer draw and one ``bincount``, O(size * n) work);
 * ``RADEMACHER_IID`` -- independent signs, cheap to enumerate exactly.
 
 Each scheme carries the normalizer ``1 / Var(W_1 - mean(W))`` that makes the
@@ -54,13 +56,25 @@ def sample_weights(scheme: WeightScheme, rng: np.random.Generator) -> np.ndarray
 
 
 def sample_weights_batch(scheme: WeightScheme, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` independent weight vectors, shape ``(size, n)``, as floats."""
+    """``size`` independent weight vectors, shape ``(size, n)``, as floats.
+
+    Efron weights are resample counts: row ``r`` counts how often each index
+    occurs among ``n`` indices drawn uniformly from ``range(n)``, which is
+    exactly multinomial(n; 1/n, ..., 1/n).  All ``size * n`` indices come
+    from one integer draw; shifting row ``r`` by ``r * n`` lets a single
+    ``bincount`` count every row, O(size * n) integer work in total.
+    Rademacher weights are i.i.d. signs from one integer draw.
+    """
     if size < 1:
         raise ValueError("need size >= 1")
     n = scheme.n
     if scheme.kind is WeightKind.EFRON_MULTINOMIAL:
-        return rng.multinomial(n, np.full(n, 1.0 / n), size=size).astype(float)
-    return (2.0 * rng.integers(0, 2, size=(size, n)) - 1.0).astype(float)
+        idx = rng.integers(0, n, size=(size, n))
+        idx += n * np.arange(size)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=size * n)
+        del idx  # free the indices before the float copy to cap peak memory
+        return counts.reshape(size, n).astype(float)
+    return 2.0 * rng.integers(0, 2, size=(size, n)) - 1.0
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from densityball.cli import main
+from densityball.cli import main, settings_from_mapping
 from densityball.oracle import UniformDensity
 
 
@@ -159,6 +159,48 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"beta": 0.1, "bogus": 1}))
     assert main(["coverage", "--config", str(cfg)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+ILL_TYPED_CONFIGS = [
+    ("check-assumptions", {"collection": {"dims": 5}}, "collection.dims"),
+    ("check-assumptions", {"collection": [1]}, "collection"),
+    ("check-assumptions", {"collection": {"family": 5, "dims": [1, 2]}}, "collection.family"),
+    ("check-assumptions", {"collection": {"family": "fourier", "dims": [1, "3"]}}, "collection.dims[1]"),
+    ("check-assumptions", {"collection": {"family": "fourier", "dims": [1, 2.5]}}, "collection.dims[1]"),
+    ("coverage", {"beta": None}, "beta"),
+    ("coverage", {"beta": True}, "beta"),
+    ("coverage", {"m2": "2"}, "m2"),
+    ("coverage", {"eta": float("nan")}, "eta"),
+    ("coverage", {"reps": 2.5}, "reps"),
+    ("coverage", {"seed": 10**400}, "seed"),
+    ("coverage", {"alphaGrid": 0.5}, "alphaGrid"),
+    ("coverage", {"alphaGrid": [0.5, None]}, "alphaGrid[1]"),
+    ("coverage", {"weights": "efron"}, "weights"),
+    ("coverage", {"weights": {"kind": 1}}, "weights.kind"),
+    ("coverage", {"oracle": {"kind": "uniform", "params": [1]}}, "oracle.params"),
+    ("coverage", {"oracle": {"kind": "cosine", "params": {"amplitude": None}}}, "amplitude"),
+    ("coverage", {"oracle": {"kind": "cosine", "params": {"frequency": 2.5}}}, "frequency"),
+    ("coverage", {"oracle": {"kind": "histogram", "params": {"cellValues": {"a": 1}}}}, "cellValues"),
+    ("coverage", {"input": 5}, "input"),
+    ("coverage", [], "config"),
+]
+
+
+@pytest.mark.parametrize("command,config,key", ILL_TYPED_CONFIGS)
+def test_ill_typed_config_values_exit_2(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
+def test_integral_floats_are_accepted_for_integer_keys():
+    settings = settings_from_mapping({"reps": 3.0, "collection": {"dims": [1.0, 2]}})
+    assert settings.reps == 3 and isinstance(settings.reps, int)
+    assert settings.collection_dims == [1, 2]
+    assert all(isinstance(d, int) for d in settings.collection_dims)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -334,6 +376,14 @@ def test_invalid_numeric_ranges_rejected(sample_file, capsys):
         == 2
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--eta", "--m2", "--m-inf", "--kappa-scale", "--beta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_flags_rejected(sample_file, capsys, flag, value):
+    argv = ["ball", "--input", sample_file, "--collection-family", "histogram"]
+    assert main(argv + ["--collection-dims", "1,2", flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_oracle_param_validation(tmp_path, capsys):

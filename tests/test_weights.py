@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densityball.accumulate import compensated_sum
 from densityball.weights import (
@@ -131,3 +133,42 @@ def test_replication_streams_are_keyed_and_reproducible():
 def test_weight_kind_round_trip():
     assert WeightKind("efron") is WeightKind.EFRON_MULTINOMIAL
     assert make_scheme(WeightKind.RADEMACHER_IID, 4).kind is WeightKind.RADEMACHER_IID
+
+
+def test_efron_draws_follow_the_exact_multinomial_law():
+    # every one of the C(7, 3) = 35 compositions of 4 within 4 standard errors
+    n, draws = 4, 200_000
+    scheme = make_scheme("efron", n)
+    w = sample_weights_batch(scheme, draws, np.random.default_rng(2024))
+    assert w.dtype == np.float64
+    assert np.all(w.sum(axis=1) == n)
+    assert np.all(w >= 0) and np.all(w == np.round(w))
+    support = enumerate_weights(scheme)
+    assert len(support) == 35
+    codes = w.astype(np.int64) @ (n + 1) ** np.arange(n)
+    freq = np.bincount(codes, minlength=(n + 1) ** n) / draws
+    for vec, prob in support:
+        code = int(vec.astype(np.int64) @ (n + 1) ** np.arange(n))
+        se = np.sqrt(prob * (1.0 - prob) / draws)
+        assert abs(freq[code] - prob) <= 4.0 * se, (vec, freq[code], prob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["efron", "rademacher"]),
+    n=st.integers(2, 60),
+    size=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weight_batches_have_the_scheme_support(kind, n, size, seed):
+    scheme = make_scheme(kind, n)
+    w = sample_weights_batch(scheme, size, np.random.default_rng(seed))
+    assert w.shape == (size, n)
+    assert w.dtype == np.float64
+    if kind == "efron":
+        assert np.all(w.sum(axis=1) == n)
+        assert np.all(w >= 0)
+    else:
+        assert np.all((w == -1.0) | (w == 1.0))
+    again = sample_weights_batch(scheme, size, np.random.default_rng(seed))
+    np.testing.assert_array_equal(w, again)
