@@ -118,11 +118,15 @@ class HistogramModel(Model):
         self.cells = int(cells)
         super().__init__(cells, 1.0, f"histogram-{cells}", {"cells": cells})
 
-    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
+    def cell_index(self, x: np.ndarray) -> np.ndarray:
+        """Index ``k`` of the cell holding each point; 1 is in the last cell."""
         x = np.asarray(x, dtype=float)
-        cell = np.minimum((x * self.cells).astype(int), self.cells - 1)
-        out = np.zeros((self.dim, x.size))
-        out[cell, np.arange(x.size)] = math.sqrt(self.cells)
+        return np.minimum((x * self.cells).astype(int), self.cells - 1)
+
+    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
+        cell = self.cell_index(x)
+        out = np.zeros((self.dim, cell.size))
+        out[cell, np.arange(cell.size)] = math.sqrt(self.cells)
         return out
 
     def breakpoints(self) -> np.ndarray:

@@ -343,9 +343,12 @@ def read_sample_file(path: str) -> Sample:
 def _write_text(out_path: str | None, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -16,6 +16,18 @@ Two studies ship, both on histogram models:
 Every replication draws from an independent stream keyed by
 ``(seed, replication)``, and reductions preserve replication order, so a
 fixed seed reproduces results bit for bit regardless of scheduling.
+
+For a regular histogram with ``d`` cells every quantity a replication needs
+is a function of the cell counts ``c`` and, per weight draw, of the per-cell
+weight sums ``A``: the estimated coefficients are ``sqrt(d) c / n``, the
+closed form is ``d (n - sum c^2 / n) / (n (n - 1))``, and the reweighted
+statistic is ``normalizer (d / n^2) sum_k (A_k - mean(W) c_k)^2``.  So a
+replication costs O(nb n) integer work to draw and aggregate the weights
+(:func:`densityball.weights.sample_cell_weights`, whose memory is capped
+by its draw chunk) plus O(nb d) float work, and the true coefficients are
+computed once per experiment.  The integer draws are the ones the per-point
+weights would take, so the seeded stream is that of the per-point
+estimators of :mod:`densityball.estimators`, which serve as references.
 """
 
 from __future__ import annotations
@@ -25,17 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accumulate import compensated_sum
 from .ball import order_statistic_rank
 from .basis import HistogramModel
-from .estimators import (
-    Sample,
-    projection_error_sq,
-    resampling_statistics,
-    resampling_variance,
-    resampling_variance_monte_carlo,
-)
+from .estimators import Sample
 from .oracle import DensityOracle
-from .weights import WeightKind, make_scheme, replication_rng, sample_weights_batch
+from .weights import WeightKind, WeightScheme, make_scheme, replication_rng, sample_cell_weights
 
 DEFAULT_SEED = 4
 
@@ -60,6 +67,54 @@ class NormalizedDifferenceResult:
         return out
 
 
+def cell_error_sq(counts: np.ndarray, true_coefficients: np.ndarray) -> float:
+    """Squared projection error of a histogram from its cell counts.
+
+    Equals ``projection_error_sq`` on the ``HistogramModel`` with
+    ``counts.size`` cells, whose coefficients are ``sqrt(d) c_k / n``.
+    """
+    diff = math.sqrt(counts.size) * counts / counts.sum() - true_coefficients
+    return compensated_sum(diff * diff)
+
+
+def cell_resampling_variance(counts: np.ndarray) -> float:
+    """Closed-form resampling variance of a histogram from its cell counts.
+
+    ``d (n - sum_k c_k^2 / n) / (n (n - 1))``, equal to
+    ``resampling_variance``; the numerator is exact in integers.
+    """
+    n, d = int(counts.sum()), counts.size
+    return d * (n * n - int(counts @ counts)) / (n * n * (n - 1.0))
+
+
+def cell_resampling_statistics(
+    counts: np.ndarray, cell_weights: np.ndarray, scheme: WeightScheme
+) -> np.ndarray:
+    """Reweighted statistics of a histogram from per-cell weight sums.
+
+    ``cell_weights`` has shape ``(batch, d)`` (see
+    :func:`densityball.weights.sample_cell_weights`); entry ``r`` of the
+    result is ``normalizer (d / n^2) sum_k (A_rk - mean(W_r) c_k)^2``, equal to
+    ``resampling_statistics`` for the per-point weights behind ``A_r``.
+    """
+    n, d = scheme.n, counts.size
+    dev = np.multiply.outer(cell_weights.sum(axis=1) / n, counts)
+    np.subtract(cell_weights, dev, out=dev)  # one (batch, d) temporary, not two
+    return scheme.normalizer * (d / (n * n)) * np.einsum("ij,ij->i", dev, dev)
+
+
+def _histogram_replications(oracle: DensityOracle, n: int, dim: int, reps: int, seed: int):
+    """Per replication: its generator, the cell of each point, the cell counts.
+
+    The generator has drawn the sample and is ready for the weight draws.
+    """
+    model = HistogramModel(dim)
+    for j in range(reps):
+        rng = replication_rng(seed, j)
+        cells = model.cell_index(Sample(oracle.sample_points(n, rng)).points)
+        yield rng, cells, np.bincount(cells, minlength=dim)
+
+
 def normalized_difference_experiment(
     oracle: DensityOracle,
     n: int,
@@ -72,17 +127,16 @@ def normalized_difference_experiment(
     """Replicate ``n (error - estimate) / sqrt(dim)`` on fresh samples."""
     if reps < 1:
         raise ValueError("need at least one replication")
-    model = HistogramModel(dim)
     scheme = make_scheme(kind, n)
+    true = oracle.true_coefficients(HistogramModel(dim))
     scale = n / math.sqrt(dim)
     mc = np.empty(reps)
     cf = np.empty(reps)
-    for j in range(reps):
-        rng = replication_rng(seed, j)
-        sample = Sample(oracle.sample_points(n, rng))
-        error = projection_error_sq(sample, model, oracle)
-        mc[j] = scale * (error - resampling_variance_monte_carlo(sample, model, scheme, n_draws, rng))
-        cf[j] = scale * (error - resampling_variance(sample, model, scheme))
+    for j, (rng, cells, counts) in enumerate(_histogram_replications(oracle, n, dim, reps, seed)):
+        error = cell_error_sq(counts, true)
+        weights = sample_cell_weights(scheme, cells, dim, n_draws, rng)
+        mc[j] = scale * (error - float(np.mean(cell_resampling_statistics(counts, weights, scheme))))
+        cf[j] = scale * (error - cell_resampling_variance(counts))
     return NormalizedDifferenceResult(monte_carlo=mc, closed_form=cf)
 
 
@@ -109,15 +163,13 @@ def coverage_experiment(
         raise ValueError("alpha levels must lie in (0, 1)")
     if reps < 1:
         raise ValueError("need at least one replication")
-    model = HistogramModel(dim)
     scheme = make_scheme(kind, n)
+    true = oracle.true_coefficients(HistogramModel(dim))
     ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])
     hits = np.zeros(len(alphas))
-    for j in range(reps):
-        rng = replication_rng(seed, j)
-        sample = Sample(oracle.sample_points(n, rng))
-        error = projection_error_sq(sample, model, oracle)
-        draws = sample_weights_batch(scheme, n_draws, rng)
-        stats = np.sort(resampling_statistics(sample, model, scheme, draws))
+    for rng, cells, counts in _histogram_replications(oracle, n, dim, reps, seed):
+        error = cell_error_sq(counts, true)
+        weights = sample_cell_weights(scheme, cells, dim, n_draws, rng)
+        stats = np.sort(cell_resampling_statistics(counts, weights, scheme))
         hits += error <= stats[ranks - 1]
     return [(a, float(h / reps)) for a, h in zip(alphas, hits)]

@@ -180,6 +180,8 @@ class HistogramDensity(DensityOracle):
         values = np.asarray(cell_values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("cell_values must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("cell values must be finite")
         if np.any(values < 0):
             raise ValueError("cell values must be nonnegative")
         if abs(values.mean() - 1.0) > 1e-9:
@@ -251,6 +253,8 @@ class CosineTiltDensity(DensityOracle):
     kind = "cosine"
 
     def __init__(self, amplitude: float, frequency: int):
+        if not (math.isfinite(amplitude) and math.isfinite(frequency)):
+            raise ValueError("amplitude and frequency must be finite")
         if abs(amplitude) * math.sqrt(2.0) > 1.0 + 1e-12:
             raise ValueError("need |amplitude| * sqrt(2) <= 1 to keep the density nonnegative")
         if frequency < 1 or int(frequency) != frequency:

@@ -393,6 +393,20 @@ def test_oracle_param_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["ball", "coverage", "simulate-pw"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exits_2(sample_file, tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path
+    argv = {
+        "ball": ["ball", "--input", sample_file, "--collection-family", "histogram", "--collection-dims", "1,2"],
+        "coverage": ["coverage", "--n", "20", "--dm", "4", "--nb", "50", "--reps", "1"],
+        "simulate-pw": ["simulate-pw", "--n", "20", "--dm", "4", "--nb", "10", "--reps", "2"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
 def test_byte_identical_reruns(sample_file, tmp_path):
     specs = [
         [

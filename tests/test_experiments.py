@@ -1,19 +1,37 @@
 """Tests for the Monte Carlo experiment harness."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from densityball import weights
 from densityball.ball import order_statistic_rank, resampled_quantile_radius
 from densityball.basis import HistogramModel
-from densityball.estimators import projection_error_sq
+from densityball.estimators import (
+    Sample,
+    projection_error_sq,
+    resampling_statistics,
+    resampling_variance,
+)
 from densityball.experiments import (
+    cell_error_sq,
+    cell_resampling_statistics,
+    cell_resampling_variance,
     coverage_experiment,
     normalized_difference_experiment,
 )
-from densityball.oracle import UniformDensity, sample_from
-from densityball.weights import make_scheme, replication_rng
+from densityball.oracle import CosineTiltDensity, HistogramDensity, UniformDensity, sample_from
+from densityball.weights import (
+    WeightKind,
+    make_scheme,
+    replication_rng,
+    sample_cell_weights,
+    sample_weights_batch,
+)
 
 
 def test_closed_form_column_is_centered():
@@ -89,3 +107,83 @@ def test_rank_convention_endpoints():
     assert order_statistic_rank(0.5, 10) == 5
     assert order_statistic_rank(0.55, 10_000) == 5500
     assert order_statistic_rank(1.0 - 1e-15, 300) == 300
+
+
+def _one_call_weights(scheme, size, rng):
+    # per-point weights as one unchunked integer draw: the seeded 0.2.0 stream
+    n = scheme.n
+    if scheme.kind is WeightKind.EFRON_MULTINOMIAL:
+        idx = rng.integers(0, n, size=(size, n)) + n * np.arange(size)[:, None]
+        return np.bincount(idx.ravel(), minlength=size * n).reshape(size, n).astype(float)
+    return 2.0 * rng.integers(0, 2, size=(size, n)) - 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["efron", "rademacher"]),
+    oracle=st.sampled_from([UniformDensity(), CosineTiltDensity(0.5, 3), HistogramDensity([0.2, 1.8, 1.0])]),
+    n=st.integers(2, 80),
+    dim=st.integers(1, 40),
+    size=st.integers(1, 40),
+    chunk=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_statistics_match_the_per_point_references(kind, oracle, n, dim, size, chunk, seed):
+    # a chunk of `chunk` entries holds max(chunk // n, 1) rows, so most batches span several
+    sample = Sample(oracle.sample_points(n, np.random.default_rng(seed)))
+    model = HistogramModel(dim)
+    scheme = make_scheme(kind, n)
+    cells = model.cell_index(sample.points)
+    counts = np.bincount(cells, minlength=dim)
+    with mock.patch.object(weights, "DRAW_CHUNK_ENTRIES", chunk):
+        cell_w = sample_cell_weights(scheme, cells, dim, size, np.random.default_rng(seed + 1))
+        point_w = sample_weights_batch(scheme, size, np.random.default_rng(seed + 1))
+    np.testing.assert_array_equal(point_w, _one_call_weights(scheme, size, np.random.default_rng(seed + 1)))
+
+    stats = cell_resampling_statistics(counts, cell_w, scheme)
+    reference = resampling_statistics(sample, model, scheme, point_w)
+    mean_w = point_w.mean(axis=1, keepdims=True)
+    terms = scheme.normalizer * dim / n**2 * ((np.abs(cell_w) + np.abs(mean_w) * counts) ** 2).sum(axis=1)
+    assert np.all(np.abs(stats - reference) <= 1e-12 * terms)
+
+    assert cell_error_sq(counts, oracle.true_coefficients(model)) == projection_error_sq(sample, model, oracle)
+    closed = cell_resampling_variance(counts)
+    assert abs(closed - resampling_variance(sample, model, scheme)) <= 1e-12 * dim / (n - 1)
+
+
+def _per_point_replications(oracle, n, dim, n_draws, reps, seed, kind):
+    # the per-point replication loop of 0.2.0: dense basis, one weight draw per batch
+    model = HistogramModel(dim)
+    scheme = make_scheme(kind, n)
+    for j in range(reps):
+        rng = replication_rng(seed, j)
+        sample = Sample(oracle.sample_points(n, rng))
+        error = projection_error_sq(sample, model, oracle)
+        stats = resampling_statistics(sample, model, scheme, _one_call_weights(scheme, n_draws, rng))
+        yield error, stats, resampling_variance(sample, model, scheme)
+
+
+@pytest.mark.parametrize("kind", ["efron", "rademacher"])
+def test_experiments_keep_the_seeded_stream(kind):
+    # n * n_draws = 280000 weight entries span several draw chunks
+    oracle = CosineTiltDensity(0.4, 2)
+    n, dim, n_draws, reps, seed = 40, 12, 7000, 25, 19
+    alphas = [round(0.05 * i, 2) for i in range(1, 20)]
+    assert n * n_draws > weights.DRAW_CHUNK_ENTRIES
+
+    hits = np.zeros(len(alphas))
+    ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])
+    for error, stats, _ in _per_point_replications(oracle, n, dim, n_draws, reps, seed, kind):
+        hits += error <= np.sort(stats)[ranks - 1]
+    expected = [(a, float(h / reps)) for a, h in zip(alphas, hits)]
+    got = coverage_experiment(oracle, n, dim, n_draws, reps, alphas, seed=seed, kind=kind)
+    assert got == expected
+
+    scale = n / math.sqrt(dim)
+    result = normalized_difference_experiment(oracle, n, dim, 300, reps, seed=seed, kind=kind)
+    replays = list(_per_point_replications(oracle, n, dim, 300, reps, seed, kind))
+    for j, (error, stats, closed) in enumerate(replays):
+        mc, cf = scale * (error - float(np.mean(stats))), scale * (error - closed)
+        tol = 1e-12 * scale * (error + max(float(np.mean(stats)), closed))
+        assert abs(result.monte_carlo[j] - mc) <= tol
+        assert abs(result.closed_form[j] - cf) <= tol

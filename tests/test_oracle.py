@@ -52,6 +52,13 @@ def test_validation():
         CosineTiltDensity(0.8, 1)  # 0.8 * sqrt(2) > 1
     with pytest.raises(ValueError):
         CosineTiltDensity(0.3, 0)
+    # NaN slips through every < / > comparison, so finiteness is checked first
+    for values in ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf, 2.0]):
+        with pytest.raises(ValueError, match="finite"):
+            HistogramDensity(values)
+    for amplitude, frequency in ((math.nan, 1), (math.inf, 1), (0.3, math.inf), (0.3, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            CosineTiltDensity(amplitude, frequency)
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: repr(o.__dict__))
