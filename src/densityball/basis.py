@@ -12,10 +12,13 @@ computed numerically for piecewise polynomials).
 
 A :class:`ModelCollection` chains nested spaces behind a single orthonormal
 system, ordered so that the first ``dim`` indices of the top system span the
-member of that dimension.  Histogram chains use Helmert-style contrasts
-between successive refinements of a divisor chain; piecewise-polynomial
-chains orthonormalize the successive embeddings numerically; trigonometric
-spaces are nested in their natural ordering already.
+member of that dimension.  A histogram or piecewise-polynomial model is one
+level of a divisor chain of grids and evaluates through the chain's system;
+a standalone model is the one-level chain, whose system is the natural one.
+Histogram chains use Helmert-style contrasts between successive refinements;
+piecewise-polynomial chains orthonormalize the successive embeddings
+numerically; trigonometric spaces are nested in their natural ordering
+already.
 """
 
 from __future__ import annotations
@@ -103,37 +106,47 @@ class Model:
         return f"<{type(self).__name__} {self.label}>"
 
 
-class HistogramModel(Model):
-    """Scaled indicators ``sqrt(m) 1_[k/m,(k+1)/m)`` for ``k = 0..m-1``.
+def _cells(x: np.ndarray, m: int) -> np.ndarray:
+    """Cell ``min(floor(m x), m - 1)`` of each point on the regular ``m``-grid."""
+    return np.minimum((np.asarray(x, dtype=float) * m).astype(int), m - 1)
 
-    The last cell is closed at 1 so that the pointwise identity
-    ``sum_l psi_l(x)^2 = dim`` holds on all of [0, 1].
+
+class HistogramModel(Model):
+    """The regular histogram space with ``cells`` cells, one level of a chain.
+
+    Its basis is the first ``cells`` functions of ``chain``'s nested system.
+    Without a chain the model is the one-level chain ``(cells,)``, whose
+    functions are the scaled indicators ``sqrt(m) 1_[k/m,(k+1)/m)`` for
+    ``k = 0..m-1``.  The last cell is closed at 1 so that the pointwise
+    identity ``sum_l psi_l(x)^2 = dim`` holds on all of [0, 1].
     """
 
     family = Family.HISTOGRAM
 
-    def __init__(self, cells: int):
-        if cells < 1:
-            raise ValueError("histogram needs at least one cell")
+    def __init__(self, cells: int, chain: _HistogramChain | None = None):
+        params = {"cells": cells}
+        if chain is None:
+            chain = _HistogramChain((cells,))
+        else:
+            params["chain"] = list(chain.dims)
+        if cells not in chain.dims:
+            raise ValueError(f"{cells} is not a level of the chain {chain.dims}")
+        self.chain = chain
         self.cells = int(cells)
-        super().__init__(cells, 1.0, f"histogram-{cells}", {"cells": cells})
+        super().__init__(cells, 1.0, f"histogram-{cells}", params)
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
         """Index ``k`` of the cell holding each point; 1 is in the last cell."""
-        x = np.asarray(x, dtype=float)
-        return np.minimum((x * self.cells).astype(int), self.cells - 1)
+        return _cells(x, self.cells)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        cell = self.cell_index(x)
-        out = np.zeros((self.dim, cell.size))
-        out[cell, np.arange(cell.size)] = math.sqrt(self.cells)
-        return out
+        return self.chain.matrix(x, self.dim)
 
     def breakpoints(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.cells + 1)
 
     def shares_prefix_with(self, top: Model) -> bool:
-        return isinstance(top, HistogramModel) and top.cells == self.cells
+        return isinstance(top, HistogramModel) and top.chain.dims == self.chain.dims and self.dim <= top.dim
 
 
 class FourierModel(Model):
@@ -191,43 +204,51 @@ def _legendre_sup_ratio(degree_bound: int) -> float:
     return float(np.max(total) / degree_bound)
 
 
-class PiecewisePolynomialModel(Model):
-    """Per-piece shifted Legendre polynomials on a regular partition.
+def _natural_legendre(x: np.ndarray, pieces: int, degree_bound: int) -> np.ndarray:
+    """Per-piece Legendre system ``sqrt(pieces) sqrt(2k+1) P_k(u)`` at ``x``.
 
-    On each of ``pieces`` intervals the functions are
-    ``sqrt(pieces) sqrt(2k+1) P_k(u)`` for ``k = 0..degree_bound-1`` with
-    ``u`` the affine map of the piece onto [-1, 1].  Dimension is
-    ``pieces * degree_bound``; indices run piece-major.
+    ``u`` is the affine map of each piece onto [-1, 1]; rows run piece-major,
+    so the shape is ``(pieces * degree_bound, len(x))``.
+    """
+    x = np.asarray(x, dtype=float)
+    piece = _cells(x, pieces)
+    u = 2.0 * (x * pieces - piece) - 1.0
+    out = np.zeros((pieces * degree_bound, x.size))
+    cols = np.arange(x.size)
+    root = math.sqrt(pieces)
+    for k in range(degree_bound):
+        out[piece * degree_bound + k, cols] = root * math.sqrt(2 * k + 1) * eval_legendre(k, u)
+    return out
+
+
+class PiecewisePolynomialModel(Model):
+    """Regular piecewise polynomials of degree < ``degree_bound``, one chain level.
+
+    Its basis is the first ``pieces * degree_bound`` functions of
+    ``chain``'s nested system.  Without a chain the model is the one-level
+    chain ``(pieces,)``, whose functions are the per-piece shifted Legendre
+    polynomials ``sqrt(pieces) sqrt(2k+1) P_k(u)`` with ``u`` the affine map
+    of the piece onto [-1, 1], indexed piece-major.
     """
 
     family = Family.PIECEWISE_POLYNOMIAL
 
-    def __init__(self, pieces: int, degree_bound: int):
-        if pieces < 1 or degree_bound < 1:
-            raise ValueError("need pieces >= 1 and degree_bound >= 1")
+    def __init__(self, pieces: int, degree_bound: int, chain: _PolynomialChain | None = None):
+        params = {"pieces": pieces, "degree_bound": degree_bound}
+        if chain is None:
+            chain = _PolynomialChain((pieces,), degree_bound)
+        else:
+            params["chain"] = list(chain.piece_counts)
+        if pieces not in chain.piece_counts or degree_bound != chain.degree_bound:
+            raise ValueError(f"{pieces}x{degree_bound} is not a level of the chain {chain.piece_counts}")
+        self.chain = chain
         self.pieces = int(pieces)
         self.degree_bound = int(degree_bound)
-        dim = self.pieces * self.degree_bound
         c1 = math.sqrt(_legendre_sup_ratio(self.degree_bound))
-        super().__init__(
-            dim,
-            c1,
-            f"poly-{pieces}x{degree_bound}",
-            {"pieces": pieces, "degree_bound": degree_bound},
-        )
+        super().__init__(pieces * degree_bound, c1, f"poly-{pieces}x{degree_bound}", params)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        piece = np.minimum((x * self.pieces).astype(int), self.pieces - 1)
-        u = 2.0 * (x * self.pieces - piece) - 1.0
-        out = np.zeros((self.dim, x.size))
-        cols = np.arange(x.size)
-        root = math.sqrt(self.pieces)
-        for k in range(self.degree_bound):
-            out[piece * self.degree_bound + k, cols] = (
-                root * math.sqrt(2 * k + 1) * eval_legendre(k, u)
-            )
-        return out
+        return self.chain.matrix(x, self.dim)
 
     def breakpoints(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.pieces + 1)
@@ -235,8 +256,9 @@ class PiecewisePolynomialModel(Model):
     def shares_prefix_with(self, top: Model) -> bool:
         return (
             isinstance(top, PiecewisePolynomialModel)
-            and top.pieces == self.pieces
+            and top.chain.piece_counts == self.chain.piece_counts
             and top.degree_bound == self.degree_bound
+            and self.dim <= top.dim
         )
 
 
@@ -274,13 +296,12 @@ class _HistogramChain:
         cols = np.arange(x.size)
         out = np.zeros((dim, x.size))
         first = self.dims[0]
-        cell = np.minimum((x * first).astype(int), first - 1)
-        out[cell, cols] = math.sqrt(first)
+        out[_cells(x, first), cols] = math.sqrt(first)
         offset = first
         for prev, cur, ratio, contrasts in self._levels:
             if offset >= dim:
                 break
-            fine = np.minimum((x * cur).astype(int), cur - 1)
+            fine = _cells(x, cur)
             coarse = fine // ratio
             within = fine - coarse * ratio
             scale = math.sqrt(cur)
@@ -289,52 +310,6 @@ class _HistogramChain:
                 out[rows, cols] = scale * contrasts[l, within]
             offset += cur - prev
         return out
-
-    def row_supports(self, dim: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Piecewise-constant description ``(grid, cells, values)`` per row."""
-        rows: list[tuple[int, np.ndarray, np.ndarray]] = []
-        first = self.dims[0]
-        for cell in range(first):
-            rows.append((first, np.array([cell]), np.array([math.sqrt(first)])))
-        for prev, cur, ratio, contrasts in self._levels:
-            if len(rows) >= dim:
-                break
-            for coarse in range(prev):
-                cells = coarse * ratio + np.arange(ratio)
-                for l in range(ratio - 1):
-                    rows.append((cur, cells, math.sqrt(cur) * contrasts[l]))
-        return rows[:dim]
-
-
-class NestedHistogramModel(Model):
-    """One histogram space viewed through its chain's nested system."""
-
-    family = Family.HISTOGRAM
-
-    def __init__(self, chain: _HistogramChain, cells: int):
-        if cells not in chain.dims:
-            raise ValueError(f"{cells} is not a level of the chain {chain.dims}")
-        self.chain = chain
-        self.cells = int(cells)
-        super().__init__(
-            cells, 1.0, f"histogram-{cells}", {"cells": cells, "chain": list(chain.dims)}
-        )
-
-    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.chain.matrix(x, self.dim)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.cells + 1)
-
-    def row_supports(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        return self.chain.row_supports(self.dim)
-
-    def shares_prefix_with(self, top: Model) -> bool:
-        return (
-            isinstance(top, NestedHistogramModel)
-            and top.chain is self.chain
-            and self.dim <= top.dim
-        )
 
 
 class _PolynomialChain:
@@ -352,20 +327,18 @@ class _PolynomialChain:
         self.degree_bound = int(degree_bound)
         if self.degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
-        self.top_natural = PiecewisePolynomialModel(self.piece_counts[-1], self.degree_bound)
         self.transform = self._build_transform()
 
     def _build_transform(self) -> np.ndarray:
-        top = self.top_natural
-        order = max(self.degree_bound, 2)
-        x, w = piecewise_nodes(top.breakpoints(), order)
-        psi_top = top.basis_matrix(x)
-        d_top = top.dim
-        q = np.zeros((d_top, d_top))
+        top, r = self.piece_counts[-1], self.degree_bound
+        if len(self.piece_counts) == 1:
+            return np.eye(top * r)  # a one-level chain is the natural system itself
+        x, w = piecewise_nodes(np.linspace(0.0, 1.0, top + 1), max(r, 2))
+        weighted_top = _natural_legendre(x, top, r) * w
+        q = np.zeros((top * r, top * r))
         filled = 0
         for pieces in self.piece_counts:
-            member = PiecewisePolynomialModel(pieces, self.degree_bound)
-            embed = (psi_top * w) @ member.basis_matrix(x).T
+            embed = weighted_top @ _natural_legendre(x, pieces, r).T
             if filled == 0:
                 block = embed
             else:
@@ -373,55 +346,14 @@ class _PolynomialChain:
                 block = embed - prev @ (prev.T @ embed)
                 block -= prev @ (prev.T @ block)
                 u, _, _ = np.linalg.svd(block, full_matrices=False)
-                block = u[:, : member.dim - filled]
+                block = u[:, : pieces * r - filled]
             q[:, filled : filled + block.shape[1]] = block
             filled += block.shape[1]
         return q
 
     def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:
-        return self.transform[:, :dim].T @ self.top_natural.basis_matrix(x)
-
-
-class NestedPiecewisePolynomialModel(Model):
-    """One piecewise-polynomial space viewed through its chain's system."""
-
-    family = Family.PIECEWISE_POLYNOMIAL
-
-    def __init__(self, chain: _PolynomialChain, pieces: int):
-        if pieces not in chain.piece_counts:
-            raise ValueError(f"{pieces} is not a level of the chain {chain.piece_counts}")
-        self.chain = chain
-        self.pieces = int(pieces)
-        self.degree_bound = chain.degree_bound
-        dim = self.pieces * self.degree_bound
-        c1 = math.sqrt(_legendre_sup_ratio(self.degree_bound))
-        super().__init__(
-            dim,
-            c1,
-            f"poly-{pieces}x{self.degree_bound}",
-            {
-                "pieces": pieces,
-                "degree_bound": self.degree_bound,
-                "chain": list(chain.piece_counts),
-            },
-        )
-
-    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.chain.matrix(x, self.dim)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.pieces + 1)
-
-    def transform_block(self) -> np.ndarray:
-        """Coefficients of this model's basis in the top natural basis."""
-        return self.chain.transform[:, : self.dim]
-
-    def shares_prefix_with(self, top: Model) -> bool:
-        return (
-            isinstance(top, NestedPiecewisePolynomialModel)
-            and top.chain is self.chain
-            and self.dim <= top.dim
-        )
+        natural = _natural_legendre(x, self.piece_counts[-1], self.degree_bound)
+        return self.transform[:, :dim].T @ natural
 
 
 class ModelCollection:
@@ -476,7 +408,7 @@ class ModelCollection:
 def histogram_collection(dims: Sequence[int], c_m: float = 4.0) -> ModelCollection:
     """Nested histograms over a divisor chain of cell counts (e.g. dyadic)."""
     chain = _HistogramChain(sorted(int(d) for d in dims))
-    return ModelCollection([NestedHistogramModel(chain, d) for d in chain.dims], c_m=c_m)
+    return ModelCollection([HistogramModel(d, chain) for d in chain.dims], c_m=c_m)
 
 
 def fourier_collection(
@@ -500,7 +432,8 @@ def piecewise_polynomial_collection(
     """Nested piecewise-polynomial spaces over a divisor chain of pieces."""
     chain = _PolynomialChain(sorted(int(p) for p in piece_counts), degree_bound)
     return ModelCollection(
-        [NestedPiecewisePolynomialModel(chain, p) for p in chain.piece_counts], c_m=c_m
+        [PiecewisePolynomialModel(p, chain.degree_bound, chain) for p in chain.piece_counts],
+        c_m=c_m,
     )
 
 

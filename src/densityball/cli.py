@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -340,6 +341,21 @@ def read_sample_file(path: str) -> Sample:
     return Sample(np.array(values))
 
 
+def _check_output_path(out_path: str | None) -> None:
+    """Refuse an output path that is a directory or lies in a missing one.
+
+    Runs before any computation and neither creates nor truncates a file;
+    other write errors still surface when the output is written.
+    """
+    if out_path is None:
+        return
+    if os.path.isdir(out_path):
+        raise ConfigError(f"cannot write output {out_path}: it is a directory")
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write output {out_path}: no directory {parent}")
+
+
 def _write_text(out_path: str | None, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -577,6 +593,7 @@ def main(argv: list[str] | None = None) -> int:
         settings = load_config(args.config) if args.config else Settings()
         settings = apply_flags(settings, args)
         settings.validate()
+        _check_output_path(args.out)
         if args.command == "ball":
             return run_ball(settings, args.out, args.format)
         if args.command == "simulate-pw":

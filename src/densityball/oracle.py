@@ -10,7 +10,9 @@ provides closed-form values of ``E psi(X)`` for every basis family in
   against a cosine density, from ``int_{-1}^{1} P_k(u) e^{i theta u} du =
   2 i^k j_k(theta)`` with ``j_k`` the spherical Bessel function.
 
-Nested systems reduce to these by linearity.
+Chain members reduce to these by linearity: histogram functions are
+constant on the member's cells, and polynomial ones are the chain's
+transform of the natural Legendre system of its finest grid.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ import math
 import numpy as np
 from scipy.special import eval_legendre, spherical_jn
 
-from .basis import (
-    FourierModel,
-    HistogramModel,
-    Model,
-    NestedHistogramModel,
-    NestedPiecewisePolynomialModel,
-    PiecewisePolynomialModel,
-)
+from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel
 from .accumulate import compensated_sum
 from .estimators import Sample
 
@@ -70,20 +65,11 @@ class DensityOracle:
 
     def true_coefficients(self, model: Model) -> np.ndarray:
         """Exact coefficients of the projection of the density onto ``model``."""
-        if isinstance(model, NestedHistogramModel):
-            coeffs = []
-            for grid, cells, values in model.row_supports():
-                edges = cells / grid
-                masses = self.cdf(edges + 1.0 / grid) - self.cdf(edges)
-                coeffs.append(compensated_sum(np.asarray(values) * masses))
-            return np.array(coeffs)
-        if isinstance(model, NestedPiecewisePolynomialModel):
-            natural = self.true_coefficients(model.chain.top_natural)
-            return model.transform_block().T @ natural
         if isinstance(model, HistogramModel):
+            # every basis function is constant on the model's own cells
             edges = np.linspace(0.0, 1.0, model.cells + 1)
             masses = self.cdf(edges[1:]) - self.cdf(edges[:-1])
-            return math.sqrt(model.cells) * masses
+            return model.basis_matrix((edges[:-1] + edges[1:]) / 2.0) @ masses
         if isinstance(model, FourierModel):
             out = np.empty(model.dim)
             out[0] = 1.0
@@ -92,13 +78,14 @@ class DensityOracle:
                 out[2 * j] = self._sine_moment(j)
             return out
         if isinstance(model, PiecewisePolynomialModel):
-            out = np.empty(model.dim)
-            for piece in range(model.pieces):
-                for k in range(model.degree_bound):
-                    out[piece * model.degree_bound + k] = self._legendre_piece_moment(
-                        model.pieces, piece, k
-                    )
-            return out
+            chain = model.chain
+            top = chain.piece_counts[-1]
+            natural = [
+                self._legendre_piece_moment(top, piece, k)
+                for piece in range(top)
+                for k in range(chain.degree_bound)
+            ]
+            return chain.transform[:, : model.dim].T @ np.array(natural)
         raise TypeError(f"no exact coefficients for model type {type(model).__name__}")
 
 

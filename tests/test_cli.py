@@ -395,7 +395,13 @@ def test_oracle_param_validation(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["ball", "coverage", "simulate-pw"])
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-def test_unwritable_output_exits_2(sample_file, tmp_path, capsys, command, target):
+def test_unwritable_output_exits_2(sample_file, tmp_path, capsys, monkeypatch, command, target):
+    # the path is refused before any computation starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started before the output path was checked")
+
+    for name in ("build_confidence_ball", "coverage_experiment", "normalized_difference_experiment"):
+        monkeypatch.setattr(f"densityball.cli.{name}", refuse)
     out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path
     argv = {
         "ball": ["ball", "--input", sample_file, "--collection-family", "histogram", "--collection-dims", "1,2"],

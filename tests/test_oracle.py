@@ -69,6 +69,37 @@ def test_coefficients_match_quadrature(oracle, model):
     np.testing.assert_allclose(oracle.true_coefficients(model), quad, atol=1e-8)
 
 
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: repr(o.__dict__))
+@pytest.mark.parametrize("m", [1, 3, 8, 50])
+def test_standalone_histogram_is_exact(oracle, m):
+    # the one-level chain is the scaled indicators and the scaled cell masses,
+    # bit for bit; the seeded experiment outputs rest on this
+    model = HistogramModel(m)
+    x = np.concatenate([np.linspace(0.0, 1.0, 4 * m + 1), np.random.default_rng(m).random(200)])
+    indicators = np.zeros((m, x.size))
+    indicators[np.minimum((x * m).astype(int), m - 1), np.arange(x.size)] = math.sqrt(m)
+    assert np.array_equal(model.basis_matrix(x), indicators)
+    edges = np.linspace(0.0, 1.0, m + 1)
+    masses = oracle.cdf(edges[1:]) - oracle.cdf(edges[:-1])
+    assert np.array_equal(oracle.true_coefficients(model), math.sqrt(m) * masses)
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: repr(o.__dict__))
+@pytest.mark.parametrize(
+    "collection",
+    [
+        histogram_collection([1, 2, 4, 8]),
+        histogram_collection([3, 6, 12]),
+        piecewise_polynomial_collection([1, 2, 6], 2),
+    ],
+    ids=["hist-dyadic", "hist-triadic", "poly"],
+)
+def test_member_coefficients_are_prefixes_of_the_top(oracle, collection):
+    top = oracle.true_coefficients(collection.top)
+    for member in collection:
+        np.testing.assert_allclose(oracle.true_coefficients(member), top[: member.dim], rtol=0, atol=1e-13)
+
+
 def test_specific_coefficients():
     uniform = UniformDensity()
     fourier = FourierModel(3)
