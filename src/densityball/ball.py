@@ -2,17 +2,19 @@
 
 Every model of a collection spans a leading block of the top model's
 orthonormal system, so one pass over the sample suffices for the whole
-collection: the top basis is evaluated once, a chunk of points at a time,
-and reduced to the per-coefficient sums ``S_l = sum_i psi_l(X_i)`` and
-``Q_l = sum_i psi_l(X_i)^2``.  Prefix sums of ``max(Q_l - S_l^2 / n, 0)``
-give every closed-form resampling variance estimate, suffix sums of
-``S_l^2 - Q_l`` give every nested-bias U-statistic, and ``S[:d] / n`` is
-the projection estimator of the model of dimension ``d``.  The bounds of
-all models are then evaluated together; the ball is centered at the
-projection estimator of the model with the smallest radius (ties go to the
-smallest dimension).  Membership is evaluated in the coefficient space of
-the collection's top model, with an optional quadrature term for candidates
-that have mass outside the top model.
+collection: :meth:`~densityball.basis.Model.basis_sums` of the top model
+gives the per-coefficient sums ``S_l = sum_i psi_l(X_i)`` and
+``Q_l = sum_i psi_l(X_i)^2``, from the top basis evaluated once per point
+or, for histograms, from per-level cell counts.  Prefix sums of
+``max(Q_l - S_l^2 / n, 0)`` give every closed-form resampling variance
+estimate, suffix sums of ``S_l^2 - Q_l`` give every nested-bias
+U-statistic, and ``S[:d] / n`` is the projection estimator of the model of
+dimension ``d``.  The bounds of all models are then evaluated together; the
+ball is centered at the projection estimator of the model with the
+smallest radius (ties go to the smallest dimension).  Membership is
+evaluated in the coefficient space of the collection's top model, with an
+optional quadrature term for candidates that have mass outside the top
+model.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, 
 # which look it up in this namespace; the ball itself no longer calls it.
 from .estimators import Sample, resampling_statistics, resampling_variance  # noqa: F401
 from .weights import WeightScheme, sample_weights_batch
-
-# Basis entries evaluated per chunk of points: memory stays O(CHUNK_ENTRIES)
-# whatever the sample size, instead of a dense (top dim, n) matrix.
-CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -91,22 +89,6 @@ def select_model_index(radius_sq_values: Sequence[float], dims: Sequence[int]) -
     return min(order, key=lambda i: (radius_sq_values[i], dims[i], i))
 
 
-def top_basis_sums(sample: Sample, top: Model) -> tuple[np.ndarray, np.ndarray]:
-    """``S_l = sum_i psi_l(X_i)`` and ``Q_l = sum_i psi_l(X_i)^2`` over the top basis.
-
-    The points are streamed in chunks of about ``CHUNK_ENTRIES`` basis
-    entries, so each basis function is evaluated once per point.
-    """
-    step = max(CHUNK_ENTRIES // top.dim, 1)
-    sums = np.zeros(top.dim)
-    squares = np.zeros(top.dim)
-    for start in range(0, sample.n, step):
-        psi = top.basis_matrix(sample.points[start : start + step])
-        sums += psi.sum(axis=1)
-        squares += np.einsum("ij,ij->i", psi, psi)
-    return sums, squares
-
-
 def build_confidence_ball(
     sample: Sample,
     collection: ModelCollection,
@@ -118,7 +100,7 @@ def build_confidence_ball(
     The estimates equal :func:`~densityball.estimators.resampling_variance`
     and :func:`~densityball.estimators.projection_bias_estimate` of each
     model, and the center equals :func:`~densityball.estimators.project` of
-    the selected one, all obtained from one pass of :func:`top_basis_sums`.
+    the selected one, all obtained from one ``basis_sums`` pass of the top model.
     The dimension-growth check is advisory here: a failure is recorded in
     ``growth_check_ok`` and the construction proceeds.
     """
@@ -127,7 +109,7 @@ def build_confidence_ball(
     growth = check_dimension_growth(collection, sample.n, config.beta)
     n = sample.n
     dims = np.array([model.dim for model in collection])
-    sums, squares = top_basis_sums(sample, collection.top)
+    sums, squares = collection.top.basis_sums(sample.points)
     pairs = n * (n - 1.0)
     variance = np.cumsum(np.maximum(squares - sums * sums / n, 0.0))[dims - 1] / pairs
     # suffix[d] = sum over l >= d of the off-diagonal terms; 0 at the top model

@@ -30,9 +30,12 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from ._quadrature import piecewise_nodes
+
+# Basis entries evaluated per chunk of points by Model.basis_sums: memory stays
+# O(CHUNK_ENTRIES) whatever the sample size, instead of a dense (dim, n) matrix.
+CHUNK_ENTRIES = 2**20
 
 
 class Family(str, Enum):
@@ -81,6 +84,22 @@ class Model:
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at ``x``; shape ``(dim, len(x))``."""
         raise NotImplementedError
+
+    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``S_l = sum_i psi_l(x_i)`` and ``Q_l = sum_i psi_l(x_i)^2`` for every index ``l``.
+
+        The points are streamed in chunks of about ``CHUNK_ENTRIES`` basis
+        entries, so each basis function is evaluated once per point.
+        """
+        x = np.asarray(x, dtype=float)
+        step = max(CHUNK_ENTRIES // self.dim, 1)
+        sums = np.zeros(self.dim)
+        squares = np.zeros(self.dim)
+        for start in range(0, x.size, step):
+            psi = self.basis_matrix(x[start : start + step])
+            sums += psi.sum(axis=1)
+            squares += np.einsum("ij,ij->i", psi, psi)
+        return sums, squares
 
     def eval_basis(self, index: int, x: float) -> float:
         """Value of one basis function at one point, with range checks."""
@@ -142,6 +161,9 @@ class HistogramModel(Model):
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         return self.chain.matrix(x, self.dim)
 
+    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.chain.sums(x, self.dim)
+
     def breakpoints(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.cells + 1)
 
@@ -190,6 +212,17 @@ class FourierModel(Model):
         return isinstance(top, FourierModel) and self.cutoff <= top.cutoff
 
 
+def _legendre(degree: int, u: np.ndarray) -> np.ndarray:
+    """Legendre polynomial ``P_degree(u)``.
+
+    ``scipy.special`` is imported here, on first use, so that histogram and
+    trigonometric work never loads scipy.
+    """
+    from scipy.special import eval_legendre
+
+    return eval_legendre(degree, u)
+
+
 @lru_cache(maxsize=None)
 def _legendre_sup_ratio(degree_bound: int) -> float:
     """Numerical sup of ``sum_k (2k+1) P_k(u)^2 / r`` over u in [-1, 1].
@@ -200,7 +233,7 @@ def _legendre_sup_ratio(degree_bound: int) -> float:
     u = np.linspace(-1.0, 1.0, 2001)
     total = np.zeros_like(u)
     for k in range(degree_bound):
-        total += (2 * k + 1) * eval_legendre(k, u) ** 2
+        total += (2 * k + 1) * _legendre(k, u) ** 2
     return float(np.max(total) / degree_bound)
 
 
@@ -217,7 +250,7 @@ def _natural_legendre(x: np.ndarray, pieces: int, degree_bound: int) -> np.ndarr
     cols = np.arange(x.size)
     root = math.sqrt(pieces)
     for k in range(degree_bound):
-        out[piece * degree_bound + k, cols] = root * math.sqrt(2 * k + 1) * eval_legendre(k, u)
+        out[piece * degree_bound + k, cols] = root * math.sqrt(2 * k + 1) * _legendre(k, u)
     return out
 
 
@@ -310,6 +343,26 @@ class _HistogramChain:
                 out[rows, cols] = scale * contrasts[l, within]
             offset += cur - prev
         return out
+
+    def sums(self, x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the first ``dim`` functions and of their squares over ``x``.
+
+        Every function is constant on the cells of its level, so the sums
+        are linear in that level's cell counts: one ``bincount`` per level,
+        on the same cells as :meth:`matrix`, and no basis matrix.
+        """
+        first = self.dims[0]
+        counts = np.bincount(_cells(x, first), minlength=first).astype(float)
+        sums, squares = [math.sqrt(first) * counts], [first * counts]
+        offset = first
+        for prev, cur, ratio, contrasts in self._levels:
+            if offset >= dim:
+                break
+            counts = np.bincount(_cells(x, cur), minlength=cur).astype(float).reshape(prev, ratio)
+            sums.append(math.sqrt(cur) * (counts @ contrasts.T).ravel())
+            squares.append(cur * (counts @ (contrasts * contrasts).T).ravel())
+            offset += cur - prev
+        return np.concatenate(sums), np.concatenate(squares)
 
 
 class _PolynomialChain:

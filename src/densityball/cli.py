@@ -130,6 +130,8 @@ def load_config(path: str) -> Settings:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return settings_from_mapping(raw)
@@ -324,6 +326,8 @@ def read_sample_file(path: str) -> Sample:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read input {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read input {path}: not UTF-8 text ({exc})") from exc
     values = []
     for lineno, line in enumerate(lines, start=1):
         token = line.strip()
@@ -589,8 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    settings = Settings()
     try:
-        settings = load_config(args.config) if args.config else Settings()
+        if args.config:
+            settings = load_config(args.config)
         settings = apply_flags(settings, args)
         settings.validate()
         _check_output_path(args.out)
@@ -606,6 +612,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        if args.command in ("ball", "check-assumptions") and settings.collection_dims:
+            need = f"a collection of top dimension {max(settings.collection_dims)}"
+        else:
+            need = f"n={settings.n}, dm={settings.dm}, nb={settings.nb}"
+        sys.stderr.write(f"error: not enough memory for {need}\n")
         return 2
 
 

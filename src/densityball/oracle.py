@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn
 
-from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel
+from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _legendre
 from .accumulate import compensated_sum
 from .estimators import Sample
 
@@ -149,8 +148,8 @@ def _legendre_integral(degree: int, a: float, b: float) -> float:
     """``int_a^b P_degree(u) du`` on [-1, 1] via the antiderivative identity."""
     if degree == 0:
         return b - a
-    upper = eval_legendre(degree + 1, b) - eval_legendre(degree - 1, b)
-    lower = eval_legendre(degree + 1, a) - eval_legendre(degree - 1, a)
+    upper = _legendre(degree + 1, b) - _legendre(degree - 1, b)
+    lower = _legendre(degree + 1, a) - _legendre(degree - 1, a)
     return float(upper - lower) / (2 * degree + 1)
 
 
@@ -280,6 +279,8 @@ class CosineTiltDensity(DensityOracle):
         return 0.0
 
     def _legendre_piece_moment(self, pieces, piece, degree):
+        from scipy.special import spherical_jn  # on first use: histogram and Fourier work never needs it
+
         base = 1.0 / math.sqrt(pieces) if degree == 0 else 0.0
         theta = math.pi * self.frequency / pieces
         phase = (2 * piece + 1) * theta + degree * math.pi / 2.0

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densityball.ball import (
-    CHUNK_ENTRIES,
     ball_from_doc,
     ball_to_doc,
     build_confidence_ball,
@@ -16,7 +17,9 @@ from densityball.ball import (
     select_model_index,
 )
 from densityball.basis import (
+    CHUNK_ENTRIES,
     HistogramModel,
+    Model,
     fourier_collection,
     histogram_collection,
     piecewise_polynomial_collection,
@@ -255,3 +258,59 @@ def test_one_pass_accuracy_on_a_long_histogram_chain():
         bias = float(Fraction(norms[top] - norms[d] - n * (top - d), pairs))
         assert abs(row.variance_estimate - variance) <= 1e-10 * (n * d / pairs)
         assert abs(row.bias_estimate - bias) <= 1e-10 * ((norms[top] + n * top) / pairs)
+
+
+HISTOGRAM_CHAINS = [tuple(2**j for j in range(k + 1)) for k in range(8)] + [(3, 6, 12), (1, 5, 10, 30)]
+
+
+def _cell_edges(chain):
+    """0, 1, every edge k/m of every level and both float neighbours of each, in [0, 1]."""
+    edges = np.concatenate([np.arange(m + 1) / m for m in chain])
+    return np.unique(np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]))
+
+
+@st.composite
+def chain_samples(draw):
+    """A histogram chain, 2..300 points that favour cell edges, and a permutation of them."""
+    chain = draw(st.sampled_from(HISTOGRAM_CHAINS))
+    n = draw(st.integers(2, 300))
+    point = st.one_of(st.sampled_from(_cell_edges(chain).tolist()), st.floats(0.0, 1.0))
+    points = draw(st.lists(point, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return chain, np.array(points), np.array(order)
+
+
+def _assert_counts_match_the_basis_matrix(chain, points):
+    for model in histogram_collection(chain):
+        sums, squares = model.basis_sums(points)
+        ref_sums, ref_squares = Model.basis_sums(model, points)  # the chunked basis_matrix pass
+        assert sums.shape == squares.shape == (model.dim,)
+        # the terms that cancel in S_l are the |psi_l(x_i)|; Q_l has no cancellation
+        scale = np.abs(model.basis_matrix(points)).sum(axis=1)
+        assert np.all(np.abs(sums - ref_sums) <= 1e-12 * scale)
+        assert np.all(np.abs(squares - ref_squares) <= 1e-12 * ref_squares)
+
+
+@pytest.mark.parametrize("chain", HISTOGRAM_CHAINS, ids=str)
+def test_histogram_counts_match_the_basis_matrix_at_every_cell_edge(chain):
+    _assert_counts_match_the_basis_matrix(chain, _cell_edges(chain))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_samples())
+def test_histogram_counts_match_the_basis_matrix(data):
+    chain, points, _ = data
+    _assert_counts_match_the_basis_matrix(chain, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_samples())
+def test_histogram_ball_is_invariant_under_permutation(data):
+    # the ball depends on the sample through integer cell counts only
+    chain, points, order = data
+    coll = histogram_collection(chain)
+    scheme = make_scheme("efron", points.size)
+    cfg = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0, eta=0.05, kappa_scale=1e-3)
+    ball = build_confidence_ball(Sample(points), coll, scheme, cfg)
+    shuffled = build_confidence_ball(Sample(points[order]), coll, scheme, cfg)
+    assert ball_to_doc(shuffled) == ball_to_doc(ball)

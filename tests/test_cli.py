@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densityball
 from densityball.cli import main, settings_from_mapping
 from densityball.oracle import UniformDensity
 
@@ -460,3 +465,67 @@ def test_byte_identical_reruns(sample_file, tmp_path):
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_huge_collection_exits_2_with_one_line(sample_file, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("densityball.cli.build_confidence_ball", out_of_memory)
+    argv = ["ball", "--input", sample_file, "--collection-family", "fourier"]
+    assert main(argv + ["--collection-dims", "1,2199023255553"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "top dimension 2199023255553" in err
+
+
+@pytest.mark.parametrize("kind", ["input", "config"])
+def test_file_that_is_not_utf8_is_named(sample_file, tmp_path, capsys, kind):
+    bad = tmp_path / f"bad-{kind}"
+    collection = ["--collection-family", "histogram", "--collection-dims", "1,2"]
+    if kind == "input":
+        bad.write_bytes(b"0.5\n\xff\n0.25\n")
+        argv = ["ball", "--input", str(bad), *collection]
+    else:
+        bad.write_bytes(b'{"beta": 0.1}\xff')
+        argv = ["ball", "--input", sample_file, "--config", str(bad), *collection]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {kind} {bad}: not UTF-8 text") and err.count("\n") == 1
+
+
+IMPORT_GUARD = """
+import json, sys
+import densityball.cli as cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    assert code == 0, (argv, code)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_never_imports_scipy(sample_file, tmp_path):
+    # a fresh interpreter: the test session itself has scipy loaded
+    out = ["--out", str(tmp_path / "out")]
+    tiny = ["--n", "20", "--dm", "4", "--nb", "100", "--reps", "2"]
+    cosine = ["--oracle-kind", "cosine", "--oracle-params", '{"amplitude": 0.3, "frequency": 2}']
+    ball = ["ball", "--input", sample_file, "--collection-family"]
+    check = ["check-assumptions", "--warn-only", "--collection-family"]
+    runs = [
+        [*ball, "histogram", "--collection-dims", "1,2,4,8"],
+        [*ball, "fourier", "--collection-dims", "1,3,5", "--format", "doc"],
+        ["coverage", *tiny],
+        ["coverage", *tiny, *cosine],
+        ["simulate-pw", *tiny],
+        ["simulate-pw", *tiny, *cosine, "--weights-kind", "rademacher"],
+        [*check, "histogram", "--collection-dims", "1,2,4"],
+        [*check, "fourier", "--collection-dims", "1,3"],
+    ]
+    src = str(Path(densityball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps([argv + out for argv in runs])],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
