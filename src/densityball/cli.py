@@ -614,11 +614,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError:
-        if args.command in ("ball", "check-assumptions") and settings.collection_dims:
-            need = f"a collection of top dimension {max(settings.collection_dims)}"
-        else:
-            need = f"n={settings.n}, dm={settings.dm}, nb={settings.nb}"
-        sys.stderr.write(f"error: not enough memory for {need}\n")
+        dims = settings.collection_dims
+        top = f" (collection top dimension {max(dims)})" if dims else ""
+        sys.stderr.write(f"error: out of memory{top}\n")
         return 2
 
 
