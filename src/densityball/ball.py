@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .accumulate import compensated_sum
 from .basis import Model, ModelCollection, check_dimension_growth
 from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, variance_bounds
 # resampling_variance stays importable from here for perfbench's traced runs,
@@ -74,7 +73,7 @@ class ConfidenceBall:
         padded = np.zeros(self.top_dim)
         padded[: self.center.size] = self.center
         diff = cand - padded
-        dist_sq = compensated_sum(diff * diff) + residual_norm_sq
+        dist_sq = float(diff @ diff) + residual_norm_sq
         return dist_sq <= self.radius * self.radius
 
 

@@ -320,9 +320,13 @@ class _HistogramChain:
 
     def __init__(self, dims: Sequence[int]):
         self.dims = _validate_divisor_chain(dims, "histogram")
+        # Contrast l = 1..r-1 of helmert_contrasts(r) is h_l on sub-cells 0..l-1,
+        # -l h_l on sub-cell l and 0 after it, with h_l = 1/sqrt(l(l+1)).
         self._levels = []
         for prev, cur in zip(self.dims[:-1], self.dims[1:]):
-            self._levels.append((prev, cur, cur // prev, helmert_contrasts(cur // prev)))
+            l = np.arange(1.0, cur // prev)
+            h = 1.0 / np.sqrt(l * (l + 1.0))
+            self._levels.append((prev, cur, l, h, math.sqrt(cur) * h, cur * h * h))
 
     def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -331,16 +335,17 @@ class _HistogramChain:
         first = self.dims[0]
         out[_cells(x, first), cols] = math.sqrt(first)
         offset = first
-        for prev, cur, ratio, contrasts in self._levels:
+        for prev, cur, _, h, _, _ in self._levels:
             if offset >= dim:
                 break
+            ratio = cur // prev
             fine = _cells(x, cur)
             coarse = fine // ratio
             within = fine - coarse * ratio
             scale = math.sqrt(cur)
-            for l in range(ratio - 1):
-                rows = offset + coarse * (ratio - 1) + l
-                out[rows, cols] = scale * contrasts[l, within]
+            for l, h_l in zip(range(1, ratio), h):
+                rows = offset + coarse * (ratio - 1) + l - 1
+                out[rows, cols] = scale * np.where(within < l, h_l, np.where(within == l, -l * h_l, 0.0))
             offset += cur - prev
         return out
 
@@ -355,12 +360,15 @@ class _HistogramChain:
         counts = np.bincount(_cells(x, first), minlength=first).astype(float)
         sums, squares = [math.sqrt(first) * counts], [first * counts]
         offset = first
-        for prev, cur, ratio, contrasts in self._levels:
+        for prev, cur, l, _, sum_scale, square_scale in self._levels:
             if offset >= dim:
                 break
-            counts = np.bincount(_cells(x, cur), minlength=cur).astype(float).reshape(prev, ratio)
-            sums.append(math.sqrt(cur) * (counts @ contrasts.T).ravel())
-            squares.append(cur * (counts @ (contrasts * contrasts).T).ravel())
+            # integer-valued floats: every step before the scaling is exact
+            counts = np.bincount(_cells(x, cur), minlength=cur).astype(float).reshape(prev, cur // prev)
+            below = np.cumsum(counts[:, :-1], axis=1)  # sub-cells 0..l-1 of each coarse cell
+            at = l * counts[:, 1:]  # l times sub-cell l
+            sums.append((sum_scale * (below - at)).ravel())
+            squares.append((square_scale * (below + l * at)).ravel())
             offset += cur - prev
         return np.concatenate(sums), np.concatenate(squares)
 

@@ -69,7 +69,10 @@ class BoundConfig:
 
 
 def _deviation_level(cardinality: int, beta: float, prefactor: float) -> float:
-    return max(2.0 * math.log(prefactor * cardinality / beta), 2.0)
+    ratio = prefactor * cardinality / beta
+    if ratio == math.inf:  # beta below about 1e-305: the ratio overflows, its log does not
+        return 2.0 * (math.log(prefactor * cardinality) - math.log(beta))
+    return max(2.0 * math.log(ratio), 2.0)
 
 
 def variance_bounds(

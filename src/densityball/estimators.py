@@ -27,6 +27,12 @@ These per-model functions are the references for the one-pass statistics
 of :func:`densityball.ball.build_confidence_ball`, which obtains every
 model's variance and bias estimate and the selected center from a single
 evaluation of the top basis.
+
+Reductions are plain numpy sums and dot products; row sums are pairwise,
+so their rounding grows as O(eps log n).  Coefficients come from
+:meth:`~densityball.basis.Model.basis_sums`, which for a histogram is
+``sqrt(m)`` times its integer cell counts, so the projection equals the
+count formula of :mod:`densityball.experiments` bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import density_gram
-from .accumulate import compensated_sum, row_sums
 from .basis import Model
 from .weights import WeightScheme, enumerate_weights, sample_weights_batch
 
@@ -78,30 +83,26 @@ def project(sample: Sample, model: Model) -> ProjectionEstimate:
     Equivalently the minimizer of ``||t||^2 - 2 mean_i t(X_i)`` over the
     model.
     """
-    psi = model.basis_matrix(sample.points)
-    coeffs = row_sums(psi) / sample.n
+    coeffs = model.basis_sums(sample.points)[0] / sample.n
     coeffs.flags.writeable = False
     return ProjectionEstimate(model=model, coefficients=coeffs)
 
 
-def _check_scheme(sample: Sample, scheme: WeightScheme | None) -> None:
-    if scheme is not None and scheme.n != sample.n:
+def _check_scheme(sample: Sample, scheme: WeightScheme) -> None:
+    if scheme.n != sample.n:
         raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
 
 
-def resampling_variance(sample: Sample, model: Model, scheme: WeightScheme | None = None) -> float:
+def resampling_variance(sample: Sample, model: Model) -> float:
     """Closed form of the resampling estimator of the estimation error.
 
     The value is the same for every exchangeable scheme with the canonical
-    normalizer, so the scheme argument is accepted only for interface
-    symmetry (and size validation).  Always nonnegative.
+    normalizer, so no scheme is needed.  Always nonnegative.
     """
-    _check_scheme(sample, scheme)
     n = sample.n
-    psi = model.basis_matrix(sample.points)
-    means = row_sums(psi) / n
-    dev = psi - means[:, None]
-    return compensated_sum(dev * dev) / (n * (n - 1.0))
+    dev = model.basis_matrix(sample.points)
+    dev -= dev.mean(axis=1, keepdims=True)
+    return float(np.einsum("ij,ij->", dev, dev)) / (n * (n - 1.0))
 
 
 def resampling_statistics(
@@ -149,7 +150,7 @@ def resampling_variance_enumerated(sample: Sample, model: Model, scheme: WeightS
     stacked = np.stack([w for w, _ in support])
     probs = np.array([p for _, p in support])
     stats = resampling_statistics(sample, model, scheme, stacked)
-    return compensated_sum(probs * stats)
+    return float(probs @ stats)
 
 
 def projection_bias_estimate(sample: Sample, sub_model: Model, top_model: Model) -> float:
@@ -170,9 +171,8 @@ def projection_bias_estimate(sample: Sample, sub_model: Model, top_model: Model)
         return 0.0
     n = sample.n
     psi = top_model.basis_matrix(sample.points)[sub_model.dim :]
-    sums = row_sums(psi)
-    sq = row_sums(psi * psi)
-    return compensated_sum(sums * sums - sq) / (n * (n - 1.0))
+    sums = psi.sum(axis=1)
+    return float(sums @ sums - np.einsum("ij,ij->", psi, psi)) / (n * (n - 1.0))
 
 
 def centered_u_statistic(sample: Sample, model: Model, oracle) -> float:
@@ -187,10 +187,10 @@ def centered_u_statistic(sample: Sample, model: Model, oracle) -> float:
     """
     n = sample.n
     true = np.asarray(oracle.true_coefficients(model), dtype=float)
-    dev = model.basis_matrix(sample.points) - true[:, None]
-    sums = row_sums(dev)
-    sq = row_sums(dev * dev)
-    return compensated_sum(sums * sums - sq) / (n * (n - 1.0))
+    dev = model.basis_matrix(sample.points)
+    dev -= true[:, None]
+    sums = dev.sum(axis=1)
+    return float(sums @ sums - np.einsum("ij,ij->", dev, dev)) / (n * (n - 1.0))
 
 
 def projection_error_sq(sample: Sample, model: Model, oracle) -> float:
@@ -202,7 +202,7 @@ def projection_error_sq(sample: Sample, model: Model, oracle) -> float:
     est = project(sample, model).coefficients
     true = np.asarray(oracle.true_coefficients(model), dtype=float)
     diff = est - true
-    return compensated_sum(diff * diff)
+    return float(diff @ diff)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def projection_error_sq(sample: Sample, model: Model, oracle) -> float:
 def coordinate_variance_total(model: Model, oracle, order: int = 16) -> float:
     """``D = sum_l Var_s(psi_l(X))`` by quadrature against the density."""
     gram, moments = density_gram(model, oracle, order=order)
-    return compensated_sum(np.diag(gram)) - compensated_sum(moments * moments)
+    return float(np.trace(gram) - moments @ moments)
 
 
 def unit_ball_sup_norm(model: Model, grid_points: int = 4096) -> float:

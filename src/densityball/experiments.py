@@ -28,6 +28,9 @@ by its draw chunk) plus O(nb d) float work, and the true coefficients are
 computed once per experiment.  The integer draws are the ones the per-point
 weights would take, so the seeded stream is that of the per-point
 estimators of :mod:`densityball.estimators`, which serve as references.
+:func:`~densityball.estimators.project` takes a histogram's coefficients
+from the same integer counts, so the exact error here equals
+``projection_error_sq`` bit for bit without any compensated summation.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import compensated_sum
 from .ball import order_statistic_rank
 from .basis import HistogramModel
 from .estimators import Sample
@@ -71,10 +73,11 @@ def cell_error_sq(counts: np.ndarray, true_coefficients: np.ndarray) -> float:
     """Squared projection error of a histogram from its cell counts.
 
     Equals ``projection_error_sq`` on the ``HistogramModel`` with
-    ``counts.size`` cells, whose coefficients are ``sqrt(d) c_k / n``.
+    ``counts.size`` cells bit for bit: both take the coefficients
+    ``sqrt(d) c_k / n`` from the integer counts and reduce the same way.
     """
     diff = math.sqrt(counts.size) * counts / counts.sum() - true_coefficients
-    return compensated_sum(diff * diff)
+    return float(diff @ diff)
 
 
 def cell_resampling_variance(counts: np.ndarray) -> float:

@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _legendre
-from .accumulate import compensated_sum
 from .estimators import Sample
 
 
@@ -102,13 +101,13 @@ def true_bias_sq(oracle: DensityOracle, sub_model: Model, top_model: Model) -> f
             f"{sub_model.label} is not nested in {top_model.label} (no shared index prefix)"
         )
     tail = oracle.true_coefficients(top_model)[sub_model.dim :]
-    return compensated_sum(tail * tail)
+    return float(tail @ tail)
 
 
 def residual_norm_sq(oracle: DensityOracle, model: Model) -> float:
     """Exact squared distance from the density to the model (its out-of-span mass)."""
     coeffs = oracle.true_coefficients(model)
-    return max(oracle.norm2**2 - compensated_sum(coeffs * coeffs), 0.0)
+    return max(oracle.norm2**2 - float(coeffs @ coeffs), 0.0)
 
 
 def sample_from(oracle: DensityOracle, n: int, rng: np.random.Generator) -> Sample:
@@ -204,13 +203,13 @@ class HistogramDensity(DensityOracle):
         edges = np.linspace(0.0, 1.0, self.cells + 1)
         two_pi_j = 2.0 * math.pi * j
         terms = self.cell_values * (np.sin(two_pi_j * edges[1:]) - np.sin(two_pi_j * edges[:-1]))
-        return math.sqrt(2.0) * compensated_sum(terms) / two_pi_j
+        return math.sqrt(2.0) * float(terms.sum()) / two_pi_j
 
     def _sine_moment(self, j):
         edges = np.linspace(0.0, 1.0, self.cells + 1)
         two_pi_j = 2.0 * math.pi * j
         terms = self.cell_values * (np.cos(two_pi_j * edges[:-1]) - np.cos(two_pi_j * edges[1:]))
-        return math.sqrt(2.0) * compensated_sum(terms) / two_pi_j
+        return math.sqrt(2.0) * float(terms.sum()) / two_pi_j
 
     def _legendre_piece_moment(self, pieces, piece, degree):
         # Split the basis piece at every oracle cell edge; the density is

@@ -73,7 +73,7 @@ def test_criterion_2_exact_enumeration_oracle():
         scheme = db.make_scheme(kind, n)
         model = _random_model(rng, max_dim=9)
         sample = db.Sample(rng.random(n))
-        closed = db.resampling_variance(sample, model, scheme)
+        closed = db.resampling_variance(sample, model)
         enum = db.resampling_variance_enumerated(sample, model, scheme)
         worst = max(worst, abs(closed - enum))
     elapsed = time.time() - start
@@ -94,7 +94,7 @@ def test_criterion_3_monte_carlo_consistency():
     for case in range(cases):
         rng = replication_rng(555, case)
         sample = db.sample_from(db.UniformDensity(), 20, rng)
-        closed = db.resampling_variance(sample, model, scheme)
+        closed = db.resampling_variance(sample, model)
         draws = sample_weights_batch(scheme, 100_000, rng)
         stats = db.resampling_statistics(sample, model, scheme, draws)
         se = stats.std(ddof=1) / math.sqrt(stats.size)
@@ -235,8 +235,8 @@ def test_criterion_8_pythagoras_identity():
         # left side via exact norms: ||s - est||^2 expanded in coefficients
         total = (
             oracle.norm2**2
-            - 2.0 * db.compensated_sum(truth_sub * estimate)
-            + db.compensated_sum(estimate * estimate)
+            - 2.0 * math.fsum(truth_sub * estimate)
+            + math.fsum(estimate * estimate)
         )
         residual = db.residual_norm_sq(oracle, top)
         bias = db.true_bias_sq(oracle, sub, top)

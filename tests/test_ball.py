@@ -286,12 +286,14 @@ def _assert_counts_match_the_basis_matrix(chain, points):
         ref_sums, ref_squares = Model.basis_sums(model, points)  # the chunked basis_matrix pass
         assert sums.shape == squares.shape == (model.dim,)
         # the terms that cancel in S_l are the |psi_l(x_i)|; Q_l has no cancellation
-        scale = np.abs(model.basis_matrix(points)).sum(axis=1)
+        psi = model.basis_matrix(points)
+        scale = np.abs(psi, out=psi).sum(axis=1)
         assert np.all(np.abs(sums - ref_sums) <= 1e-12 * scale)
         assert np.all(np.abs(squares - ref_squares) <= 1e-12 * ref_squares)
 
 
-@pytest.mark.parametrize("chain", HISTOGRAM_CHAINS, ids=str)
+# (1, 2048): one level with a large refinement ratio, whose contrasts are built in closed form
+@pytest.mark.parametrize("chain", HISTOGRAM_CHAINS + [(1, 2048)], ids=str)
 def test_histogram_counts_match_the_basis_matrix_at_every_cell_edge(chain):
     _assert_counts_match_the_basis_matrix(chain, _cell_edges(chain))
 
@@ -314,3 +316,49 @@ def test_histogram_ball_is_invariant_under_permutation(data):
     ball = build_confidence_ball(Sample(points), coll, scheme, cfg)
     shuffled = build_confidence_ball(Sample(points[order]), coll, scheme, cfg)
     assert ball_to_doc(shuffled) == ball_to_doc(ball)
+
+
+@st.composite
+def ball_inputs(draw):
+    """A collection, a sample of 2..200 points and bound settings that reach clamped radii."""
+    coll = COLLECTIONS[draw(st.sampled_from(list(COLLECTIONS)))]()
+    n = draw(st.integers(2, 200))
+    points = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    kappa_scale = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    eta = draw(st.sampled_from([0.0, 0.05]))
+    return coll, Sample(points), kappa_scale, eta
+
+
+def _ball_at(inputs, beta):
+    coll, sample, kappa_scale, eta = inputs
+    cfg = BoundConfig(beta=beta, m2=2.0, m_inf=2.0, eta=eta, kappa_scale=kappa_scale)
+    return build_confidence_ball(sample, coll, make_scheme("efron", sample.n), cfg)
+
+
+BETAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_inputs(), BETAS)
+def test_ball_contains_its_own_center(inputs, beta):
+    ball = _ball_at(inputs, beta)
+    padded = np.zeros(ball.top_dim)
+    padded[: ball.center.size] = ball.center
+    assert ball.contains(padded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_inputs(), BETAS)
+def test_ball_doc_round_trip_is_exact(inputs, beta):
+    ball = _ball_at(inputs, beta)
+    rebuilt = ball_from_doc(ball_to_doc(ball))
+    assert ball_to_doc(rebuilt) == ball_to_doc(ball)
+    assert rebuilt.report == ball.report
+    np.testing.assert_array_equal(rebuilt.center, ball.center)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_inputs(), BETAS, BETAS)
+def test_selected_radius_does_not_increase_with_beta(inputs, beta_a, beta_b):
+    low, high = sorted((beta_a, beta_b))
+    assert _ball_at(inputs, high).radius <= _ball_at(inputs, low).radius

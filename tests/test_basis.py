@@ -126,6 +126,9 @@ def test_helmert_contrasts_are_orthonormal_and_centered():
         h = helmert_contrasts(r)
         np.testing.assert_allclose(h @ h.T, np.eye(r - 1), atol=1e-14)
         np.testing.assert_allclose(h.sum(axis=1), 0.0, atol=1e-14)
+        # the chain's closed-form contrasts, at the sub-cell midpoints, are these rows bit for bit
+        mids = (np.arange(r) + 0.5) / r
+        np.testing.assert_array_equal(histogram_collection([1, r]).top.basis_matrix(mids)[1:], math.sqrt(r) * h)
 
 
 def test_histogram_chain_requires_divisors():

@@ -57,8 +57,11 @@ def test_variance_bound_frozen_example():
 def test_variance_bound_zero_scale_and_floor():
     collection = _ten_model_collection()
     model = collection.models[2]
-    cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0, kappa_scale=0.0)
-    assert variance_bound(0.37, model, collection, cfg, n=100) == 0.37
+    for beta in (0.1, 5e-324):  # the smallest beta overflows 2 N / beta, not the deviation level
+        cfg = BoundConfig(beta=beta, m2=10.0, m_inf=2.0, kappa_scale=0.0)
+        assert variance_bound(0.37, model, collection, cfg, n=100) == 0.37
+    cfg = BoundConfig(beta=5e-324, m2=10.0, m_inf=2.0)
+    assert math.isfinite(variance_bound(0.37, model, collection, cfg, n=100))
 
     # a single-model collection with large beta hits the deviation floor of 2
     single = histogram_collection([4])
@@ -93,9 +96,12 @@ def test_bias_bound_zero_estimate_grid_minimum():
 
 def test_bias_bound_zero_scale_keeps_only_the_estimate():
     collection = _ten_model_collection()
-    cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0, kappa_scale=0.0)
-    got = bias_bound(3.0, collection.models[0], collection, cfg, n=100)
-    assert got == pytest.approx(3.0 / 0.99, rel=1e-12)
+    for beta in (0.1, 5e-324):
+        cfg = BoundConfig(beta=beta, m2=10.0, m_inf=2.0, kappa_scale=0.0)
+        got = bias_bound(3.0, collection.models[0], collection, cfg, n=100)
+        assert got == pytest.approx(3.0 / 0.99, rel=1e-12)
+    cfg = BoundConfig(beta=5e-324, m2=10.0, m_inf=2.0)
+    assert math.isfinite(bias_bound(3.0, collection.models[0], collection, cfg, n=100))
 
 
 def test_bias_bound_monotone_in_estimate():

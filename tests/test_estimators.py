@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from densityball.basis import FourierModel, HistogramModel, histogram_collection
+from densityball.basis import FourierModel, HistogramModel, PiecewisePolynomialModel, histogram_collection
 from densityball.estimators import (
     Sample,
     centered_u_statistic,
@@ -99,7 +99,7 @@ def test_enumeration_matches_closed_form(kind):
         sample = Sample(rng.random(n))
         scheme = make_scheme(kind, n)
         for model in (HistogramModel(3), FourierModel(1), PiecewisePolynomialModel(2, 2)):
-            closed = resampling_variance(sample, model, scheme)
+            closed = resampling_variance(sample, model)
             enum = resampling_variance_enumerated(sample, model, scheme)
             assert closed == pytest.approx(enum, abs=1e-12)
 
@@ -116,7 +116,7 @@ def test_monte_carlo_tracks_closed_form():
     sample = sample_from(UniformDensity(), 20, rng)
     model = HistogramModel(4)
     scheme = make_scheme("efron", 20)
-    closed = resampling_variance(sample, model, scheme)
+    closed = resampling_variance(sample, model)
     draws = 20_000
     mc = resampling_variance_monte_carlo(sample, model, scheme, draws, replication_rng(9, 1))
     # rebuild the draw set to estimate the Monte Carlo standard error
@@ -195,6 +195,21 @@ def test_centered_u_statistic_mean_is_zero():
     assert abs(values.mean()) <= 4.0 * se
 
 
+@pytest.mark.parametrize(
+    "model, n",
+    [(FourierModel(100), 50_000), (HistogramModel(1000), 10_000), (PiecewisePolynomialModel(250, 4), 10_000)],
+    ids=["fourier-201", "histogram-1000", "poly-250x4"],
+)
+def test_identity_decomposition_holds_at_ten_million_basis_entries(model, n):
+    # n * dim ~ 1e7: numpy's pairwise sums keep the identity far inside the acceptance tolerance
+    oracle = CosineTiltDensity(0.5, 3)
+    sample = sample_from(oracle, n, np.random.default_rng(n + model.dim))
+    error = projection_error_sq(sample, model, oracle)
+    estimate = resampling_variance(sample, model)
+    centered = centered_u_statistic(sample, model, oracle)
+    assert abs(error - estimate - centered) <= 1e-10 * (1.0 + error)
+
+
 def test_projection_error_vanishes_on_balanced_sample():
     # equal counts per cell reproduce the uniform coefficients exactly
     model = HistogramModel(4)
@@ -230,7 +245,7 @@ def test_variance_estimate_is_nonnegative_and_bias_can_go_negative():
 def test_scheme_size_mismatch_rejected():
     sample = Sample(np.array([0.1, 0.4, 0.9]))
     with pytest.raises(ValueError):
-        resampling_variance(sample, HistogramModel(2), make_scheme("efron", 5))
+        resampling_variance_enumerated(sample, HistogramModel(2), make_scheme("efron", 5))
 
 
 def test_coordinate_variance_total_uniform_histogram():

@@ -1,13 +1,13 @@
 """Tests for the exchangeable weight schemes."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densityball.accumulate import compensated_sum
 from densityball.weights import (
     WeightKind,
     enumerate_weights,
@@ -95,11 +95,11 @@ def test_enumeration_probabilities_and_centered_moments(kind, n):
     scheme = make_scheme(kind, n)
     support = enumerate_weights(scheme)
     probs = np.array([p for _, p in support])
-    assert compensated_sum(probs) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
     centered_first = [p * (w[0] - w.mean()) for w, p in support]
     centered_sq = [p * (w[0] - w.mean()) ** 2 for w, p in support]
-    assert compensated_sum(np.array(centered_first)) == pytest.approx(0.0, abs=1e-10)
-    assert scheme.normalizer * compensated_sum(np.array(centered_sq)) == pytest.approx(
+    assert math.fsum(centered_first) == pytest.approx(0.0, abs=1e-10)
+    assert scheme.normalizer * math.fsum(centered_sq) == pytest.approx(
         1.0, abs=1e-10
     )
 
