@@ -36,6 +36,9 @@ from ._quadrature import piecewise_nodes
 # Basis entries evaluated per chunk of points by Model.basis_sums: memory stays
 # O(CHUNK_ENTRIES) whatever the sample size, instead of a dense (dim, n) matrix.
 CHUNK_ENTRIES = 2**20
+# Complex powers per multiply in FourierModel.basis_sums: a cache-sized block
+# of points, or of several consecutive powers of a few points.
+POWER_CHUNK_ENTRIES = 2**14
 
 
 class Family(str, Enum):
@@ -205,11 +208,57 @@ class FourierModel(Model):
             out[2::2] = math.sqrt(2.0) * np.sin(angles)
         return out
 
+    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sums from the power sums ``T_j = sum_i z_i^j``, ``z_i = exp(2 pi i x_i)``.
+
+        ``S`` is ``sqrt(2)`` times ``Re T_j`` and ``Im T_j``; ``Q`` follows
+        from ``2 cos^2 a = 1 + cos 2a`` and ``2 sin^2 a = 1 - cos 2a`` as
+        ``n + Re T_2j`` and ``n - Re T_2j``.  One complex exponential per
+        point and one complex multiply per basis entry, no basis matrix.
+        """
+        x = np.asarray(x, dtype=float)
+        n = float(x.size)
+        power = _power_sums(x, 2 * self.cutoff)
+        sums = np.empty(self.dim)
+        squares = np.empty(self.dim)
+        sums[0] = squares[0] = n
+        sums[1::2] = math.sqrt(2.0) * power[: self.cutoff].real
+        sums[2::2] = math.sqrt(2.0) * power[: self.cutoff].imag
+        double = power[1::2].real
+        squares[1::2] = n + double
+        squares[2::2] = n - double
+        return sums, squares
+
     def max_frequency(self) -> int:
         return self.cutoff
 
     def shares_prefix_with(self, top: Model) -> bool:
         return isinstance(top, FourierModel) and self.cutoff <= top.cutoff
+
+
+def _power_sums(x: np.ndarray, top: int) -> np.ndarray:
+    """``T_j = sum_i exp(2 pi i j x_i)`` for ``j = 1..top``.
+
+    The points are taken ``POWER_CHUNK_ENTRIES`` at a time.  For a chunk of
+    ``m`` points a block holds the powers ``z^(j+1) .. z^(j+rows)`` of every
+    point, with ``rows`` chosen so that the block has about
+    ``POWER_CHUNK_ENTRIES`` entries (one row once ``m`` reaches it), and one
+    in-place multiply by ``z^rows`` moves it on to the next ``rows`` powers.
+    """
+    power = np.zeros(top, dtype=complex)
+    if top == 0:
+        return power
+    for start in range(0, x.size, POWER_CHUNK_ENTRIES):
+        z = np.exp(2j * np.pi * x[start : start + POWER_CHUNK_ENTRIES])
+        rows = min(max(POWER_CHUNK_ENTRIES // z.size, 1), top)
+        block = np.cumprod(np.broadcast_to(z, (rows, z.size)), axis=0)
+        step = block[-1].copy()
+        sums = [block.sum(axis=1)]
+        for _ in range(rows, top, rows):
+            block *= step
+            sums.append(block.sum(axis=1))
+        power += np.concatenate(sums)[:top]
+    return power
 
 
 def _legendre(degree: int, u: np.ndarray) -> np.ndarray:
@@ -301,6 +350,9 @@ def _validate_divisor_chain(values: Sequence[int], what: str) -> tuple[int, ...]
         raise ValueError(f"empty {what} chain")
     if any(v < 1 for v in vals):
         raise ValueError(f"{what} counts must be positive")
+    limit = np.iinfo(np.intp).max  # cells and pieces are indexed with np.intp
+    if max(vals) > limit:
+        raise ValueError(f"{what} count {max(vals)} exceeds the largest array index {limit}")
     if any(b <= a for a, b in zip(vals[:-1], vals[1:])):
         raise ValueError(f"{what} chain must be strictly increasing")
     for a, b in zip(vals[:-1], vals[1:]):

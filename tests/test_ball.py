@@ -18,6 +18,7 @@ from densityball.ball import (
 )
 from densityball.basis import (
     CHUNK_ENTRIES,
+    FourierModel,
     HistogramModel,
     Model,
     fourier_collection,
@@ -316,6 +317,68 @@ def test_histogram_ball_is_invariant_under_permutation(data):
     ball = build_confidence_ball(Sample(points), coll, scheme, cfg)
     shuffled = build_confidence_ball(Sample(points[order]), coll, scheme, cfg)
     assert ball_to_doc(shuffled) == ball_to_doc(ball)
+
+
+@st.composite
+def fourier_points(draw, cutoff, n):
+    """``n`` points: uniform, or on the lattice ``k / (4 j)``, ``j <= cutoff``, or next to it.
+
+    The lattice holds 0, 1/2 and 1 and the zeros and extrema of every
+    ``cos(2 pi j x)`` and ``sin(2 pi j x)``, where rounding is most visible.
+    """
+    lattice = st.integers(1, max(cutoff, 1)).flatmap(lambda j: st.integers(0, 4 * j).map(lambda k: k / (4 * j)))
+    near = st.tuples(lattice, st.sampled_from([None, 0.0, 1.0])).map(
+        lambda p: p[0] if p[1] is None else float(np.nextafter(p[0], p[1]))
+    )
+    return np.array(draw(st.lists(st.one_of(near, st.floats(0.0, 1.0)), min_size=n, max_size=n)))
+
+
+def _assert_power_sums_match_the_basis_matrix(model, points):
+    n = points.size
+    sums, squares = model.basis_sums(points)
+    ref_sums, ref_squares = Model.basis_sums(model, points)  # the chunked basis_matrix pass
+    assert sums.shape == squares.shape == (model.dim,)
+    assert sums[0] == squares[0] == n
+    assert np.all(np.abs(sums - ref_sums) <= 1e-12 * n)
+    assert np.all(np.abs(squares - ref_squares) <= 1e-12 * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 200), st.integers(2, 400), st.data())
+def test_fourier_power_sums_match_the_basis_matrix(cutoff, n, data):
+    _assert_power_sums_match_the_basis_matrix(FourierModel(cutoff), data.draw(fourier_points(cutoff, n)))
+
+
+def test_fourier_power_sums_match_the_basis_matrix_at_cutoff_1000():
+    points = np.random.default_rng(1000).random(5000)
+    _assert_power_sums_match_the_basis_matrix(FourierModel(1000), points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True),
+    st.integers(2, 300),
+    st.sampled_from([0.0, 1e-3, 1.0]),
+    st.data(),
+)
+def test_fourier_ball_is_invariant_under_permutation(cutoffs, n, kappa_scale, data):
+    # the sums change only in their summation order, so within rounding
+    coll = fourier_collection(cutoffs=cutoffs)
+    points = data.draw(fourier_points(max(cutoffs), n))
+    order = np.array(data.draw(st.permutations(range(n))))
+    scheme = make_scheme("efron", n)
+    cfg = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0, eta=0.05, kappa_scale=kappa_scale)
+    ball = build_confidence_ball(Sample(points), coll, scheme, cfg)
+    shuffled = build_confidence_ball(Sample(points[order]), coll, scheme, cfg)
+    assert shuffled.selected_index == ball.selected_index
+
+    sums, squares = coll.top.basis_sums(points)
+    pairs = n * (n - 1.0)
+    # the terms that cancel: Q_l and S_l^2 / n in the variance, S_l^2 and Q_l in the bias
+    b_scale = ((sums * sums).sum() + squares.sum()) / pairs
+    for model, row, moved in zip(coll, ball.report, shuffled.report):
+        assert abs(moved.variance_estimate - row.variance_estimate) <= 1e-12 * n * model.dim / pairs
+        assert abs(moved.bias_estimate - row.bias_estimate) <= 1e-12 * b_scale
 
 
 @st.composite

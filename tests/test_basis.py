@@ -138,6 +138,11 @@ def test_histogram_chain_requires_divisors():
         histogram_collection([])
     with pytest.raises(ValueError):
         piecewise_polynomial_collection([2, 5], 2)
+    # counts beyond the array index range are refused before any index is computed
+    with pytest.raises(ValueError, match=str(2**63)):
+        histogram_collection([2**63])
+    with pytest.raises(ValueError, match=str(10**23)):
+        piecewise_polynomial_collection([1, 10**23], 2)
 
 
 def test_collection_counts():

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import densityball
 from densityball.cli import main, settings_from_mapping
@@ -477,6 +481,78 @@ def test_huge_collection_exits_2_with_one_line(sample_file, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "top dimension 2199023255553" in err
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_histogram_count_beyond_the_index_range_exits_2(sample_file, tmp_path, capsys, form):
+    argv = ["ball", "--input", sample_file, "--collection-family", "histogram"]
+    if form == "flag":
+        argv += ["--collection-dims", "100000000000000000000000"]
+        value = "100000000000000000000000"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"collection": {"dims": [1e23]}}')
+        argv += ["--config", str(cfg)]
+        value = str(int(1e23))  # the integer value of the JSON number
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert value in err
+
+
+# Collection dims are small, or refused before anything is allocated; valid
+# mid-size dims are left out, since they would allocate gigabytes.
+FUZZ_DIMS = st.one_of(
+    st.integers(-1, 64),
+    st.sampled_from([0, -1, 2.5, True, "3", None]),
+    st.sampled_from([2**63, 10**23, 1e23]),
+)
+FUZZ_REALS = st.sampled_from(
+    [0.1, 0.5, 2.0, 0, -1, 1, 1e-300, 5e-324, 1e308, float("nan"), float("inf"), True, None, "0.1", 10**400]
+)
+FUZZ_INTS = st.sampled_from([2, 20, 100, 0, -1, 2.5, 1e3, True, None, "3", 2**63, 10**400])
+# Values for the keys a fuzzed config sets besides its collection.
+FUZZ_KEYS = {
+    **{key: FUZZ_REALS for key in ("beta", "eta", "m2", "mInf", "kappaScale")},
+    **{key: FUZZ_INTS for key in ("n", "dm", "nb", "reps", "seed")},
+    "alphaGrid": st.one_of(st.lists(FUZZ_REALS, max_size=3), FUZZ_REALS),
+    "weights": st.sampled_from([{"kind": "rademacher"}, {"kind": "x"}, {"kind": 1}, {}, [], "efron"]),
+    "collection": FUZZ_DIMS,  # not an object
+    "bogus": st.just(1),
+}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A collection of fuzzed dims plus at most three other fuzzed keys, so most runs get past the typing."""
+    family = st.one_of(st.sampled_from(["histogram", "fourier"]), st.sampled_from(["Fourier", "poly", 5, None]))
+    config = {"collection": {"family": draw(family), "dims": draw(st.lists(FUZZ_DIMS, min_size=1, max_size=4))}}
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), max_size=3, unique=True)):
+        config[key] = draw(FUZZ_KEYS[key])
+    return config
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    pts = UniformDensity().sample_points(40, np.random.default_rng(40))
+    (path / "sample.txt").write_text("".join(f"{float(p)!r}\n" for p in pts))
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_configs(), st.sampled_from(["ball", "check-assumptions"]))
+def test_fuzzed_configs_exit_0_or_2_without_a_traceback(fuzz_dir, config, command):
+    cfg = fuzz_dir / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg), "--out", str(fuzz_dir / "out")]
+    # --warn-only: a failed assumption check (exit 1) is an outcome, not an input error
+    argv += ["--input", str(fuzz_dir / "sample.txt")] if command == "ball" else ["--warn-only"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("kind", ["input", "config"])
