@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -31,6 +31,15 @@ from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, 
 # which look it up in this namespace; the ball itself no longer calls it.
 from .estimators import Sample, resampling_statistics, resampling_variance  # noqa: F401
 from .weights import WeightScheme, sample_weights_batch
+
+# The per-model columns of a report and the type of their values, in field
+# order: the one schema of the report rows, the ball document and the CSV table.
+REPORT_COLUMNS = tuple(get_type_hints(ModelRadius).items())
+
+
+def _model_radius(values) -> ModelRadius:
+    """A report row from its column values in :data:`REPORT_COLUMNS` order."""
+    return ModelRadius(*(cast(value) for (_, cast), value in zip(REPORT_COLUMNS, values)))
 
 
 @dataclass(frozen=True)
@@ -117,26 +126,14 @@ def build_confidence_ball(
     v = variance_bounds(variance, dims, collection, config, n)
     k = bias_bounds(bias, collection, config, n)
     radius_sq, rho, clamped = radii(v, k, config.eta)
-    rows = tuple(
-        ModelRadius(
-            model=model.label,
-            dim=model.dim,
-            variance_estimate=float(variance[i]),
-            bias_estimate=float(bias[i]),
-            variance_bound=float(v[i]),
-            bias_bound=float(k[i]),
-            radius_sq=float(radius_sq[i]),
-            radius=float(rho[i]),
-            clamped=bool(clamped[i]),
-        )
-        for i, model in enumerate(collection)
-    )
-    chosen = select_model_index([r.radius_sq for r in rows], [r.dim for r in rows])
+    labels = [model.label for model in collection]
+    rows = tuple(map(_model_radius, zip(labels, dims, variance, bias, v, k, radius_sq, rho, clamped)))
+    chosen = select_model_index(radius_sq.tolist(), dims.tolist())
     return ConfidenceBall(
-        selected_model=rows[chosen].model,
+        selected_model=labels[chosen],
         selected_index=chosen,
-        center=sums[: rows[chosen].dim] / n,
-        radius=rows[chosen].radius,
+        center=sums[: dims[chosen]] / n,
+        radius=float(rho[chosen]),
         top_dim=collection.top.dim,
         beta=config.beta,
         eta=config.eta,
@@ -190,39 +187,13 @@ def ball_to_doc(ball: ConfidenceBall) -> dict:
         "eta": float(ball.eta),
         "growth_check_ok": bool(ball.growth_check_ok),
         "center_coefficients": [float(c) for c in ball.center],
-        "models": [
-            {
-                "model": r.model,
-                "dim": r.dim,
-                "variance_estimate": float(r.variance_estimate),
-                "bias_estimate": float(r.bias_estimate),
-                "variance_bound": float(r.variance_bound),
-                "bias_bound": float(r.bias_bound),
-                "radius_sq": float(r.radius_sq),
-                "radius": float(r.radius),
-                "clamped": bool(r.clamped),
-            }
-            for r in ball.report
-        ],
+        "models": [{name: cast(getattr(r, name)) for name, cast in REPORT_COLUMNS} for r in ball.report],
     }
 
 
 def ball_from_doc(doc: dict) -> ConfidenceBall:
     """Inverse of :func:`ball_to_doc`."""
-    rows = tuple(
-        ModelRadius(
-            model=row["model"],
-            dim=int(row["dim"]),
-            variance_estimate=float(row["variance_estimate"]),
-            bias_estimate=float(row["bias_estimate"]),
-            variance_bound=float(row["variance_bound"]),
-            bias_bound=float(row["bias_bound"]),
-            radius_sq=float(row["radius_sq"]),
-            radius=float(row["radius"]),
-            clamped=bool(row["clamped"]),
-        )
-        for row in doc["models"]
-    )
+    rows = tuple(_model_radius(row[name] for name, _ in REPORT_COLUMNS) for row in doc["models"])
     return ConfidenceBall(
         selected_model=doc["selected_model"],
         selected_index=int(doc["selected_index"]),

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
@@ -39,14 +38,6 @@ CHUNK_ENTRIES = 2**20
 # Complex powers per multiply in FourierModel.basis_sums: a cache-sized block
 # of points, or of several consecutive powers of a few points.
 POWER_CHUNK_ENTRIES = 2**14
-
-
-class Family(str, Enum):
-    """Basis family of a model."""
-
-    HISTOGRAM = "histogram"
-    FOURIER = "fourier"
-    PIECEWISE_POLYNOMIAL = "piecewise-polynomial"
 
 
 def helmert_contrasts(r: int) -> np.ndarray:
@@ -73,8 +64,6 @@ class Model:
     :meth:`basis_matrix`.  Instances are immutable after construction and
     safe to share across threads.
     """
-
-    family: Family
 
     def __init__(self, dim: int, c1: float, label: str, params: dict):
         if dim < 1:
@@ -143,8 +132,6 @@ class HistogramModel(Model):
     identity ``sum_l psi_l(x)^2 = dim`` holds on all of [0, 1].
     """
 
-    family = Family.HISTOGRAM
-
     def __init__(self, cells: int, chain: _HistogramChain | None = None):
         params = {"cells": cells}
         if chain is None:
@@ -181,8 +168,6 @@ class FourierModel(Model):
     ``cutoff``, so dimension is ``2 cutoff + 1`` and smaller trigonometric
     models are literal prefixes of larger ones.
     """
-
-    family = Family.FOURIER
 
     def __init__(self, cutoff: int):
         if cutoff < 0:
@@ -313,8 +298,6 @@ class PiecewisePolynomialModel(Model):
     of the piece onto [-1, 1], indexed piece-major.
     """
 
-    family = Family.PIECEWISE_POLYNOMIAL
-
     def __init__(self, pieces: int, degree_bound: int, chain: _PolynomialChain | None = None):
         params = {"pieces": pieces, "degree_bound": degree_bound}
         if chain is None:
@@ -430,9 +413,12 @@ class _PolynomialChain:
 
     Functions are represented by their coefficients in the natural basis of
     the finest space.  Each coarser space embeds exactly (Gauss quadrature of
-    sufficient order), and the orthogonal complement between consecutive
-    levels is extracted by projection followed by an SVD, which yields an
-    orthonormal completion of known rank.
+    sufficient order).  The orthogonal complement between consecutive levels
+    is the QR factor, with ``diag(R) > 0``, of the natural functions of every
+    sub-piece but the last one of each coarse piece, projected off the
+    coarser space: those functions and the coarser space span the finer one.
+    The sign convention makes the factor unique, so the basis itself, not
+    only its span, is fixed by the chain up to rounding.
     """
 
     def __init__(self, piece_counts: Sequence[int], degree_bound: int):
@@ -450,18 +436,26 @@ class _PolynomialChain:
         weighted_top = _natural_legendre(x, top, r) * w
         q = np.zeros((top * r, top * r))
         filled = 0
+        coarse = 0
         for pieces in self.piece_counts:
             embed = weighted_top @ _natural_legendre(x, pieces, r).T
             if filled == 0:
                 block = embed
             else:
+                ratio = pieces // coarse
                 prev = q[:, :filled]
-                block = embed - prev @ (prev.T @ embed)
-                block -= prev @ (prev.T @ block)
-                u, _, _ = np.linalg.svd(block, full_matrices=False)
-                block = u[:, : pieces * r - filled]
+                block = embed[:, (np.arange(pieces * r) // r) % ratio != ratio - 1]
+                # The selected functions are ill-conditioned at high degree
+                # (condition 1.6e7 for 1 -> 8 pieces of degree < 6), and R^-1
+                # amplifies what rounding leaves of the coarser space; a second
+                # pass on the orthonormal factor removes it ("twice is enough").
+                for _ in range(2):
+                    block -= prev @ (prev.T @ block)
+                    block, upper = np.linalg.qr(block)
+                    block *= np.sign(np.diag(upper))
             q[:, filled : filled + block.shape[1]] = block
             filled += block.shape[1]
+            coarse = pieces
         return q
 
     def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:

@@ -95,8 +95,11 @@ def variance_bounds(
     x = _deviation_level(collection.cardinality, config.beta, 2.0)
     kappa = variance_deviation_constant(collection.c1, collection.c_m)
     root_d = np.sqrt(d)
-    norm_part = 1.0 + np.sqrt(np.minimum(np.minimum(config.m_inf, config.m2 * root_d), d))
-    return estimates + config.kappa_scale * kappa * norm_part * root_d * x / n
+    # an overflow gives inf: in m2 * sqrt(d) the minimum discards it, and a
+    # deviation term that overflows is refused by radii
+    with np.errstate(over="ignore"):
+        norm_part = 1.0 + np.sqrt(np.minimum(np.minimum(config.m_inf, config.m2 * root_d), d))
+        return estimates + config.kappa_scale * kappa * norm_part * root_d * x / n
 
 
 def bias_bounds(
@@ -119,7 +122,8 @@ def bias_bounds(
     eps = np.array(EPSILON_GRID)
     kappa = np.array([bias_deviation_constant(e, collection.c1, collection.c_m) for e in eps])
     estimates = np.asarray(bias_estimates, dtype=float)
-    return np.min((estimates[:, None] + kappa * base) / (1.0 - eps), axis=1)
+    with np.errstate(over="ignore"):  # a deviation term that overflows is refused by radii
+        return np.min((estimates[:, None] + kappa * base) / (1.0 - eps), axis=1)
 
 
 def radii(
@@ -129,8 +133,18 @@ def radii(
 
     The radicand can only go negative when ``kappa_scale`` is tiny and a bias
     estimate very negative; such a radius is clamped at zero and flagged.
+    A radicand that overflows is refused with a ValueError naming the
+    setting that made it overflow: ``eta`` or ``kappa_scale``.
     """
-    radius_sq = eta**2 + bias_bound_values + variance_bound_values
+    try:
+        eta_sq = eta**2
+    except OverflowError:
+        eta_sq = math.inf
+    with np.errstate(over="ignore"):
+        radius_sq = eta_sq + bias_bound_values + variance_bound_values
+    if not np.all(np.isfinite(radius_sq)):
+        setting = "eta" if eta_sq == math.inf else "kappa_scale"
+        raise ValueError(f"the radius overflows the float range: {setting} is too large")
     clamped = radius_sq < 0.0
     return radius_sq, np.sqrt(np.where(clamped, 0.0, radius_sq)), clamped
 

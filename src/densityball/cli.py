@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands::
+Commands::
 
     densityball ball               build a confidence ball from a sample file
     densityball simulate-pw        normalized-difference experiment table
@@ -8,8 +8,8 @@ Subcommands::
     densityball check-assumptions  sup-norm and dimension-growth checks
 
 Configuration comes from an optional JSON file (``--config``) whose keys are
-listed in ``TOP_LEVEL_KEYS``/``CONFIG_KEYS`` below; command-line flags
-override file values.
+the rows of ``KEYS`` below; each key is also a flag, which overrides the file
+value.  Options may come before or after the command.
 Outputs are CSV tables (one per file) or, for ``ball``, a structured JSON
 document (``--format doc``).  Exit codes: 0 success, 1 check failure,
 2 usage/input error.  The CLI emits plot data only, never images.
@@ -46,26 +46,6 @@ from .experiments import (
 from .oracle import CosineTiltDensity, DensityOracle, HistogramDensity, UniformDensity
 from .weights import make_scheme
 
-CONFIG_KEYS = {
-    "collection": {"family", "dims"},
-    "weights": {"kind"},
-    "oracle": {"kind", "params"},
-}
-TOP_LEVEL_KEYS = set(CONFIG_KEYS) | {
-    "beta",
-    "eta",
-    "m2",
-    "mInf",
-    "kappaScale",
-    "n",
-    "dm",
-    "nb",
-    "reps",
-    "alphaGrid",
-    "input",
-    "seed",
-}
-
 DEFAULT_ALPHA_GRID = [round(0.5 + 0.05 * i, 2) for i in range(10)]
 
 
@@ -92,7 +72,7 @@ class Settings:
     alpha_grid: list[float] = field(default_factory=lambda: list(DEFAULT_ALPHA_GRID))
     oracle_kind: str = "uniform"
     oracle_params: dict = field(default_factory=dict)
-    input_path: str | None = None
+    input: str | None = None
     seed: int = DEFAULT_SEED
 
     def validate(self) -> None:
@@ -145,20 +125,6 @@ _JSON_TYPE_NAMES = {
     type(None): "null",
 }
 
-# (config key, Settings attribute, integral?) for the scalar numeric keys
-NUMERIC_KEYS = (
-    ("beta", "beta", False),
-    ("eta", "eta", False),
-    ("m2", "m2", False),
-    ("mInf", "m_inf", False),
-    ("kappaScale", "kappa_scale", False),
-    ("n", "n", True),
-    ("dm", "dm", True),
-    ("nb", "nb", True),
-    ("reps", "reps", True),
-    ("seed", "seed", True),
-)
-
 
 def _type_name(value) -> str:
     return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
@@ -193,96 +159,86 @@ def _number(value, where: str, integral: bool = False) -> float | int:
     return int(value)
 
 
+def _integer(value, where: str) -> int:
+    return _number(value, where, integral=True)
+
+
 def _numbers(value, where: str, integral: bool = False) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be an array of numbers, not {_type_name(value)}")
     return [_number(v, f"{where}[{i}]", integral) for i, v in enumerate(value)]
 
 
-def _section(raw: dict, name: str) -> dict:
-    section = _object(raw[name], name)
-    _require_keys(section, CONFIG_KEYS[name], name)
-    return section
+def _integers(value, where: str) -> list[int]:
+    return _numbers(value, where, integral=True)
+
+
+def _comma_list(cast, name: str):
+    """Flag type for a comma-separated list of ``cast`` values; blank items are skipped."""
+
+    def parse(text: str) -> list:
+        try:
+            return [cast(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse {name} list {text!r}") from exc
+
+    return parse
+
+
+def _json_object(text: str) -> dict:
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--oracle-params is not valid JSON: {exc}") from exc
+    return _object(value, "--oracle-params")
+
+
+# One row per setting: (config key, JSON check, flag type, help).  A dotted key
+# is a field of a config section.  The Settings attribute is the key in snake
+# case and the flag the key in kebab case (mInf: m_inf, --m-inf;
+# collection.dims: collection_dims, --collection-dims).  A flag type that is a
+# tuple lists the flag's choices.  Config values are checked in row order.
+KEYS = (
+    ("collection.family", _string, ("histogram", "fourier"), "collection family"),
+    ("collection.dims", _integers, _comma_list(int, "integer"), "comma-separated model dimensions"),
+    ("weights.kind", _string, ("efron", "rademacher"), "weight scheme"),
+    ("oracle.kind", _string, ("uniform", "histogram", "cosine"), "simulation density"),
+    ("oracle.params", _object, _json_object, "JSON oracle parameters"),
+    ("beta", _number, float, "confidence parameter in (0, 1)"),
+    ("eta", _number, float, "out-of-span radius"),
+    ("m2", _number, float, "L2-norm bound on the density"),
+    ("mInf", _number, float, "sup-norm bound on the density"),
+    ("kappaScale", _number, float, "constant multiplier"),
+    ("n", _integer, int, "sample size"),
+    ("dm", _integer, int, "model dimension for the experiments"),
+    ("nb", _integer, int, "weight draws per replication"),
+    ("reps", _integer, int, "number of replications"),
+    ("seed", _integer, int, "master seed for all randomness"),
+    ("input", _string, str, "sample file (one value per line)"),
+    ("alphaGrid", _numbers, _comma_list(float, "float"), "comma-separated alpha levels"),
+)
+
+
+def _attr(key: str) -> str:
+    """Settings attribute of a config key: ``mInf`` -> ``m_inf``, ``collection.dims`` -> ``collection_dims``."""
+    return "".join(f"_{c.lower()}" if c.isupper() else c for c in key.replace(".", "_"))
 
 
 def settings_from_mapping(raw: dict) -> Settings:
     """Type-check a parsed config mapping; any ill-typed value is a ConfigError."""
-    _require_keys(_object(raw, "config"), TOP_LEVEL_KEYS, "config")
+    _require_keys(_object(raw, "config"), {key.partition(".")[0] for key, *_ in KEYS}, "config")
     s = Settings()
-    if "collection" in raw:
-        section = _section(raw, "collection")
-        if "family" in section:
-            s.collection_family = _string(section["family"], "collection.family")
-        if "dims" in section:
-            s.collection_dims = _numbers(section["dims"], "collection.dims", integral=True)
-    if "weights" in raw:
-        section = _section(raw, "weights")
-        if "kind" in section:
-            s.weights_kind = _string(section["kind"], "weights.kind")
-    if "oracle" in raw:
-        section = _section(raw, "oracle")
-        if "kind" in section:
-            s.oracle_kind = _string(section["kind"], "oracle.kind")
-        if "params" in section:
-            s.oracle_params = dict(_object(section["params"], "oracle.params"))
-    for key, attr, integral in NUMERIC_KEYS:
-        if key in raw:
-            setattr(s, attr, _number(raw[key], key, integral))
-    if "input" in raw:
-        s.input_path = _string(raw["input"], "input")
-    if "alphaGrid" in raw:
-        s.alpha_grid = _numbers(raw["alphaGrid"], "alphaGrid")
+    for key, check, _, _ in KEYS:
+        section, _, name = key.rpartition(".")
+        values = raw
+        if section:
+            if section not in raw:
+                continue
+            values = _object(raw[section], section)
+            _require_keys(values, {k.partition(".")[2] for k, *_ in KEYS if k.startswith(f"{section}.")}, section)
+        if name in values:
+            setattr(s, _attr(key), check(values[name], key))
     return s
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
-
-
-def apply_flags(settings: Settings, args: argparse.Namespace) -> Settings:
-    """Overlay command-line flags; flags win over config-file values."""
-    updates: dict = {}
-    mapping = [
-        ("beta", "beta", float),
-        ("eta", "eta", float),
-        ("m2", "m2", float),
-        ("m_inf", "m_inf", float),
-        ("kappa_scale", "kappa_scale", float),
-        ("n", "n", int),
-        ("dm", "dm", int),
-        ("nb", "nb", int),
-        ("reps", "reps", int),
-        ("seed", "seed", int),
-        ("input", "input_path", str),
-        ("weights_kind", "weights_kind", str),
-        ("oracle_kind", "oracle_kind", str),
-        ("collection_family", "collection_family", str),
-    ]
-    for flag, attr, cast in mapping:
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[attr] = cast(value)
-    if getattr(args, "collection_dims", None) is not None:
-        updates["collection_dims"] = _parse_int_list(args.collection_dims)
-    if getattr(args, "alpha_grid", None) is not None:
-        updates["alpha_grid"] = _parse_float_list(args.alpha_grid)
-    if getattr(args, "oracle_params", None) is not None:
-        try:
-            params = json.loads(args.oracle_params)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--oracle-params is not valid JSON: {exc}") from exc
-        updates["oracle_params"] = _object(params, "--oracle-params")
-    return replace(settings, **updates)
 
 
 def build_collection(settings: Settings) -> ModelCollection:
@@ -389,9 +345,9 @@ def _format_value(v) -> object:
 
 
 def run_ball(settings: Settings, out_path: str | None, fmt: str) -> int:
-    if settings.input_path is None:
+    if settings.input is None:
         raise ConfigError("ball needs an input sample file (input / --input)")
-    sample = read_sample_file(settings.input_path)
+    sample = read_sample_file(settings.input)
     collection = build_collection(settings)
     scheme = make_scheme(settings.weights_kind, sample.n)
     config = BoundConfig(
@@ -401,48 +357,22 @@ def run_ball(settings: Settings, out_path: str | None, fmt: str) -> int:
         eta=settings.eta,
         kappa_scale=settings.kappa_scale,
     )
-    ball = build_confidence_ball(sample, collection, scheme, config)
+    doc = ball_to_doc(build_confidence_ball(sample, collection, scheme, config))
     if fmt == "doc":
-        _write_text(out_path, json.dumps(ball_to_doc(ball), indent=2) + "\n")
+        _write_text(out_path, json.dumps(doc, indent=2) + "\n")
     else:
-        header = [
-            "model",
-            "dim",
-            "variance_estimate",
-            "bias_estimate",
-            "variance_bound",
-            "bias_bound",
-            "radius_sq",
-            "radius",
-            "clamped",
-            "selected",
-            "growth_check_ok",
-        ]
+        header = [*doc["models"][0], "selected", "growth_check_ok"]
         rows = [
-            [
-                r.model,
-                r.dim,
-                _format_value(r.variance_estimate),
-                _format_value(r.bias_estimate),
-                _format_value(r.variance_bound),
-                _format_value(r.bias_bound),
-                _format_value(r.radius_sq),
-                _format_value(r.radius),
-                _format_value(r.clamped),
-                _format_value(i == ball.selected_index),
-                _format_value(ball.growth_check_ok),
-            ]
-            for i, r in enumerate(ball.report)
+            [_format_value(v) for v in (*row.values(), i == doc["selected_index"], doc["growth_check_ok"])]
+            for i, row in enumerate(doc["models"])
         ]
         _write_text(out_path, _csv_text(header, rows))
-    if not ball.growth_check_ok:
+    if not doc["growth_check_ok"]:
         sys.stderr.write("warning: dimension-growth check failed for this collection\n")
     return 0
 
 
-def run_simulate_pw(settings: Settings, out_path: str | None, fmt: str) -> int:
-    if fmt != "csv":
-        raise ConfigError("simulate-pw only supports CSV output")
+def run_simulate_pw(settings: Settings, out_path: str | None) -> int:
     oracle = build_oracle(settings)
     result = normalized_difference_experiment(
         oracle,
@@ -472,9 +402,7 @@ def run_simulate_pw(settings: Settings, out_path: str | None, fmt: str) -> int:
     return 0
 
 
-def run_coverage(settings: Settings, out_path: str | None, fmt: str) -> int:
-    if fmt != "csv":
-        raise ConfigError("coverage only supports CSV output")
+def run_coverage(settings: Settings, out_path: str | None) -> int:
     oracle = build_oracle(settings)
     table = coverage_experiment(
         oracle,
@@ -492,11 +420,7 @@ def run_coverage(settings: Settings, out_path: str | None, fmt: str) -> int:
     return 0
 
 
-def run_check_assumptions(
-    settings: Settings, out_path: str | None, fmt: str, warn_only: bool
-) -> int:
-    if fmt != "csv":
-        raise ConfigError("check-assumptions only supports CSV output")
+def run_check_assumptions(settings: Settings, out_path: str | None, warn_only: bool) -> int:
     collection = build_collection(settings)
     header = ["check", "model", "dim", "value", "threshold", "holds"]
     rows: list[list] = []
@@ -532,40 +456,12 @@ def run_check_assumptions(
     return 0
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, help="master seed for all randomness")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "doc"), default="csv", help="output format")
-
-
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, help="confidence parameter in (0, 1)")
-    parser.add_argument("--eta", type=float, help="out-of-span radius")
-    parser.add_argument("--m2", type=float, help="L2-norm bound on the density")
-    parser.add_argument("--m-inf", dest="m_inf", type=float, help="sup-norm bound on the density")
-    parser.add_argument("--kappa-scale", dest="kappa_scale", type=float, help="constant multiplier")
-    parser.add_argument("--n", type=int, help="sample size")
-    parser.add_argument("--dm", type=int, help="model dimension for the experiments")
-    parser.add_argument("--nb", type=int, help="weight draws per replication")
-    parser.add_argument("--reps", type=int, help="number of replications")
-    parser.add_argument("--alpha-grid", dest="alpha_grid", help="comma-separated alpha levels")
-    parser.add_argument("--input", help="sample file (one value per line)")
-    parser.add_argument(
-        "--weights-kind", dest="weights_kind", choices=("efron", "rademacher"), help="weight scheme"
-    )
-    parser.add_argument(
-        "--oracle-kind", dest="oracle_kind", choices=("uniform", "histogram", "cosine"),
-        help="simulation density",
-    )
-    parser.add_argument("--oracle-params", dest="oracle_params", help="JSON oracle parameters")
-    parser.add_argument(
-        "--collection-family", dest="collection_family", choices=("histogram", "fourier"),
-        help="collection family",
-    )
-    parser.add_argument(
-        "--collection-dims", dest="collection_dims", help="comma-separated model dimensions"
-    )
+COMMANDS = {
+    "ball": "build a confidence ball from a sample file",
+    "simulate-pw": "normalized-difference experiment for the variance estimator",
+    "coverage": "empirical coverage of the resampled quantile threshold",
+    "check-assumptions": "sup-norm and dimension-growth checks for a collection",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,44 +469,48 @@ def build_parser() -> argparse.ArgumentParser:
         prog="densityball",
         description="Adaptive confidence balls for densities on [0, 1].",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ball", "build a confidence ball from a sample file"),
-        ("simulate-pw", "normalized-difference experiment for the variance estimator"),
-        ("coverage", "empirical coverage of the resampled quantile threshold"),
-        ("check-assumptions", "sup-norm and dimension-growth checks for a collection"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_shared_flags(p)
-        _add_override_flags(p)
-        if name == "check-assumptions":
-            p.add_argument(
-                "--warn-only", action="store_true", help="exit 0 even when a check fails"
-            )
+    parser.add_argument(
+        "command", choices=COMMANDS, help="; ".join(f"{name}: {text}" for name, text in COMMANDS.items())
+    )
+    parser.add_argument("--config", help="JSON configuration file")
+    parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "doc"), default="csv", help="output format (doc: ball only)")
+    parser.add_argument(
+        "--warn-only", action="store_true", help="check-assumptions: exit 0 even when a check fails"
+    )
+    for key, _, flag_type, help_text in KEYS:
+        kind = "choices" if isinstance(flag_type, tuple) else "type"
+        parser.add_argument("--" + _attr(key).replace("_", "-"), help=help_text, **{kind: flag_type})
     return parser
 
 
+def resolve_settings(args: argparse.Namespace) -> Settings:
+    """Config-file values overlaid with the flags given; flags win."""
+    settings = load_config(args.config) if args.config else Settings()
+    flags = {_attr(key): getattr(args, _attr(key)) for key, *_ in KEYS}
+    return replace(settings, **{attr: value for attr, value in flags.items() if value is not None})
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     settings = Settings()
     try:
-        if args.config:
-            settings = load_config(args.config)
-        settings = apply_flags(settings, args)
+        # flag types raise ConfigError, which argparse passes through
+        args = build_parser().parse_args(argv)
+        settings = resolve_settings(args)
         settings.validate()
         _check_output_path(args.out)
+        if args.format != "csv" and args.command != "ball":
+            raise ConfigError(f"{args.command} only supports CSV output")
+        if args.warn_only and args.command != "check-assumptions":
+            raise ConfigError("--warn-only only applies to check-assumptions")
         if args.command == "ball":
             return run_ball(settings, args.out, args.format)
         if args.command == "simulate-pw":
-            return run_simulate_pw(settings, args.out, args.format)
+            return run_simulate_pw(settings, args.out)
         if args.command == "coverage":
-            return run_coverage(settings, args.out, args.format)
-        return run_check_assumptions(settings, args.out, args.format, args.warn_only)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+            return run_coverage(settings, args.out)
+        return run_check_assumptions(settings, args.out, args.warn_only)
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from densityball import basis
 from densityball._quadrature import gram_matrix, piecewise_nodes
 from densityball.basis import (
     FourierModel,
@@ -119,6 +120,21 @@ def test_nesting_prefix_reproduces_members(collection):
         padded = np.zeros(top.dim)
         padded[: member.dim] = coef
         np.testing.assert_allclose(padded @ psi_top, direct, atol=1e-10)
+
+
+@pytest.mark.parametrize("pieces,degree_bound", [((1, 2, 6), 2), ((1, 3), 3), ((1, 2, 4), 2), ((2, 4, 8, 16), 3)])
+def test_polynomial_chain_basis_moves_with_its_inputs_by_rounding_only(monkeypatch, pieces, degree_bound):
+    # last-bit noise in the quadrature weights must not rotate the basis inside a level
+    reference = piecewise_polynomial_collection(pieces, degree_bound).top.chain.transform
+    rng = np.random.default_rng(5)
+
+    def noisy_nodes(breakpoints, order):
+        x, w = piecewise_nodes(breakpoints, order)
+        return x, w * (1.0 + rng.choice([-1.0, 1.0], w.size) * 2.0**-52)
+
+    monkeypatch.setattr(basis, "piecewise_nodes", noisy_nodes)
+    moved = piecewise_polynomial_collection(pieces, degree_bound).top.chain.transform
+    assert np.max(np.abs(moved - reference)) <= 1e-12
 
 
 def test_helmert_contrasts_are_orthonormal_and_centered():

@@ -4,7 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densityball
-from densityball.cli import main, settings_from_mapping
+from densityball.cli import KEYS, Settings, build_parser, main, resolve_settings, settings_from_mapping
 from densityball.oracle import UniformDensity
 
 
@@ -237,6 +239,65 @@ def test_config_file_with_flag_override(tmp_path):
     assert sum(r[0] == "draw" for r in rows_b) == 5
 
 
+# Every config key: a JSON value, its flag and the flag's text; no value is the default.
+KEY_EXAMPLES = {
+    "collection.family": ("fourier", "--collection-family", "fourier"),
+    "collection.dims": ([1, 2], "--collection-dims", "1,2"),
+    "weights.kind": ("rademacher", "--weights-kind", "rademacher"),
+    "oracle.kind": ("cosine", "--oracle-kind", "cosine"),
+    "oracle.params": ({"amplitude": 0.2}, "--oracle-params", '{"amplitude": 0.2}'),
+    "beta": (0.05, "--beta", "0.05"),
+    "eta": (0.5, "--eta", "0.5"),
+    "m2": (4, "--m2", "4"),
+    "mInf": (3, "--m-inf", "3"),
+    "kappaScale": (0.5, "--kappa-scale", "0.5"),
+    "n": (30, "--n", "30"),
+    "dm": (4, "--dm", "4"),
+    "nb": (20, "--nb", "20"),
+    "reps": (2, "--reps", "2"),
+    "seed": (9, "--seed", "9"),
+    "input": ("sample.txt", "--input", "sample.txt"),
+    "alphaGrid": ([0.5, 0.9], "--alpha-grid", "0.5,0.9"),
+}
+
+
+def test_key_examples_cover_every_config_key():
+    assert sorted(key for key, *_ in KEYS) == sorted(KEY_EXAMPLES)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_EXAMPLES))
+def test_config_key_and_its_flag_give_equal_settings(key):
+    value, flag, text = KEY_EXAMPLES[key]
+    section, _, name = key.rpartition(".")
+    from_config = settings_from_mapping({section: {name: value}} if section else {name: value})
+    assert from_config != Settings()
+    # options may come before or after the command
+    for argv in (["ball", flag, text], [flag, text, "ball"]):
+        assert resolve_settings(build_parser().parse_args(argv)) == from_config
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["coverage", "--format", "doc"], "coverage only supports CSV output"),
+        (["ball", "--warn-only"], "--warn-only only applies to check-assumptions"),
+    ],
+)
+def test_options_of_another_command_exit_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    flags = [flag for _, flag, _ in KEY_EXAMPLES.values()] + ["--config", "--out", "--format", "--warn-only"]
+    for flag in flags:
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", out), flag
+
+
 def test_simulate_pw_single_rep(tmp_path):
     out = tmp_path / "t.csv"
     code = main(
@@ -393,6 +454,27 @@ def test_non_finite_flags_rejected(sample_file, capsys, flag, value):
     argv = ["ball", "--input", sample_file, "--collection-family", "histogram"]
     assert main(argv + ["--collection-dims", "1,2", flag, value]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,setting", [(["--eta", "1e200"], "eta"), (["--kappa-scale", "1e308"], "kappa_scale")])
+def test_radius_overflow_exits_2_naming_the_setting(sample_file, tmp_path, capsys, flags, setting):
+    out = tmp_path / "ball.json"
+    argv = ["ball", "--input", sample_file, "--collection-family", "histogram", "--collection-dims", "1,2"]
+    assert main(argv + ["--format", "doc", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{setting} is too large" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_norm_bounds_give_a_finite_radius_without_warnings(sample_file, tmp_path, capsys):
+    out = tmp_path / "ball.json"
+    argv = ["ball", "--input", sample_file, "--collection-family", "histogram", "--collection-dims", "1,2,4"]
+    assert main(argv + ["--m2", "1e308", "--m-inf", "1e308", "--format", "doc", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert all(math.isfinite(row[name]) for row in doc["models"] for name in ("variance_bound", "bias_bound", "radius"))
 
 
 def test_oracle_param_validation(tmp_path, capsys):
