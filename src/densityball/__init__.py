@@ -28,7 +28,6 @@ from .basis import (
     check_sup_norm_control,
     fourier_collection,
     fourier_collection_for_sobolev,
-    helmert_contrasts,
     histogram_collection,
     piecewise_polynomial_collection,
 )
@@ -36,10 +35,7 @@ from .bounds import (
     BoundConfig,
     ModelRadius,
     RadiusReport,
-    bias_bound,
     bias_deviation_constant,
-    radius,
-    variance_bound,
     variance_deviation_constant,
 )
 from .estimators import (
@@ -79,7 +75,6 @@ from .weights import (
     enumerate_weights,
     make_scheme,
     replication_rng,
-    sample_weights,
     sample_weights_batch,
 )
 
@@ -109,7 +104,6 @@ __all__ = [
     "WeightScheme",
     "ball_from_doc",
     "ball_to_doc",
-    "bias_bound",
     "bias_deviation_constant",
     "build_confidence_ball",
     "centered_u_statistic",
@@ -120,7 +114,6 @@ __all__ = [
     "enumerate_weights",
     "fourier_collection",
     "fourier_collection_for_sobolev",
-    "helmert_contrasts",
     "histogram_collection",
     "make_scheme",
     "max_unit_variance_lower",
@@ -130,7 +123,6 @@ __all__ = [
     "project",
     "projection_bias_estimate",
     "projection_error_sq",
-    "radius",
     "replication_rng",
     "resampled_quantile_radius",
     "resampling_statistics",
@@ -139,12 +131,10 @@ __all__ = [
     "resampling_variance_monte_carlo",
     "residual_norm_sq",
     "sample_from",
-    "sample_weights",
     "sample_weights_batch",
     "select_model_index",
     "true_bias_sq",
     "true_coefficient",
     "unit_ball_sup_norm",
-    "variance_bound",
     "variance_deviation_constant",
 ]

@@ -605,6 +605,17 @@ class GrowthReport:
     holds: bool
 
 
+def log_ratio(numerator: float, beta: float) -> float:
+    """``ln(numerator / beta)``, finite even where the ratio overflows.
+
+    For beta below about 1e-305 the ratio is infinite, its log is not.
+    """
+    ratio = numerator / beta
+    if ratio == math.inf:
+        return math.log(numerator) - math.log(beta)
+    return math.log(ratio)
+
+
 def check_dimension_growth(collection: ModelCollection, n: int, beta: float) -> GrowthReport:
     """Check ``2 sqrt(d_top) ln(6 N / beta) / n <= c_m`` for the collection."""
     if n < 2:
@@ -612,5 +623,5 @@ def check_dimension_growth(collection: ModelCollection, n: int, beta: float) -> 
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     d_top = collection.top.dim
-    value = 2.0 * math.sqrt(d_top) * math.log(6.0 * collection.cardinality / beta) / n
+    value = 2.0 * math.sqrt(d_top) * log_ratio(6.0 * collection.cardinality, beta) / n
     return GrowthReport(value=value, bound=collection.c_m, holds=value <= collection.c_m)

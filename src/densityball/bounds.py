@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Model, ModelCollection
+from .basis import Model, ModelCollection, log_ratio
 
 EPSILON_GRID = tuple(float(e) for e in np.linspace(0.01, 0.99, 99))
 
@@ -69,10 +69,7 @@ class BoundConfig:
 
 
 def _deviation_level(cardinality: int, beta: float, prefactor: float) -> float:
-    ratio = prefactor * cardinality / beta
-    if ratio == math.inf:  # beta below about 1e-305: the ratio overflows, its log does not
-        return 2.0 * (math.log(prefactor * cardinality) - math.log(beta))
-    return max(2.0 * math.log(ratio), 2.0)
+    return max(2.0 * log_ratio(prefactor * cardinality, beta), 2.0)
 
 
 def variance_bounds(

@@ -47,6 +47,12 @@ from .basis import Model
 from .weights import WeightScheme, enumerate_weights, sample_weights_batch
 
 
+def check_unit_interval(points: np.ndarray) -> None:
+    """Refuse points outside [0, 1], NaN included, with a ``ValueError``."""
+    if not np.all((points >= 0.0) & (points <= 1.0)):
+        raise ValueError("sample points must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class Sample:
     """An i.i.d. sample of points in [0, 1]; immutable once built."""
@@ -59,8 +65,7 @@ class Sample:
             raise ValueError("sample points must form a 1-d sequence")
         if pts.size < 2:
             raise ValueError("need at least two observations")
-        if not np.all((pts >= 0.0) & (pts <= 1.0)):
-            raise ValueError("sample points must lie in [0, 1]")
+        check_unit_interval(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

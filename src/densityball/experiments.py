@@ -21,11 +21,17 @@ For a regular histogram with ``d`` cells every quantity a replication needs
 is a function of the cell counts ``c`` and, per weight draw, of the per-cell
 weight sums ``A``: the estimated coefficients are ``sqrt(d) c / n``, the
 closed form is ``d (n - sum c^2 / n) / (n (n - 1))``, and the reweighted
-statistic is ``normalizer (d / n^2) sum_k (A_k - mean(W) c_k)^2``.  So a
-replication costs O(nb n) integer work to draw and aggregate the weights
-(:func:`densityball.weights.sample_cell_weights`, whose memory is capped
-by its draw chunk) plus O(nb d) float work, and the true coefficients are
-computed once per experiment.  The integer draws are the ones the per-point
+statistic is ``normalizer (d / n^2) sum_k (A_k - mean(W) c_k)^2``.  The loop
+over replications makes only the generator calls: a replication's stream,
+its sample, and its integer weight draws.  The rest runs as array
+operations over blocks of about ``2**16`` weight entries
+(:class:`densityball.weights.CellWeightDrawer`), each holding the draws of
+as many whole replications as fit, or a slice of the draws of one
+replication when they do not fit.  Sample validation, cell indices, cell
+counts, exact errors and closed forms run once for the replications of a
+block, per-cell weight sums and reweighted statistics once per block, so
+memory stays O(chunk + reps_in_block * nb * dm), and the true coefficients
+are computed once per experiment.  The integer draws are the ones the per-point
 weights would take, so the seeded stream is that of the per-point
 estimators of :mod:`densityball.estimators`, which serve as references.
 :func:`~densityball.estimators.project` takes a histogram's coefficients
@@ -42,9 +48,15 @@ import numpy as np
 
 from .ball import order_statistic_rank
 from .basis import HistogramModel
-from .estimators import Sample
+from .estimators import check_unit_interval
 from .oracle import DensityOracle
-from .weights import WeightKind, WeightScheme, make_scheme, replication_rng, sample_cell_weights
+from .weights import (
+    CellWeightDrawer,
+    WeightKind,
+    WeightScheme,
+    make_scheme,
+    replication_rng,
+)
 
 DEFAULT_SEED = 4
 
@@ -69,25 +81,27 @@ class NormalizedDifferenceResult:
         return out
 
 
-def cell_error_sq(counts: np.ndarray, true_coefficients: np.ndarray) -> float:
+def cell_error_sq(counts: np.ndarray, true_coefficients: np.ndarray) -> np.ndarray:
     """Squared projection error of a histogram from its cell counts.
 
-    Equals ``projection_error_sq`` on the ``HistogramModel`` with
-    ``counts.size`` cells bit for bit: both take the coefficients
-    ``sqrt(d) c_k / n`` from the integer counts and reduce the same way.
+    ``counts`` has shape ``(..., d)``, one row per sample.  Each entry equals
+    ``projection_error_sq`` on the ``HistogramModel`` with ``d`` cells bit for
+    bit: both take the coefficients ``sqrt(d) c_k / n`` from the integer
+    counts and reduce with the same dot product (``matmul`` of a row by a
+    column, which rounds as ``diff @ diff`` does; ``einsum`` does not).
     """
-    diff = math.sqrt(counts.size) * counts / counts.sum() - true_coefficients
-    return float(diff @ diff)
+    diff = math.sqrt(counts.shape[-1]) * counts / counts.sum(axis=-1, keepdims=True) - true_coefficients
+    return np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
 
 
-def cell_resampling_variance(counts: np.ndarray) -> float:
+def cell_resampling_variance(counts: np.ndarray) -> np.ndarray:
     """Closed-form resampling variance of a histogram from its cell counts.
 
-    ``d (n - sum_k c_k^2 / n) / (n (n - 1))``, equal to
+    ``d (n - sum_k c_k^2 / n) / (n (n - 1))`` per row of ``counts``, equal to
     ``resampling_variance``; the numerator is exact in integers.
     """
-    n, d = int(counts.sum()), counts.size
-    return d * (n * n - int(counts @ counts)) / (n * n * (n - 1.0))
+    n, d = counts.sum(axis=-1), counts.shape[-1]
+    return d * (n * n - (counts * counts).sum(axis=-1)) / (n * n * (n - 1.0))
 
 
 def cell_resampling_statistics(
@@ -95,27 +109,52 @@ def cell_resampling_statistics(
 ) -> np.ndarray:
     """Reweighted statistics of a histogram from per-cell weight sums.
 
-    ``cell_weights`` has shape ``(batch, d)`` (see
-    :func:`densityball.weights.sample_cell_weights`); entry ``r`` of the
-    result is ``normalizer (d / n^2) sum_k (A_rk - mean(W_r) c_k)^2``, equal to
+    ``counts`` has shape ``(..., d)`` and ``cell_weights`` shape
+    ``(..., batch, d)`` (see :class:`densityball.weights.CellWeightDrawer`);
+    entry ``r`` of a sample's row of the result is
+    ``normalizer (d / n^2) sum_k (A_rk - mean(W_r) c_k)^2``, equal to
     ``resampling_statistics`` for the per-point weights behind ``A_r``.
     """
-    n, d = scheme.n, counts.size
-    dev = np.multiply.outer(cell_weights.sum(axis=1) / n, counts)
-    np.subtract(cell_weights, dev, out=dev)  # one (batch, d) temporary, not two
-    return scheme.normalizer * (d / (n * n)) * np.einsum("ij,ij->i", dev, dev)
+    n, d = scheme.n, counts.shape[-1]
+    dev = cell_weights.sum(axis=-1, keepdims=True) / n * counts[..., None, :]
+    np.subtract(cell_weights, dev, out=dev)  # one (..., batch, d) temporary, not two
+    rows = dev.reshape(-1, d)
+    return (scheme.normalizer * (d / (n * n)) * np.einsum("ij,ij->i", rows, rows)).reshape(dev.shape[:-1])
 
 
-def _histogram_replications(oracle: DensityOracle, n: int, dim: int, reps: int, seed: int):
-    """Per replication: its generator, the cell of each point, the cell counts.
+def _cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """Points per cell of each row of ``cells``, shape ``(rows, n_cells)``.
 
-    The generator has drawn the sample and is ready for the weight draws.
+    Row ``a`` is shifted by ``a * n_cells`` so that one ``bincount`` counts
+    every row.
     """
+    rows = cells.shape[0]
+    shifted = cells + n_cells * np.arange(rows)[:, None]
+    return np.bincount(shifted.ravel(), minlength=rows * n_cells).reshape(rows, n_cells)
+
+
+def _replication_blocks(
+    oracle: DensityOracle, scheme: WeightScheme, dim: int, n_draws: int, reps: int, seed: int
+):
+    """Per block of consecutive replications: cell counts ``(g, dim)`` and statistics ``(g, n_draws)``.
+
+    Per replication only its generator, its sample and (inside
+    :class:`CellWeightDrawer`) its weight draws are made; the rest is one
+    array operation per block.
+    """
+    n = scheme.n
     model = HistogramModel(dim)
-    for j in range(reps):
-        rng = replication_rng(seed, j)
-        cells = model.cell_index(Sample(oracle.sample_points(n, rng)).points)
-        yield rng, cells, np.bincount(cells, minlength=dim)
+    drawer = CellWeightDrawer(scheme, dim, n_draws)
+    for first in range(0, reps, drawer.samples):
+        rngs = [replication_rng(seed, j) for j in range(first, min(first + drawer.samples, reps))]
+        points = np.stack([oracle.sample_points(n, rng) for rng in rngs])
+        check_unit_interval(points)
+        cells = model.cell_index(points)
+        counts = _cell_counts(cells, dim)
+        stats = np.empty((len(rngs), n_draws))
+        for start, sums in drawer.blocks(rngs, cells, counts):
+            stats[:, start : start + sums.shape[1]] = cell_resampling_statistics(counts, sums, scheme)
+        yield counts, stats
 
 
 def normalized_difference_experiment(
@@ -133,14 +172,12 @@ def normalized_difference_experiment(
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     scale = n / math.sqrt(dim)
-    mc = np.empty(reps)
-    cf = np.empty(reps)
-    for j, (rng, cells, counts) in enumerate(_histogram_replications(oracle, n, dim, reps, seed)):
+    mc, cf = [], []
+    for counts, stats in _replication_blocks(oracle, scheme, dim, n_draws, reps, seed):
         error = cell_error_sq(counts, true)
-        weights = sample_cell_weights(scheme, cells, dim, n_draws, rng)
-        mc[j] = scale * (error - float(np.mean(cell_resampling_statistics(counts, weights, scheme))))
-        cf[j] = scale * (error - cell_resampling_variance(counts))
-    return NormalizedDifferenceResult(monte_carlo=mc, closed_form=cf)
+        mc.append(scale * (error - stats.mean(axis=1)))
+        cf.append(scale * (error - cell_resampling_variance(counts)))
+    return NormalizedDifferenceResult(monte_carlo=np.concatenate(mc), closed_form=np.concatenate(cf))
 
 
 def coverage_experiment(
@@ -169,10 +206,8 @@ def coverage_experiment(
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])
-    hits = np.zeros(len(alphas))
-    for rng, cells, counts in _histogram_replications(oracle, n, dim, reps, seed):
-        error = cell_error_sq(counts, true)
-        weights = sample_cell_weights(scheme, cells, dim, n_draws, rng)
-        stats = np.sort(cell_resampling_statistics(counts, weights, scheme))
-        hits += error <= stats[ranks - 1]
+    hits = np.zeros(len(alphas), dtype=np.int64)
+    for counts, stats in _replication_blocks(oracle, scheme, dim, n_draws, reps, seed):
+        stats.sort(axis=1)
+        hits += np.sum(cell_error_sq(counts, true)[:, None] <= stats[:, ranks - 1], axis=0)
     return [(a, float(h / reps)) for a, h in zip(alphas, hits)]

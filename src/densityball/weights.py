@@ -9,9 +9,9 @@ permutations of the coordinates.  Two schemes ship:
   replacement (integer draws and a ``bincount``, O(size * n) work);
 * ``RADEMACHER_IID`` -- independent signs, cheap to enumerate exactly.
 
-Draws can be aggregated over groups of points as they are made
-(:func:`sample_cell_weights`), which is all a histogram statistic needs;
-per-point weights are the case of one group per point.
+Draws can be aggregated over groups of points as they are made, for several
+samples at once (:class:`CellWeightDrawer`), which is all a histogram
+statistic needs; per-point weights are the case of one group per point.
 
 Each scheme carries the normalizer ``1 / Var(W_1 - mean(W))`` that makes the
 reweighted empirical process mimic the centered one.  For both schemes that
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,10 @@ MAX_ENUMERATION_N = 8
 # return exactly the values of one call for the whole batch, so the chunking
 # does not move the stream.
 DRAW_CHUNK_ENTRIES = 2**16
+# Samples per block at most: each holds a generator of about 1 KB while the
+# block is drawn, and past a few hundred samples the per-block overhead is
+# already negligible next to creating their generators.
+MAX_BLOCK_SAMPLES = 2**10
 
 
 class WeightKind(str, Enum):
@@ -68,54 +72,107 @@ def sample_weights(scheme: WeightScheme, rng: np.random.Generator) -> np.ndarray
 def sample_weights_batch(scheme: WeightScheme, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` independent weight vectors, shape ``(size, n)``, as floats.
 
-    The case of :func:`sample_cell_weights` with one cell per point.
+    The case of :class:`CellWeightDrawer` with one sample and one cell per
+    point.
     """
     n = scheme.n
-    return sample_cell_weights(scheme, np.arange(n), n, size, rng)
-
-
-def sample_cell_weights(
-    scheme: WeightScheme, cells: np.ndarray, n_cells: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-cell sums of ``size`` independent weight vectors, shape ``(size, n_cells)``.
-
-    Point ``i`` lies in cell ``cells[i]``; entry ``(r, k)`` is the sum of
-    ``W_i`` over the points of cell ``k`` in draw ``r``, as a float.  Efron
-    weights are resample counts: draw ``r`` takes ``n`` indices uniformly from
-    ``range(n)``, which makes the counts exactly multinomial(n; 1/n, ..., 1/n),
-    and counts the cells of those indices.  Rademacher weights are i.i.d.
-    signs summed per cell.  Either way the integer draws are those of
-    ``rng.integers`` over a ``(size, n)`` array, made in chunks of about
-    ``DRAW_CHUNK_ENTRIES`` entries; shifting row ``r`` of a chunk by
-    ``r * n_cells`` lets one ``bincount`` aggregate the whole chunk.
-    """
-    if size < 1:
-        raise ValueError("need size >= 1")
-    n = scheme.n
-    cells = np.asarray(cells, dtype=np.intp)
-    if cells.shape != (n,) or cells.min() < 0 or cells.max() >= n_cells:
-        raise ValueError(f"cells must hold {n} indices in [0, {n_cells})")
-    out = np.empty((size, n_cells))
-    step = min(max(DRAW_CHUNK_ENTRIES // n, 1), size)
-    shift = n_cells * np.arange(step)[:, None]
-    # One bin buffer per call, filled in place: a fresh multi-megabyte
-    # temporary per chunk costs as much in page faults as the bincount.
-    # ``mode="clip"`` lets ``take`` write into ``out`` without buffering; the
-    # drawn indices are in range, so it never clips.
-    bins = np.empty((step, n), dtype=np.intp)
-    for start in range(0, size, step):
-        rows = min(step, size - start)
-        chunk = bins[:rows]
-        if scheme.kind is WeightKind.EFRON_MULTINOMIAL:
-            np.take(cells, rng.integers(0, n, size=(rows, n)), out=chunk, mode="clip")
-            chunk += shift[:rows]
-            sums = np.bincount(chunk.ravel(), minlength=rows * n_cells)
-        else:
-            signs = 2.0 * rng.integers(0, 2, size=(rows, n)) - 1.0
-            np.add(cells, shift[:rows], out=chunk)
-            sums = np.bincount(chunk.ravel(), weights=signs.ravel(), minlength=rows * n_cells)
-        out[start : start + rows] = sums.reshape(rows, n_cells)
+    out = np.empty((size, n))
+    points = np.arange(n)[None]
+    for start, sums in CellWeightDrawer(scheme, n, size).blocks([rng], points, np.ones_like(points)):
+        out[start : start + sums.shape[1]] = sums[0]
     return out
+
+
+class CellWeightDrawer:
+    """Per-cell sums of ``size`` weight vectors per sample, for several samples at once.
+
+    Each sample has its own generator and ``scheme.n`` points, each in one of
+    ``n_cells`` cells.  The draws are made in blocks of about
+    ``DRAW_CHUNK_ENTRIES`` weight entries: a block holds all ``size`` draws of
+    up to ``samples`` samples (at most ``MAX_BLOCK_SAMPLES``) when one
+    sample's draws fit, and otherwise ``rows`` draws of a single sample.
+    Only the integer draws are made per sample; one ``take`` and one
+    ``bincount`` aggregate a whole block, with row ``(a, r)`` of the block
+    shifted by ``(a * rows + r) * n_cells``.  The block buffers are kept from
+    one call of :meth:`blocks` to the next: fresh ones per call cost more in
+    page faults than the draws themselves.
+    """
+
+    def __init__(self, scheme: WeightScheme, n_cells: int, size: int):
+        if size < 1:
+            raise ValueError("need size >= 1")
+        n = scheme.n
+        self.scheme, self.n_cells, self.size = scheme, n_cells, size
+        self.samples = min(max(DRAW_CHUNK_ENTRIES // (size * n), 1), MAX_BLOCK_SAMPLES)
+        self.rows = min(max(DRAW_CHUNK_ENTRIES // n, 1), size)
+        entries = self.samples * self.rows * n
+        self._efron = scheme.kind is WeightKind.EFRON_MULTINOMIAL
+        # Efron draws are ``take`` indices; Rademacher bits are ``bincount``
+        # weights, which it would otherwise convert to floats per block.
+        self._draws = np.empty(entries, dtype=np.intp if self._efron else float)
+        self._bins = np.empty(entries, dtype=np.intp)
+
+    def blocks(
+        self, rngs: Sequence[np.random.Generator], cells: np.ndarray, counts: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, sums)`` for draws ``start .. start + block - 1`` of every sample.
+
+        Sample ``a`` draws with ``rngs[a]`` and has its points in the cells
+        ``cells[a]`` (shape ``(len(rngs), n)``), ``counts[a, k]`` of them in
+        cell ``k``.  ``sums[a, r, k]`` is the sum of ``W_i`` over the points
+        of cell ``k`` in draw ``start + r`` of sample ``a``; the blocks cover
+        draws ``0 .. size - 1`` in order.
+
+        Efron weights are resample counts: a draw takes ``n`` indices
+        uniformly from ``range(n)``, which makes the counts exactly
+        multinomial(n; 1/n, ..., 1/n), and counts the cells of those indices.
+        Rademacher weights are i.i.d. signs ``2 B - 1`` for fair bits ``B``,
+        so their cell sum is twice the cell's bit sum minus its count.  Either
+        way a generator draws ``rng.integers`` over a ``(block, n)`` array per
+        block: chunked integer draws return the values of one call over
+        ``(size, n)``, so the blocking does not move the stream.
+        """
+        n, n_cells, rows = self.scheme.n, self.n_cells, self.rows
+        group = len(rngs)
+        cells = np.asarray(cells, dtype=np.intp)
+        if not 0 < group <= self.samples:
+            raise ValueError(f"need 1 to {self.samples} samples per call")
+        if cells.shape != (group, n) or cells.min() < 0 or cells.max() >= n_cells:
+            raise ValueError(f"cells must hold {n} indices in [0, {n_cells}) per sample")
+        efron = self._efron
+        # Several samples share a block only when all ``size`` rows fit, so a
+        # short last block has one sample, and the first ``block`` rows of
+        # these row-major buffers are then the block's own layout.
+        draws = self._draws[: group * rows * n].reshape(group, rows, n)
+        bins = self._bins[: group * rows * n].reshape(group, rows, n)
+        shift = (n_cells * np.arange(group * rows)).reshape(group, rows, 1)
+        if efron:
+            # Sample ``a`` draws its indices from ``[a n, (a + 1) n)``: a
+            # shifted range gives the values of ``[0, n)`` plus the shift,
+            # from the same bits, so they index the flattened ``cells``.
+            lows, high, flat_cells = range(0, group * n, n), n, cells.ravel()
+        else:
+            lows, high = [0] * group, 2
+            np.add(cells[:, None, :], shift, out=bins)
+        for start in range(0, self.size, rows):
+            block = min(rows, self.size - start)
+            if group == 1:  # a lone sample's draws are used as drawn, without a copy
+                drawn = rngs[0].integers(0, high, size=(1, block, n))
+            else:
+                drawn = draws
+                for a, rng in enumerate(rngs):
+                    draws[a] = rng.integers(lows[a], lows[a] + high, size=(rows, n))
+            chunk = bins[:, :block]
+            if efron:
+                # ``mode="clip"`` lets ``take`` write into ``chunk`` without
+                # buffering; the indices are in range, so it never clips.
+                np.take(flat_cells, drawn, out=chunk, mode="clip")
+                chunk += shift[:, :block]
+                sums = np.bincount(chunk.ravel(), minlength=group * block * n_cells)
+            else:
+                bits = np.bincount(chunk.ravel(), weights=drawn.ravel(), minlength=group * block * n_cells)
+                sums = 2.0 * bits.reshape(group, block, n_cells) - counts[:, None, :]
+            yield start, sums.reshape(group, block, n_cells)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -160,4 +217,4 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     be split, reordered, or parallelized without changing any draw.
     """
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
-    return np.random.default_rng(seq)
+    return np.random.Generator(np.random.PCG64(seq))  # default_rng(seq), without its argument checks

@@ -215,6 +215,16 @@ def test_dimension_growth_examples():
         check_dimension_growth(coll, n=1, beta=0.1)
 
 
+@pytest.mark.parametrize("beta", [1e-320, 5e-324])
+def test_dimension_growth_survives_a_ratio_beyond_the_float_range(beta):
+    # 6 N / beta overflows; its log does not, and the check must not fail falsely
+    coll = histogram_collection([1, 2, 4])
+    report = check_dimension_growth(coll, n=3000, beta=beta)
+    expected = 2.0 * 2.0 * (math.log(6.0 * 3) - math.log(beta)) / 3000
+    assert math.isfinite(report.value) and abs(report.value - expected) <= 1e-12
+    assert report.holds
+
+
 def test_sobolev_collection_sizing():
     # floor(100 ** 0.4) = 6
     coll = fourier_collection_for_sobolev(100, 1.0)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -687,3 +688,92 @@ def test_cli_never_imports_scipy(sample_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+README_ALPHAS = "0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95"
+# SHA-256 of the coverage table at the README configuration, with --reps 12
+# and --seed 4, as written by the per-replication loop of 0.2.0: batching the
+# replications must not move the seeded stream.
+COVERAGE_DIGESTS = {
+    "efron": "e41d1c3a87c6357e43e97d36c18cbc2464f0710415d0c6c0feeca5e233f8b94d",
+    "rademacher": "eaa7c133cb8b54db6243502c44d4a26044930826115329795f20f0539f912cd4",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COVERAGE_DIGESTS))
+def test_coverage_tables_keep_their_digests(tmp_path, kind):
+    out = tmp_path / "cov.csv"
+    argv = ["coverage", "--n", "100", "--dm", "50", "--nb", "10000", "--reps", "12", "--seed", "4"]
+    assert main(argv + ["--alpha-grid", README_ALPHAS, "--weights-kind", kind, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COVERAGE_DIGESTS[kind]
+
+
+def test_simulate_pw_reruns_at_the_readme_config_are_byte_identical(tmp_path):
+    # 1000 replications fill 76 blocks of 13 and a last one of 12
+    argv = ["simulate-pw", "--n", "50", "--dm", "10", "--nb", "100", "--reps", "1000", "--seed", "9"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_tiny_beta_gives_no_false_growth_warning(tmp_path, capsys):
+    # ln(6 N / beta) of a ratio that overflows the float range is still finite
+    path = tmp_path / "sample.txt"
+    pts = UniformDensity().sample_points(3000, np.random.default_rng(5))
+    path.write_text("".join(f"{float(p)!r}\n" for p in pts))
+    argv = ["ball", "--input", str(path), "--collection-family", "histogram", "--collection-dims", "1,2,4"]
+    assert main(argv + ["--beta", "1e-320", "--out", str(tmp_path / "ball.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# Sample-file lines besides valid values: blank lines, non-finite and
+# out-of-range tokens, huge and tiny exponents, and arbitrary text.
+FUZZ_ODD_LINES = st.one_of(
+    st.sampled_from(
+        ["", "  ", "\t", "nan", "-NaN", "inf", "-Infinity", "1e999", "-1e999", "1e-999", "0.5e-400",
+         "1e308", "2", "-0.0", "1_0", "0x1p-1", ".5", "1.", "0.25 0.5", "0,5", "abc"]
+    ),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def fuzz_sample_files(draw):
+    """Valid values with up to three odd lines, sometimes with bytes that are not UTF-8 spliced in."""
+    lines = draw(st.lists(st.floats(0.0, 1.0).map(repr), max_size=8))
+    for odd in draw(st.lists(FUZZ_ODD_LINES, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def _ball_exit_and_stderr(path, out) -> tuple[int, str]:
+    argv = ["ball", "--input", str(path), "--collection-family", "histogram", "--collection-dims", "1,2,4"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_sample_files())
+def test_fuzzed_sample_files_exit_0_or_2_with_one_line(fuzz_dir, data):
+    path = fuzz_dir / "fuzzed.txt"
+    path.write_bytes(data)
+    code, err = _ball_exit_and_stderr(path, fuzz_dir / "out")
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0, err
+        assert all(line.startswith("warning: ") for line in err.splitlines()), err
+
+
+def test_directory_as_input_exits_2_with_one_line(tmp_path):
+    code, err = _ball_exit_and_stderr(tmp_path, tmp_path / "out")
+    assert code == 2
+    assert err.startswith(f"error: cannot read input {tmp_path}") and err.count("\n") == 1

@@ -26,10 +26,10 @@ from densityball.experiments import (
 )
 from densityball.oracle import CosineTiltDensity, HistogramDensity, UniformDensity, sample_from
 from densityball.weights import (
+    CellWeightDrawer,
     WeightKind,
     make_scheme,
     replication_rng,
-    sample_cell_weights,
     sample_weights_batch,
 )
 
@@ -138,7 +138,9 @@ def test_cell_statistics_match_the_per_point_references(kind, oracle, n, dim, si
     cells = model.cell_index(sample.points)
     counts = np.bincount(cells, minlength=dim)
     with mock.patch.object(weights, "DRAW_CHUNK_ENTRIES", chunk):
-        cell_w = sample_cell_weights(scheme, cells, dim, size, np.random.default_rng(seed + 1))
+        drawer = CellWeightDrawer(scheme, dim, size)
+        blocks = drawer.blocks([np.random.default_rng(seed + 1)], cells[None], counts[None])
+        cell_w = np.concatenate([sums[0] for _, sums in blocks])
         point_w = sample_weights_batch(scheme, size, np.random.default_rng(seed + 1))
     np.testing.assert_array_equal(point_w, _one_call_weights(scheme, size, np.random.default_rng(seed + 1)))
 
@@ -191,3 +193,41 @@ def test_experiments_keep_the_seeded_stream(kind):
         tol = 1e-12 * scale * (error + max(float(np.mean(stats)), closed))
         assert abs(result.monte_carlo[j] - mc) <= tol
         assert abs(result.closed_form[j] - cf) <= tol
+
+
+def _assert_matches_per_point_replications(oracle, n, dim, n_draws, reps, seed, kind):
+    alphas = [round(0.05 * i, 2) for i in range(1, 20)]
+    replays = list(_per_point_replications(oracle, n, dim, n_draws, reps, seed, kind))
+    ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])
+    hits = sum(error <= np.sort(stats)[ranks - 1] for error, stats, _ in replays)
+    expected = [(a, float(h / reps)) for a, h in zip(alphas, hits)]
+    assert coverage_experiment(oracle, n, dim, n_draws, reps, alphas, seed=seed, kind=kind) == expected
+
+    scale = n / math.sqrt(dim)
+    result = normalized_difference_experiment(oracle, n, dim, n_draws, reps, seed=seed, kind=kind)
+    for j, (error, stats, closed) in enumerate(replays):
+        mc, cf = scale * (error - float(np.mean(stats))), scale * (error - closed)
+        tol = 1e-12 * scale * (error + max(float(np.mean(stats)), closed))
+        assert abs(result.monte_carlo[j] - mc) <= tol
+        assert abs(result.closed_form[j] - cf) <= tol
+
+
+# (n, n_draws, reps, replications per block, draw rows per block) at the
+# shipped chunk of 2**16 weight entries and cap of 2**10 replications
+BLOCK_CASES = {
+    "reps-not-a-multiple-of-the-block": (50, 100, 30, 13, 100),
+    "reps-within-one-block": (50, 100, 5, 13, 100),
+    "one-replication-fills-the-chunk": (64, 1024, 3, 1, 1024),
+    "one-replication-spans-blocks": (50, 2000, 3, 1, 1310),
+    "replications-per-block-capped": (4, 2, 1500, weights.MAX_BLOCK_SAMPLES, 2),
+}
+
+
+@pytest.mark.parametrize("kind", ["efron", "rademacher"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_batched_replications_match_the_per_point_references_at_block_boundaries(kind, case):
+    n, n_draws, reps, samples, rows = BLOCK_CASES[case]
+    dim, seed = 7, 23
+    drawer = CellWeightDrawer(make_scheme(kind, n), dim, n_draws)
+    assert (drawer.samples, drawer.rows) == (samples, rows)
+    _assert_matches_per_point_replications(HistogramDensity([0.5, 1.5, 1.0]), n, dim, n_draws, reps, seed, kind)
