@@ -38,8 +38,12 @@ def bias_deviation_constant(epsilon: float, c1: float, c3: float) -> float:
     """Explicit constant of the bias deviation term at trade-off ``epsilon``."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    extra = (2.0 / epsilon) * max(2.0, 2.0 * c1, c3 * c1 * c1 / 9.0)
-    return variance_deviation_constant(c1, c3) + extra
+    return variance_deviation_constant(c1, c3) + (2.0 / epsilon) * _bias_factor(c1, c3)
+
+
+def _bias_factor(c1: float, c3: float) -> float:
+    """The factor of ``2 / epsilon`` in :func:`bias_deviation_constant`."""
+    return max(2.0, 2.0 * c1, c3 * c1 * c1 / 9.0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,9 @@ def bias_bounds(
     norm_part = 1.0 + math.sqrt(min(config.m_inf, config.m2 * math.sqrt(d_top)))
     base = config.kappa_scale * norm_part * math.sqrt(d_top) * x / n
     eps = np.array(EPSILON_GRID)
-    kappa = np.array([bias_deviation_constant(e, collection.c1, collection.c_m) for e in eps])
+    # bias_deviation_constant over the grid, with the same roundings
+    c1, c3 = collection.c1, collection.c_m
+    kappa = variance_deviation_constant(c1, c3) + (2.0 / eps) * _bias_factor(c1, c3)
     estimates = np.asarray(bias_estimates, dtype=float)
     with np.errstate(over="ignore"):  # a deviation term that overflows is refused by radii
         return np.min((estimates[:, None] + kappa * base) / (1.0 - eps), axis=1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -275,21 +276,41 @@ def build_oracle(settings: Settings) -> DensityOracle:
     raise ConfigError(f"unsupported oracle kind {settings.oracle_kind!r}")
 
 
+# The bytes of a sample file that only ever spell decimal reals.
+_DECIMAL_BYTES = b"0123456789.eE+-\n"
+
+
 def read_sample_file(path: str) -> Sample:
-    """Newline-delimited decimal reals in [0, 1]; blank lines ignored."""
+    """One decimal real in [0, 1] per line; surrounding whitespace and blank lines are ignored.
+
+    A file of decimal bytes alone is parsed in one numpy call.  Any other
+    file, or one that call or the range check refuses, goes through the line
+    loop, which names the first bad line.  numpy parses each token as
+    ``float`` does, so both paths give the same values.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read input {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read input {path}: not UTF-8 text ({exc})") from exc
+    if text.isascii() and not text.encode("ascii").translate(None, _DECIMAL_BYTES):
+        try:
+            points = np.array(text.split(), dtype=float)
+        except ValueError:  # a token such as "1e" or "+-1": the loop names its line
+            pass
+        else:
+            if points.size >= 2 and ((0.0 <= points) & (points <= 1.0)).all():
+                return Sample(points)
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         token = line.strip()
         if not token:
             continue
         try:
+            if not token.isascii() or "_" in token:  # float takes digit separators and non-ASCII digits
+                raise ValueError
             value = float(token)
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: not a decimal real: {token!r}") from exc
@@ -464,7 +485,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use; ``parse_args`` leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="densityball",
         description="Adaptive confidence balls for densities on [0, 1].",

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from densityball.basis import histogram_collection
+from densityball.basis import fourier_collection, histogram_collection, log_ratio
 from densityball.bounds import (
     EPSILON_GRID,
     BoundConfig,
     bias_bound,
+    bias_bounds,
     bias_deviation_constant,
     radius,
     variance_bound,
@@ -92,6 +93,29 @@ def test_bias_bound_zero_estimate_grid_minimum():
     ]
     assert got == pytest.approx(min(values), rel=1e-12)
     assert int(np.argmin(values)) <= 2
+
+
+@pytest.mark.parametrize(
+    "collection",
+    [histogram_collection([2**k for k in range(9)]), fourier_collection(dims=list(range(1, 62, 2)))],
+    ids=["histogram", "fourier"],
+)
+@pytest.mark.parametrize("kappa_scale", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [0.1, 5e-324])
+def test_bias_bounds_equal_the_per_epsilon_constants(collection, kappa_scale, beta):
+    # the grid of kappas is taken in closed form; it must round as the 99 calls do
+    cfg = BoundConfig(beta=beta, m2=2.0, m_inf=2.0, kappa_scale=kappa_scale)
+    n = 4000
+    estimates = np.random.default_rng(7).normal(0.0, 0.05, len(collection))
+    d_top = collection.top.dim
+    level = max(2.0 * log_ratio(6.0 * collection.cardinality, beta), 2.0)
+    norm_part = 1.0 + math.sqrt(min(cfg.m_inf, cfg.m2 * math.sqrt(d_top)))
+    base = kappa_scale * norm_part * math.sqrt(d_top) * level / n
+    eps = np.array(EPSILON_GRID)
+    kappa = np.array([bias_deviation_constant(e, collection.c1, collection.c_m) for e in EPSILON_GRID])
+    expected = np.min((estimates[:, None] + kappa * base) / (1.0 - eps), axis=1)
+    got = bias_bounds(estimates, collection, cfg, n)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_bias_bound_zero_scale_keeps_only_the_estimate():

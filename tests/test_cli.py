@@ -14,11 +14,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densityball
-from densityball.cli import KEYS, Settings, build_parser, main, resolve_settings, settings_from_mapping
+from densityball.cli import (
+    KEYS,
+    ConfigError,
+    Settings,
+    build_parser,
+    main,
+    read_sample_file,
+    resolve_settings,
+    settings_from_mapping,
+)
 from densityball.oracle import UniformDensity
 
 
@@ -140,6 +149,16 @@ def test_ball_rejects_malformed_line(tmp_path, capsys):
     )
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["0.2_5", "\u0660.\u0665", "\uff11"])
+def test_ball_refuses_spellings_that_are_not_decimal_reals(tmp_path, capsys, token):
+    # float reads these as 0.25, 0.5 and 1.0
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"0.5\n{token}\n0.25\n", encoding="utf-8")
+    code = main(["ball", "--input", str(bad), "--collection-family", "histogram", "--collection-dims", "1,2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: not a decimal real: {token!r}\n"
 
 
 def test_ball_needs_collection(sample_file, capsys):
@@ -728,23 +747,26 @@ def test_tiny_beta_gives_no_false_growth_warning(tmp_path, capsys):
 
 
 # Sample-file lines besides valid values: blank lines, non-finite and
-# out-of-range tokens, huge and tiny exponents, and arbitrary text.
+# out-of-range tokens, huge and tiny exponents, spellings float takes that
+# are not decimal reals, padded and signed values, and arbitrary text.
 FUZZ_ODD_LINES = st.one_of(
     st.sampled_from(
         ["", "  ", "\t", "nan", "-NaN", "inf", "-Infinity", "1e999", "-1e999", "1e-999", "0.5e-400",
-         "1e308", "2", "-0.0", "1_0", "0x1p-1", ".5", "1.", "0.25 0.5", "0,5", "abc"]
+         "1e308", "2", "-0.0", "1_0", "0x1p-1", ".5", "1.", "0.25 0.5", "0,5", "abc",
+         "0.2_5", "\u0660.\u0665", "\uff11", " 0.5", "+.5", "1E-1"]
     ),
     st.text(max_size=6),
+    st.text("0123456789.eE+-", max_size=6),
 )
 
 
 @st.composite
 def fuzz_sample_files(draw):
-    """Valid values with up to three odd lines, sometimes with bytes that are not UTF-8 spliced in."""
+    """Valid values with up to three odd lines, sometimes with CRLF line ends or bytes that are not UTF-8."""
     lines = draw(st.lists(st.floats(0.0, 1.0).map(repr), max_size=8))
     for odd in draw(st.lists(FUZZ_ODD_LINES, max_size=3)):
         lines.insert(draw(st.integers(0, len(lines))), odd)
-    data = "\n".join(lines).encode("utf-8")
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode("utf-8")
     if draw(st.integers(0, 3)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"])) + data[at:]
@@ -777,3 +799,90 @@ def test_directory_as_input_exits_2_with_one_line(tmp_path):
     code, err = _ball_exit_and_stderr(tmp_path, tmp_path / "out")
     assert code == 2
     assert err.startswith(f"error: cannot read input {tmp_path}") and err.count("\n") == 1
+
+
+def _read_sample_lines(path):
+    """Reference reader: the sample file one line at a time, as ``float`` reads each token."""
+    try:
+        path.read_bytes().decode("utf-8")  # the error counts bytes from the start of the file
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read input {path}: not UTF-8 text ({exc})") from exc
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        token = line.strip()
+        if not token:
+            continue
+        if not token.isascii() or "_" in token:
+            raise ConfigError(f"{path}: line {lineno}: not a decimal real: {token!r}")
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: not a decimal real: {token!r}") from exc
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{path}: line {lineno}: value {value} outside [0, 1]")
+        values.append(value)
+    if len(values) < 2:
+        raise ConfigError(f"{path}: need at least two values")
+    return np.array(values)
+
+
+def _values_or_error(read, path):
+    try:
+        return read(path).tobytes()  # bytes: -0.0 differs from 0.0
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_sample_files())
+# files the fast path must leave to the line loop, and line ends that loop must not split on
+@example(b"0.5\n0.25 0.5\n")
+@example(b"0.5\n-1\n0.25\n")
+@example(b"1e\n0.5\n")
+@example(b"0.5\n")
+@example(b"0.5\x0c0.25\nabc\n")
+@example("0.5\u2028\n0.25\n\x85x\n".encode("utf-8"))
+def test_read_sample_file_agrees_with_the_line_loop(fuzz_dir, data):
+    path = fuzz_dir / "fuzzed.txt"
+    path.write_bytes(data)
+    expected = _values_or_error(_read_sample_lines, path)
+    got = _values_or_error(lambda p: read_sample_file(p).points, path)
+    assert got == expected
+
+
+def test_line_ends_and_padding_leave_the_ball_doc_unchanged(tmp_path):
+    pts = UniformDensity().sample_points(200, np.random.default_rng(21))
+    lines = [repr(float(p)) for p in pts]
+    lines[7] = "-0.0"
+    variants = {
+        "plain": "\n".join(lines) + "\n",
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "padded": "\n\n".join(f" {v}\t" if i % 3 else v for i, v in enumerate(lines)) + "\n  \n",
+    }
+    docs = {}
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(text.encode("ascii"))
+        out = tmp_path / f"{name}.json"
+        argv = ["ball", "--input", str(path), "--collection-family", "fourier", "--collection-dims", "1,3,5,7"]
+        assert main(argv + ["--format", "doc", "--out", str(out)]) == 0
+        docs[name] = out.read_bytes()
+    assert docs["crlf"] == docs["plain"]
+    assert docs["padded"] == docs["plain"]
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(sample_file, tmp_path, capsys):
+    ball = ["ball", "--input", sample_file, "--collection-family", "histogram", "--collection-dims", "1,2"]
+    check = ["check-assumptions", "--warn-only", "--collection-family", "histogram", "--collection-dims", "1,2"]
+    assert main(check + ["--out", str(tmp_path / "check.csv")]) == 0
+    assert main(ball + ["--out", str(tmp_path / "before.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": 0.5, "kappaScale": 0.0, "weights": {"kind": "rademacher"}}))
+    assert main(ball + ["--config", str(cfg), "--out", str(tmp_path / "config.csv")]) == 0
+    assert main(ball + ["--out", str(tmp_path / "after.csv")]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+    assert (tmp_path / "config.csv").read_bytes() != (tmp_path / "before.csv").read_bytes()
+    assert resolve_settings(build_parser().parse_args(["ball"])) == Settings()
