@@ -30,6 +30,7 @@ from .basis import (
     fourier_collection_for_sobolev,
     histogram_collection,
     piecewise_polynomial_collection,
+    unit_ball_sup_norm,
 )
 from .bounds import (
     BoundConfig,
@@ -43,7 +44,7 @@ from .estimators import (
     Sample,
     centered_u_statistic,
     coordinate_variance_total,
-    max_unit_variance_lower,
+    max_unit_variance,
     project,
     projection_bias_estimate,
     projection_error_sq,
@@ -51,7 +52,6 @@ from .estimators import (
     resampling_variance,
     resampling_variance_enumerated,
     resampling_variance_monte_carlo,
-    unit_ball_sup_norm,
 )
 from .experiments import (
     DEFAULT_SEED,
@@ -78,7 +78,7 @@ from .weights import (
     sample_weights_batch,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BoundConfig",
@@ -116,7 +116,7 @@ __all__ = [
     "fourier_collection_for_sobolev",
     "histogram_collection",
     "make_scheme",
-    "max_unit_variance_lower",
+    "max_unit_variance",
     "normalized_difference_experiment",
     "order_statistic_rank",
     "piecewise_polynomial_collection",

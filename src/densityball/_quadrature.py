@@ -63,13 +63,13 @@ def gram_matrix(model, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (psi * w) @ psi.T
 
 
-def density_gram(model, oracle, order: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def density_gram(model, oracle) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and first moments of the basis against a density.
 
     Returns ``(G, c)`` with ``G[i, j] = integral psi_i psi_j s`` and
-    ``c[i] = integral psi_i s``.
+    ``c[i] = integral psi_i s``, by Gauss rules of order 16.
     """
-    x, w = nodes_for(model, oracle, order=order)
+    x, w = nodes_for(model, oracle, order=16)
     psi = model.basis_matrix(x)
     sw = w * oracle.density(x)
     return (psi * sw) @ psi.T, psi @ sw

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Model, ModelCollection, log_ratio
+from .basis import ModelCollection, log_ratio
 
 EPSILON_GRID = tuple(float(e) for e in np.linspace(0.01, 0.99, 99))
 
@@ -150,49 +150,6 @@ def radii(
         raise ValueError(f"the radius overflows the float range: {setting} is too large")
     clamped = radius_sq < 0.0
     return radius_sq, np.sqrt(np.where(clamped, 0.0, radius_sq)), clamped
-
-
-def variance_bound(
-    variance_estimate: float,
-    model: Model,
-    collection: ModelCollection,
-    config: BoundConfig,
-    n: int,
-) -> float:
-    """:func:`variance_bounds` for one model."""
-    bound = variance_bounds(np.array([variance_estimate]), np.array([model.dim]), collection, config, n)
-    return float(bound[0])
-
-
-def bias_bound(
-    bias_estimate: float,
-    sub_model: Model,
-    collection: ModelCollection,
-    config: BoundConfig,
-    n: int,
-) -> float:
-    """:func:`bias_bounds` for one sub-model nested in the collection's top model."""
-    if not sub_model.shares_prefix_with(collection.top):
-        raise ValueError(f"{sub_model.label} is not nested in the collection's top model")
-    return float(bias_bounds(np.array([bias_estimate]), collection, config, n)[0])
-
-
-def radius(
-    variance_estimate: float,
-    bias_estimate: float,
-    model: Model,
-    collection: ModelCollection,
-    config: BoundConfig,
-    n: int,
-) -> tuple[float, bool]:
-    """Radius ``sqrt(eta^2 + bias bound + variance bound)`` for one model.
-
-    Returns ``(value, clamped)``; see :func:`radii`.
-    """
-    v = variance_bound(variance_estimate, model, collection, config, n)
-    k = bias_bound(bias_estimate, model, collection, config, n)
-    _, rho, clamped = radii(np.array([v]), np.array([k]), config.eta)
-    return float(rho[0]), bool(clamped[0])
 
 
 @dataclass(frozen=True)

@@ -447,7 +447,7 @@ def run_check_assumptions(settings: Settings, out_path: str | None, warn_only: b
     rows: list[list] = []
     all_ok = True
     for model in collection:
-        report = check_sup_norm_control(model, trials=1000, rng_seed=settings.seed)
+        report = check_sup_norm_control(model)
         rows.append(
             [
                 "sup-norm",

@@ -37,7 +37,6 @@ count formula of :mod:`densityball.experiments` bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,47 +211,24 @@ def projection_error_sq(sample: Sample, model: Model, oracle) -> float:
 
 # ---------------------------------------------------------------------------
 # Diagnostics for the centered system under a known density: the summed
-# coordinate variance, the sup norm of the unit coefficient ball, and a lower
-# estimate of the largest centered variance over that ball.  Together they
-# satisfy  v^2 <= min(sup s, c1 ||s|| sqrt(d))  and  v^2 <= D <= b^2 <= c1^2 d.
+# coordinate variance and the largest centered variance over the unit
+# coefficient ball.  With b = basis.unit_ball_sup_norm they satisfy
+#   v^2 <= min(sup s, c1 ||s|| sqrt(d))  and  v^2 <= D <= b^2 <= c1^2 d.
 # ---------------------------------------------------------------------------
 
 
-def coordinate_variance_total(model: Model, oracle, order: int = 16) -> float:
+def coordinate_variance_total(model: Model, oracle) -> float:
     """``D = sum_l Var_s(psi_l(X))`` by quadrature against the density."""
-    gram, moments = density_gram(model, oracle, order=order)
+    gram, moments = density_gram(model, oracle)
     return float(np.trace(gram) - moments @ moments)
 
 
-def unit_ball_sup_norm(model: Model, grid_points: int = 4096) -> float:
-    """``b = sup_x sqrt(sum_l psi_l(x)^2)`` over a grid including breakpoints."""
-    bps = model.breakpoints()
-    xs = np.unique(
-        np.concatenate([np.linspace(0.0, 1.0, grid_points), bps, (bps[:-1] + bps[1:]) / 2.0])
-    )
-    psi = model.basis_matrix(xs)
-    return math.sqrt(float(np.max(np.einsum("ij,ij->j", psi, psi))))
+def max_unit_variance(model: Model, oracle) -> float:
+    """``v^2 = sup_{||a||<=1} Var_s(sum_l a_l psi_l(X))`` by quadrature against the density.
 
-
-def max_unit_variance_lower(
-    model: Model,
-    oracle,
-    n_vectors: int = 10_000,
-    rng: np.random.Generator | None = None,
-    order: int = 16,
-) -> float:
-    """Random-search lower estimate of ``sup_{||a||<=1} Var_s(sum a_l psi_l)``.
-
-    A lower estimate by construction, so it is suitable only for checking
-    upper bounds.
+    The variance along ``a`` is ``a^T (G - m m^T) a`` with ``G`` the Gram
+    matrix and ``m`` the first moments of the basis under the density, so
+    the supremum is the top eigenvalue of that covariance matrix.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    gram, moments = density_gram(model, oracle, order=order)
-    coef = rng.standard_normal((n_vectors, model.dim))
-    norms = np.linalg.norm(coef, axis=1)
-    norms[norms == 0] = 1.0
-    coef /= norms[:, None]
-    second = np.einsum("ij,jk,ik->i", coef, gram, coef)
-    first = coef @ moments
-    return float(np.max(second - first * first))
+    gram, moments = density_gram(model, oracle)
+    return float(np.linalg.eigvalsh(gram - np.outer(moments, moments))[-1])

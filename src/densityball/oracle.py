@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _legendre
+from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _cells, _legendre
 from .estimators import Sample
 
 
@@ -179,13 +179,11 @@ class HistogramDensity(DensityOracle):
         self._cum[-1] = 1.0
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        cell = np.minimum((x * self.cells).astype(int), self.cells - 1)
-        return self.cell_values[cell]
+        return self.cell_values[_cells(x, self.cells)]
 
     def cdf(self, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        cell = np.minimum((x * self.cells).astype(int), self.cells - 1)
+        cell = _cells(x, self.cells)
         return self._cum[cell] + self.cell_values[cell] * (x - cell / self.cells)
 
     def sample_points(self, n, rng):

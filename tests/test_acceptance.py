@@ -272,12 +272,11 @@ def test_criterion_9_centered_system_bounds():
     slack = 1e-6
     checked = 0
     ok = True
-    rng = np.random.default_rng(99)
     for oracle in oracles:
         for model in models:
             d_total = db.coordinate_variance_total(model, oracle)
             b_sup = db.unit_ball_sup_norm(model)
-            v_sq = db.max_unit_variance_lower(model, oracle, n_vectors=10_000, rng=rng)
+            v_sq = db.max_unit_variance(model, oracle)
             c1, d = model.c1, model.dim
             ok &= v_sq <= min(oracle.norm_inf, c1 * oracle.norm2 * math.sqrt(d)) + slack
             ok &= v_sq <= d_total + slack

@@ -1,6 +1,7 @@
 """Tests for the public names of the package."""
 
 import densityball
+from densityball import basis, weights
 
 
 def test_all_names_are_unique_and_resolve():
@@ -11,6 +12,8 @@ def test_all_names_are_unique_and_resolve():
 
 
 def test_all_leaves_out_the_module_level_helpers():
-    # scalar bounds, contrasts and the single weight vector are imported from their modules
-    helpers = {"variance_bound", "bias_bound", "radius", "helmert_contrasts", "sample_weights"}
-    assert helpers.isdisjoint(densityball.__all__)
+    # contrasts and the single weight vector are imported from their modules
+    helpers = {"helmert_contrasts": basis, "sample_weights": weights}
+    assert all(hasattr(module, name) for name, module in helpers.items())
+    assert set(helpers).isdisjoint(densityball.__all__)
+

@@ -23,9 +23,10 @@ from densityball.basis import (
     Model,
     fourier_collection,
     histogram_collection,
+    log_ratio,
     piecewise_polynomial_collection,
 )
-from densityball.bounds import BoundConfig, bias_bound, radius, variance_bound
+from densityball.bounds import EPSILON_GRID, BoundConfig, bias_deviation_constant, variance_deviation_constant
 from densityball.estimators import (
     Sample,
     project,
@@ -217,6 +218,13 @@ def test_one_pass_matches_per_model_references(family, size):
     sums = psi.sum(axis=1)
     squares = (psi * psi).sum(axis=1)
     pairs = n * (n - 1.0)
+    # the bounds recomputed from their formulas, one model at a time
+    c1, c3 = coll.c1, coll.c_m
+    variance_level = max(2.0 * log_ratio(2.0 * len(coll), cfg.beta), 2.0)
+    bias_level = max(2.0 * log_ratio(6.0 * len(coll), cfg.beta), 2.0)
+    d_top = top.dim
+    bias_base = cfg.kappa_scale * (1.0 + math.sqrt(min(cfg.m_inf, cfg.m2 * math.sqrt(d_top))))
+    bias_base *= math.sqrt(d_top) * bias_level / n
     for model, row in zip(coll, ball.report):
         d = model.dim
         # tolerances are relative to the largest term that cancels in each estimate
@@ -226,14 +234,19 @@ def test_one_pass_matches_per_model_references(family, size):
         b_ref = projection_bias_estimate(sample, model, top)
         assert abs(row.bias_estimate - b_ref) <= 1e-12 * b_scale
 
-        v = variance_bound(row.variance_estimate, model, coll, cfg, n)
-        k = bias_bound(row.bias_estimate, model, coll, cfg, n)
-        assert row.variance_bound == v
-        assert row.bias_bound == k
-        assert row.radius_sq == cfg.eta**2 + k + v
-        assert (row.radius, row.clamped) == radius(
-            row.variance_estimate, row.bias_estimate, model, coll, cfg, n
+        norm_part = 1.0 + math.sqrt(min(cfg.m_inf, cfg.m2 * math.sqrt(d), d))
+        v = row.variance_estimate + (
+            cfg.kappa_scale * variance_deviation_constant(c1, c3) * norm_part * math.sqrt(d) * variance_level / n
         )
+        k = min(
+            (row.bias_estimate + bias_deviation_constant(eps, c1, c3) * bias_base) / (1.0 - eps)
+            for eps in EPSILON_GRID
+        )
+        assert row.variance_bound == pytest.approx(v, rel=1e-12)
+        assert row.bias_bound == pytest.approx(k, rel=1e-12)
+        assert row.radius_sq == cfg.eta**2 + row.bias_bound + row.variance_bound
+        assert row.clamped == (row.radius_sq < 0.0)
+        assert row.radius == math.sqrt(max(row.radius_sq, 0.0))
 
     center = project(sample, coll.models[ball.selected_index]).coefficients
     np.testing.assert_allclose(ball.center, center, rtol=0, atol=1e-12 * np.abs(center).max())

@@ -169,27 +169,54 @@ def test_collection_counts():
     assert coll.c1 == 1.0
 
 
-def test_sup_norm_control_histogram_and_fourier():
-    report = check_sup_norm_control(HistogramModel(8), trials=1000, rng_seed=5)
-    assert report.holds
-    assert report.empirical_ratio <= 1.0 + 1e-9
-    report = check_sup_norm_control(FourierModel(2), trials=1000, rng_seed=5)
-    assert report.holds
-    assert report.empirical_ratio <= 1.0 + 1e-9
+SUP_NORM_MODELS = {
+    "histogram-1": lambda: [HistogramModel(1)],
+    "histogram-8": lambda: [HistogramModel(8)],
+    "histogram-3": lambda: [HistogramModel(3)],
+    "fourier-1": lambda: [FourierModel(0)],
+    "fourier-5": lambda: [FourierModel(2)],
+    "fourier-63": lambda: [FourierModel(31)],
+    "poly-3x2": lambda: [PiecewisePolynomialModel(3, 2)],
+    "poly-2x4": lambda: [PiecewisePolynomialModel(2, 4)],
+    "histogram-chain": lambda: list(histogram_collection([1, 2, 4, 8, 16, 32, 64])),
+    "histogram-chain-3-6-24": lambda: list(histogram_collection([3, 6, 24])),
+    "fourier-chain": lambda: list(fourier_collection(dims=[1, 3, 5, 9])),
+    "poly-chain": lambda: list(piecewise_polynomial_collection([1, 2, 4], 3)),
+    "poly-chain-1-8x6": lambda: list(piecewise_polynomial_collection([1, 8], 6)),
+}
 
 
-def test_sup_norm_control_dim_one_is_exact():
-    report = check_sup_norm_control(HistogramModel(1), trials=10, rng_seed=1)
-    assert report.empirical_ratio == pytest.approx(1.0, abs=1e-12)
-    assert report.holds
+@pytest.mark.parametrize("family", list(SUP_NORM_MODELS))
+def test_sup_norm_ratio_is_exactly_c1(family):
+    # sum_l psi_l(x)^2 reaches c1^2 dim on every family, standalone or chained
+    for model in SUP_NORM_MODELS[family]():
+        report = check_sup_norm_control(model)
+        assert report.empirical_ratio == pytest.approx(model.c1, abs=1e-9)
+        assert report.holds
+
+
+@pytest.mark.parametrize("family", list(SUP_NORM_MODELS))
+def test_sup_norm_check_catches_an_understated_c1(family):
+    for model in SUP_NORM_MODELS[family]():
+        model.c1 *= 0.9
+        report = check_sup_norm_control(model)
+        assert not report.holds
+        assert report.empirical_ratio == pytest.approx(model.c1 / 0.9, abs=1e-9)
+
+
+def test_unit_ball_sup_norm_is_chunked(monkeypatch):
+    # a top dimension above CHUNK_ENTRIES / points takes several chunks, same value
+    model = histogram_collection([2**k for k in range(11)]).top
+    whole = basis.unit_ball_sup_norm(model)
+    monkeypatch.setattr(basis, "CHUNK_ENTRIES", model.dim * 7)
+    assert basis.unit_ball_sup_norm(model) == whole
+    assert whole == pytest.approx(math.sqrt(model.dim), rel=1e-12)
 
 
 def test_piecewise_poly_sup_norm_constant():
     # computed numerically; lands on sqrt(degree_bound) for Legendre pieces
     assert PiecewisePolynomialModel(3, 2).c1 == pytest.approx(math.sqrt(2.0), abs=1e-6)
     assert PiecewisePolynomialModel(2, 4).c1 == pytest.approx(2.0, abs=1e-6)
-    report = check_sup_norm_control(PiecewisePolynomialModel(3, 2), trials=2000, rng_seed=3)
-    assert report.holds
 
 
 def test_dimension_growth_examples():

@@ -9,11 +9,10 @@ from densityball.basis import fourier_collection, histogram_collection, log_rati
 from densityball.bounds import (
     EPSILON_GRID,
     BoundConfig,
-    bias_bound,
     bias_bounds,
     bias_deviation_constant,
-    radius,
-    variance_bound,
+    radii,
+    variance_bounds,
     variance_deviation_constant,
 )
 
@@ -48,7 +47,7 @@ def test_variance_bound_frozen_example():
     model = collection.models[2]
     assert model.dim == 4
     cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0)
-    got = variance_bound(0.0, model, collection, cfg, n=100)
+    got = variance_bounds(np.array([0.0]), np.array([model.dim]), collection, cfg, n=100)[0]
     level = 2.0 * math.log(2.0 * 10 / 0.1)
     expected = 12240.0 * (1.0 + math.sqrt(2.0)) * 2.0 * level / 100.0
     assert got == pytest.approx(expected, rel=1e-12)
@@ -60,19 +59,19 @@ def test_variance_bound_zero_scale_and_floor():
     model = collection.models[2]
     for beta in (0.1, 5e-324):  # the smallest beta overflows 2 N / beta, not the deviation level
         cfg = BoundConfig(beta=beta, m2=10.0, m_inf=2.0, kappa_scale=0.0)
-        assert variance_bound(0.37, model, collection, cfg, n=100) == 0.37
+        assert variance_bounds(np.array([0.37]), np.array([model.dim]), collection, cfg, n=100)[0] == 0.37
     cfg = BoundConfig(beta=5e-324, m2=10.0, m_inf=2.0)
-    assert math.isfinite(variance_bound(0.37, model, collection, cfg, n=100))
+    assert math.isfinite(variance_bounds(np.array([0.37]), np.array([model.dim]), collection, cfg, n=100)[0])
 
     # a single-model collection with large beta hits the deviation floor of 2
     single = histogram_collection([4])
     cfg = BoundConfig(beta=0.8, m2=10.0, m_inf=2.0)
-    got = variance_bound(0.0, single.top, single, cfg, n=50)
+    got = variance_bounds(np.array([0.0]), np.array([single.top.dim]), single, cfg, n=50)[0]
     expected = 12240.0 * (1.0 + math.sqrt(2.0)) * 2.0 * 2.0 / 50.0
     assert got == pytest.approx(expected, rel=1e-12)
 
     with pytest.raises(ValueError):
-        variance_bound(-0.1, model, collection, cfg, n=100)
+        variance_bounds(np.array([0.1, -0.1]), np.array([model.dim] * 2), collection, cfg, n=100)
 
 
 def test_bias_bound_zero_estimate_grid_minimum():
@@ -80,10 +79,9 @@ def test_bias_bound_zero_estimate_grid_minimum():
     # with the default constants the minimizer sits at a small epsilon
     # (the interior optimum, not the grid edge)
     collection = _ten_model_collection()
-    sub = collection.models[0]
     cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0)
     n = 100
-    got = bias_bound(0.0, sub, collection, cfg, n)
+    got = bias_bounds(np.array([0.0]), collection, cfg, n)[0]
     d_top = collection.top.dim
     level = max(2.0 * math.log(6.0 * collection.cardinality / cfg.beta), 2.0)
     base = (1.0 + math.sqrt(min(cfg.m_inf, cfg.m2 * math.sqrt(d_top)))) * math.sqrt(d_top) * level / n
@@ -122,67 +120,64 @@ def test_bias_bound_zero_scale_keeps_only_the_estimate():
     collection = _ten_model_collection()
     for beta in (0.1, 5e-324):
         cfg = BoundConfig(beta=beta, m2=10.0, m_inf=2.0, kappa_scale=0.0)
-        got = bias_bound(3.0, collection.models[0], collection, cfg, n=100)
+        got = bias_bounds(np.array([3.0]), collection, cfg, n=100)[0]
         assert got == pytest.approx(3.0 / 0.99, rel=1e-12)
     cfg = BoundConfig(beta=5e-324, m2=10.0, m_inf=2.0)
-    assert math.isfinite(bias_bound(3.0, collection.models[0], collection, cfg, n=100))
+    assert math.isfinite(bias_bounds(np.array([3.0]), collection, cfg, n=100)[0])
 
 
 def test_bias_bound_monotone_in_estimate():
     collection = _ten_model_collection()
     cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0)
-    lo = bias_bound(-0.2, collection.models[1], collection, cfg, n=100)
-    mid = bias_bound(0.5, collection.models[1], collection, cfg, n=100)
-    hi = bias_bound(2.0, collection.models[1], collection, cfg, n=100)
+    lo, mid, hi = bias_bounds(np.array([-0.2, 0.5, 2.0]), collection, cfg, n=100)
     assert lo < mid < hi
-
-
-def test_bias_bound_requires_nesting():
-    collection = _ten_model_collection()
-    other = histogram_collection([1, 2]).models[0]
-    cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0)
-    with pytest.raises(ValueError):
-        bias_bound(0.0, other, collection, cfg, n=100)
 
 
 def test_radius_square_root_and_components():
     collection = _ten_model_collection()
-    model = collection.models[2]
+    dims = np.array([collection.models[2].dim])
     cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0, kappa_scale=0.0)
-    rho, clamped = radius(4.0, 0.0, model, collection, cfg, n=100)
-    assert not clamped
-    assert rho == pytest.approx(2.0, rel=1e-12)
+    v = variance_bounds(np.array([4.0]), dims, collection, cfg, n=100)
+    k = bias_bounds(np.array([0.0]), collection, cfg, n=100)
+    _, rho, clamped = radii(v, k, cfg.eta)
+    assert not clamped[0]
+    assert rho[0] == pytest.approx(2.0, rel=1e-12)
 
     cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0, eta=0.3)
-    rho, clamped = radius(0.1, 0.2, model, collection, cfg, n=100)
-    v = variance_bound(0.1, model, collection, cfg, 100)
-    k = bias_bound(0.2, model, collection, cfg, 100)
-    assert rho == pytest.approx(math.sqrt(cfg.eta**2 + v + k), rel=1e-12)
-    assert not clamped
+    v = variance_bounds(np.array([0.1]), dims, collection, cfg, n=100)
+    k = bias_bounds(np.array([0.2]), collection, cfg, n=100)
+    radius_sq, rho, clamped = radii(v, k, cfg.eta)
+    assert radius_sq[0] == cfg.eta**2 + k[0] + v[0]
+    assert rho[0] == pytest.approx(math.sqrt(cfg.eta**2 + v[0] + k[0]), rel=1e-12)
+    assert not clamped[0]
 
 
 def test_radius_clamps_negative_radicand():
     collection = _ten_model_collection()
     cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0, kappa_scale=1e-9)
-    rho, clamped = radius(0.0, -50.0, collection.models[0], collection, cfg, n=100)
-    assert clamped
-    assert rho == 0.0
+    v = variance_bounds(np.array([0.0]), np.array([collection.models[0].dim]), collection, cfg, n=100)
+    k = bias_bounds(np.array([-50.0]), collection, cfg, n=100)
+    radius_sq, rho, clamped = radii(v, k, cfg.eta)
+    assert radius_sq[0] < 0.0
+    assert clamped[0]
+    assert rho[0] == 0.0
 
 
 def test_bounds_monotone_in_n_and_dim():
     collection = _ten_model_collection()
     cfg = BoundConfig(beta=0.1, m2=10.0, m_inf=2.0)
-    model = collection.models[3]
-    v_by_n = [variance_bound(0.3, model, collection, cfg, n) for n in (10, 30, 100, 1000)]
+    dim = np.array([collection.models[3].dim])
+    v_by_n = [variance_bounds(np.array([0.3]), dim, collection, cfg, n)[0] for n in (10, 30, 100, 1000)]
     assert all(a >= b for a, b in zip(v_by_n[:-1], v_by_n[1:]))
-    v_by_d = [variance_bound(0.3, m, collection, cfg, 100) for m in collection.models[:7]]
-    assert all(a <= b for a, b in zip(v_by_d[:-1], v_by_d[1:]))
+    dims = np.array([m.dim for m in collection.models[:7]])
+    v_by_d = variance_bounds(np.full(7, 0.3), dims, collection, cfg, 100)
+    assert np.all(v_by_d[:-1] <= v_by_d[1:])
 
-    k_by_n = [bias_bound(0.3, model, collection, cfg, n) for n in (10, 30, 100, 1000)]
+    k_by_n = [bias_bounds(np.array([0.3]), collection, cfg, n)[0] for n in (10, 30, 100, 1000)]
     assert all(a >= b for a, b in zip(k_by_n[:-1], k_by_n[1:]))
     # bias bound grows with the top dimension of the collection
     k_by_top = [
-        bias_bound(0.3, c.models[0], c, cfg, 100)
+        bias_bounds(np.array([0.3]), c, cfg, 100)[0]
         for c in (
             histogram_collection([1, 2, 4]),
             histogram_collection([1, 2, 4, 8, 16]),
@@ -194,11 +189,13 @@ def test_bounds_monotone_in_n_and_dim():
 
 def test_radius_monotone_in_beta():
     collection = _ten_model_collection()
-    model = collection.models[2]
+    dims = np.array([collection.models[2].dim])
     rhos = []
     for beta in (0.01, 0.05, 0.1, 0.3):
         cfg = BoundConfig(beta=beta, m2=10.0, m_inf=2.0)
-        rhos.append(radius(0.2, 0.1, model, collection, cfg, n=100)[0])
+        v = variance_bounds(np.array([0.2]), dims, collection, cfg, n=100)
+        k = bias_bounds(np.array([0.1]), collection, cfg, n=100)
+        rhos.append(radii(v, k, cfg.eta)[1][0])
     assert all(a >= b for a, b in zip(rhos[:-1], rhos[1:]))
 
 
@@ -216,8 +213,7 @@ def test_epsilon_grid_close_to_finer_grid():
             kappa_scale=float(rng.uniform(0.5, 2.0)),
         )
         estimate = float(rng.uniform(-0.5, 5.0))
-        sub = collection.models[0]
-        coarse_min = bias_bound(estimate, sub, collection, cfg, n)
+        coarse_min = bias_bounds(np.array([estimate]), collection, cfg, n)[0]
         d_top = collection.top.dim
         level = max(2.0 * math.log(6.0 * collection.cardinality / cfg.beta), 2.0)
         base = (

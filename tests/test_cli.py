@@ -443,6 +443,20 @@ def test_check_assumptions_pass_and_fail(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("family, dims", [("histogram", "1,2,4,8"), ("fourier", "1,3,5")])
+def test_check_assumptions_reports_the_exact_ratio_whatever_the_seed(tmp_path, family, dims):
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"checks{seed}.csv"
+        args = ["check-assumptions", "--collection-family", family, "--collection-dims", dims]
+        assert main([*args, "--n", "100", "--beta", "0.1", "--seed", seed, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    sup_rows = [r for r in _read_csv(str(tmp_path / "checks1.csv"))[1:] if r[0] == "sup-norm"]
+    assert [r[2] for r in sup_rows] == dims.split(",")
+    assert all(abs(float(r[3]) - 1.0) <= 1e-15 and r[5] == "true" for r in sup_rows)
+
+
 def test_check_assumptions_needs_collection(capsys):
     assert main(["check-assumptions", "--n", "100"]) == 2
     capsys.readouterr()

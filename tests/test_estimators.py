@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from densityball.basis import FourierModel, HistogramModel, PiecewisePolynomialModel, histogram_collection
+from densityball._quadrature import density_gram, nodes_for
+from densityball.basis import (
+    FourierModel,
+    HistogramModel,
+    PiecewisePolynomialModel,
+    histogram_collection,
+    piecewise_polynomial_collection,
+    unit_ball_sup_norm,
+)
 from densityball.estimators import (
     Sample,
     centered_u_statistic,
     coordinate_variance_total,
-    max_unit_variance_lower,
+    max_unit_variance,
     project,
     projection_bias_estimate,
     projection_error_sq,
@@ -18,7 +26,6 @@ from densityball.estimators import (
     resampling_variance,
     resampling_variance_enumerated,
     resampling_variance_monte_carlo,
-    unit_ball_sup_norm,
 )
 from densityball.oracle import CosineTiltDensity, HistogramDensity, UniformDensity, sample_from
 from densityball.weights import make_scheme, replication_rng
@@ -259,10 +266,46 @@ def test_unit_ball_sup_norm_values():
     assert unit_ball_sup_norm(FourierModel(2)) == pytest.approx(math.sqrt(5.0), rel=1e-9)
 
 
-def test_max_unit_variance_lower_respects_bounds():
+def test_max_unit_variance_respects_bounds():
     oracle = HistogramDensity([1.5, 0.5])
     model = HistogramModel(4)
-    v_sq = max_unit_variance_lower(model, oracle, n_vectors=4000, rng=np.random.default_rng(3))
+    v_sq = max_unit_variance(model, oracle)
     d_total = coordinate_variance_total(model, oracle)
     assert v_sq <= min(oracle.norm_inf, model.c1 * oracle.norm2 * 2.0) + 1e-6
     assert v_sq <= d_total + 1e-6
+
+
+def test_max_unit_variance_uniform_histogram():
+    # under the uniform density the covariance is I - 11^T / m: top eigenvalue 1
+    assert max_unit_variance(HistogramModel(4), UniformDensity()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _variance_along(model, oracle, directions):
+    """``Var_s(sum_l a_l psi_l(X))`` for each row ``a``, by its own quadrature of t^2 s and t s."""
+    x, w = nodes_for(model, oracle, order=16)
+    t = directions @ model.basis_matrix(x)
+    sw = w * oracle.density(x)
+    mean = t @ sw
+    return (t * t) @ sw - mean * mean
+
+
+@pytest.mark.parametrize(
+    "model, oracle",
+    [
+        (HistogramModel(8), HistogramDensity([0.4, 2.2, 0.4])),
+        (FourierModel(5), CosineTiltDensity(0.3, 3)),
+        (histogram_collection([1, 2, 4, 8, 16]).top, HistogramDensity([1.5, 0.5])),
+        (piecewise_polynomial_collection([1, 2, 4], 3).top, CosineTiltDensity(0.5, 2)),
+    ],
+    ids=["histogram", "fourier", "histogram-chain", "poly-chain"],
+)
+def test_max_unit_variance_is_the_supremum(model, oracle):
+    v_sq = max_unit_variance(model, oracle)
+    gram, moments = density_gram(model, oracle)
+    top = np.linalg.eigh(gram - np.outer(moments, moments))[1][:, -1]
+    # attained along the top eigenvector
+    assert _variance_along(model, oracle, top[None, :])[0] == pytest.approx(v_sq, rel=1e-12)
+    # and no random unit direction exceeds it
+    directions = np.random.default_rng(5).standard_normal((1000, model.dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    assert np.all(_variance_along(model, oracle, directions) <= v_sq * (1.0 + 1e-12))
