@@ -8,7 +8,7 @@ Three families are provided:
 
 Every space satisfies the sup-norm control ``||t||_inf <= c1 sqrt(dim) ||t||``
 with a family constant ``c1`` (1 for histograms and trigonometric systems,
-computed numerically for piecewise polynomials).
+``sqrt(degree_bound)`` for piecewise polynomials).
 
 A :class:`ModelCollection` chains nested spaces behind a single orthonormal
 system, ordered so that the first ``dim`` indices of the top system span the
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -258,20 +257,6 @@ def _legendre(degree: int, u: np.ndarray) -> np.ndarray:
     return eval_legendre(degree, u)
 
 
-@lru_cache(maxsize=None)
-def _legendre_sup_ratio(degree_bound: int) -> float:
-    """Numerical sup of ``sum_k (2k+1) P_k(u)^2 / r`` over u in [-1, 1].
-
-    This is the squared sup-norm constant of the per-piece Legendre system;
-    the maximum sits at the endpoints where every P_k equals 1.
-    """
-    u = np.linspace(-1.0, 1.0, 2001)
-    total = np.zeros_like(u)
-    for k in range(degree_bound):
-        total += (2 * k + 1) * _legendre(k, u) ** 2
-    return float(np.max(total) / degree_bound)
-
-
 def _natural_legendre(x: np.ndarray, pieces: int, degree_bound: int) -> np.ndarray:
     """Per-piece Legendre system ``sqrt(pieces) sqrt(2k+1) P_k(u)`` at ``x``.
 
@@ -310,7 +295,9 @@ class PiecewisePolynomialModel(Model):
         self.chain = chain
         self.pieces = int(pieces)
         self.degree_bound = int(degree_bound)
-        c1 = math.sqrt(_legendre_sup_ratio(self.degree_bound))
+        # sum_l psi_l(x)^2 = pieces sum_k (2k+1) P_k(u)^2 peaks at u = +-1, where
+        # every P_k^2 is 1, at pieces r^2 = r dim
+        c1 = math.sqrt(self.degree_bound)
         super().__init__(pieces * degree_bound, c1, f"poly-{pieces}x{degree_bound}", params)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:

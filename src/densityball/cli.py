@@ -352,8 +352,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(rows)  # csv writes None as an empty field
     return buf.getvalue()
 
 
@@ -405,10 +404,9 @@ def run_simulate_pw(settings: Settings, out_path: str | None) -> int:
         kind=settings.weights_kind,
     )
     header = ["kind", "rep", "normalized_monte_carlo", "normalized_closed_form"]
-    rows: list[list] = [
-        ["draw", j, _format_value(float(result.monte_carlo[j])), _format_value(float(result.closed_form[j]))]
-        for j in range(result.monte_carlo.size)
-    ]
+    # repr of each Python float, as _format_value writes it
+    columns = zip(map(repr, result.monte_carlo.tolist()), map(repr, result.closed_form.tolist()))
+    rows: list[list] = [["draw", j, mc, cf] for j, (mc, cf) in enumerate(columns)]
     summary = result.summary()
     for pos, stat in enumerate(("mean", "sd", "min", "max")):
         rows.append(

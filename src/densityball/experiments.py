@@ -21,17 +21,25 @@ For a regular histogram with ``d`` cells every quantity a replication needs
 is a function of the cell counts ``c`` and, per weight draw, of the per-cell
 weight sums ``A``: the estimated coefficients are ``sqrt(d) c / n``, the
 closed form is ``d (n - sum c^2 / n) / (n (n - 1))``, and the reweighted
-statistic is ``normalizer (d / n^2) sum_k (A_k - mean(W) c_k)^2``.  The loop
-over replications makes only the generator calls: a replication's stream,
-its sample, and its integer weight draws.  The rest runs as array
-operations over blocks of about ``2**16`` weight entries
-(:class:`densityball.weights.CellWeightDrawer`), each holding the draws of
-as many whole replications as fit, or a slice of the draws of one
-replication when they do not fit.  Sample validation, cell indices, cell
-counts, exact errors and closed forms run once for the replications of a
-block, per-cell weight sums and reweighted statistics once per block, so
-memory stays O(chunk + reps_in_block * nb * dm), and the true coefficients
-are computed once per experiment.  The integer draws are the ones the per-point
+statistic is ``normalizer (d / n^2) sum_k (A_k - mean(W) c_k)^2``; with
+Efron weights ``mean(W) = 1`` exactly, so ``A - c`` and its square sum are
+integers.  Per replication only its sample and its integer weight draws are
+made; the streams of a block of replications are seeded in one vectorised
+pass (:func:`densityball.weights.replication_rngs`), and the rest runs as
+array operations.  A block holds as many replications as keep the per-cell
+weight sums of all their draws within about ``2**16`` values, at most
+``2**10``; sample validation, cell indices, cell counts, exact errors and
+closed forms run once per block.
+:class:`densityball.weights.CellWeightDrawer` draws its weights in groups of
+about ``2**16`` weight entries, each holding the draws of as many whole
+replications as fit, or a slice of the draws of one replication when they do
+not fit; per-cell weight sums and reweighted statistics run once per group.
+The floor is then the draws and their aggregation: at the README
+``simulate-pw`` configuration about half the time goes to the integer draws
+(one ``integers`` call per replication) and a quarter to their per-cell sums,
+and seeding takes about 5%.  Memory stays
+O(chunk * (1 + dm / n) + reps_in_block * n), and the true coefficients are
+computed once per experiment.  The integer draws are the ones the per-point
 weights would take, so the seeded stream is that of the per-point
 estimators of :mod:`densityball.estimators`, which serve as references.
 :func:`~densityball.estimators.project` takes a histogram's coefficients
@@ -55,7 +63,7 @@ from .weights import (
     WeightKind,
     WeightScheme,
     make_scheme,
-    replication_rng,
+    replication_rngs,
 )
 
 DEFAULT_SEED = 4
@@ -116,8 +124,12 @@ def cell_resampling_statistics(
     ``resampling_statistics`` for the per-point weights behind ``A_r``.
     """
     n, d = scheme.n, counts.shape[-1]
-    dev = cell_weights.sum(axis=-1, keepdims=True) / n * counts[..., None, :]
-    np.subtract(cell_weights, dev, out=dev)  # one (..., batch, d) temporary, not two
+    if scheme.kind is WeightKind.EFRON_MULTINOMIAL:
+        # mean(W) = 1 exactly: integer sums give integer deviations, squared and summed exactly
+        dev = np.subtract(cell_weights, counts[..., None, :])
+    else:
+        dev = cell_weights.sum(axis=-1, keepdims=True) / n * counts[..., None, :]
+        np.subtract(cell_weights, dev, out=dev)  # one (..., batch, d) temporary, not two
     rows = dev.reshape(-1, d)
     return (scheme.normalizer * (d / (n * n)) * np.einsum("ij,ij->i", rows, rows)).reshape(dev.shape[:-1])
 
@@ -133,27 +145,37 @@ def _cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
     return np.bincount(shifted.ravel(), minlength=rows * n_cells).reshape(rows, n_cells)
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValueError("need at least one replication")
+    if reps > 2**32:  # a replication's stream key is one 32-bit word
+        raise ValueError("at most 2**32 replications")
+
+
 def _replication_blocks(
     oracle: DensityOracle, scheme: WeightScheme, dim: int, n_draws: int, reps: int, seed: int
 ):
     """Per block of consecutive replications: cell counts ``(g, dim)`` and statistics ``(g, n_draws)``.
 
-    Per replication only its generator, its sample and (inside
-    :class:`CellWeightDrawer`) its weight draws are made; the rest is one
-    array operation per block.
+    Per replication only its sample and (inside :class:`CellWeightDrawer`)
+    its weight draws are made; the generators of a block are seeded in one
+    vectorised pass, and the rest is one array operation per block or per
+    draw group of the drawer.
     """
     n = scheme.n
     model = HistogramModel(dim)
     drawer = CellWeightDrawer(scheme, dim, n_draws)
     for first in range(0, reps, drawer.samples):
-        rngs = [replication_rng(seed, j) for j in range(first, min(first + drawer.samples, reps))]
+        rngs = replication_rngs(seed, range(first, min(first + drawer.samples, reps)))
         points = np.stack([oracle.sample_points(n, rng) for rng in rngs])
         check_unit_interval(points)
         cells = model.cell_index(points)
         counts = _cell_counts(cells, dim)
         stats = np.empty((len(rngs), n_draws))
-        for start, sums in drawer.blocks(rngs, cells, counts):
-            stats[:, start : start + sums.shape[1]] = cell_resampling_statistics(counts, sums, scheme)
+        for a, start, sums in drawer.blocks(rngs, cells, counts):
+            group, block = sums.shape[:2]
+            group_counts = counts[a : a + group]
+            stats[a : a + group, start : start + block] = cell_resampling_statistics(group_counts, sums, scheme)
         yield counts, stats
 
 
@@ -167,8 +189,7 @@ def normalized_difference_experiment(
     kind: WeightKind | str = WeightKind.EFRON_MULTINOMIAL,
 ) -> NormalizedDifferenceResult:
     """Replicate ``n (error - estimate) / sqrt(dim)`` on fresh samples."""
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    _check_reps(reps)
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     scale = n / math.sqrt(dim)
@@ -201,8 +222,7 @@ def coverage_experiment(
         raise ValueError("need at least one alpha level")
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ValueError("alpha levels must lie in (0, 1)")
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    _check_reps(reps)
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])

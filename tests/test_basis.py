@@ -214,9 +214,11 @@ def test_unit_ball_sup_norm_is_chunked(monkeypatch):
 
 
 def test_piecewise_poly_sup_norm_constant():
-    # computed numerically; lands on sqrt(degree_bound) for Legendre pieces
-    assert PiecewisePolynomialModel(3, 2).c1 == pytest.approx(math.sqrt(2.0), abs=1e-6)
-    assert PiecewisePolynomialModel(2, 4).c1 == pytest.approx(2.0, abs=1e-6)
+    # closed form sqrt(degree_bound); test_sup_norm_ratio_is_exactly_c1 checks it is attained
+    for r in range(1, 13):
+        for pieces in (1, 3):
+            assert PiecewisePolynomialModel(pieces, r).c1 == math.sqrt(r)
+    assert piecewise_polynomial_collection([1, 2, 4], 5).c1 == math.sqrt(5)
 
 
 def test_dimension_growth_examples():

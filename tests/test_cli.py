@@ -482,6 +482,16 @@ def test_invalid_numeric_ranges_rejected(sample_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["simulate-pw", "coverage"])
+def test_replications_beyond_a_32_bit_stream_key_exit_2(tmp_path, capsys, command):
+    # refused before any replication runs
+    out = tmp_path / "out.csv"
+    argv = [command, "--n", "3", "--dm", "2", "--nb", "2", "--reps", str(2**32 + 1), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: at most 2**32 replications\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--eta", "--m2", "--m-inf", "--kappa-scale", "--beta"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_flags_rejected(sample_file, capsys, flag, value):
@@ -723,6 +733,16 @@ def test_cli_never_imports_scipy(sample_file, tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # about 5 MB of RSS that ball and check-assumptions never use
+    src = str(Path(densityball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, densityball.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 README_ALPHAS = "0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95"
 # SHA-256 of the coverage table at the README configuration, with --reps 12
 # and --seed 4, as written by the per-replication loop of 0.2.0: batching the
@@ -741,8 +761,24 @@ def test_coverage_tables_keep_their_digests(tmp_path, kind):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COVERAGE_DIGESTS[kind]
 
 
+# SHA-256 of the simulate-pw table at the README config with --seed 9
+SIMULATE_PW_DIGESTS = {
+    "efron": "ad1a08d5578f1cfb156448523ab0a8d0293505927b3133f1d83aa815aed4a9bb",
+    "rademacher": "d34a1ed2502e8701056299ca93e6278764dbc3b8cb70a53f6ac8f851571d65e3",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIMULATE_PW_DIGESTS))
+def test_simulate_pw_tables_keep_their_digests(tmp_path, kind):
+    out = tmp_path / "pw.csv"
+    argv = ["simulate-pw", "--n", "50", "--dm", "10", "--nb", "100", "--reps", "1000", "--seed", "9"]
+    assert main(argv + ["--weights-kind", kind, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_PW_DIGESTS[kind]
+
+
 def test_simulate_pw_reruns_at_the_readme_config_are_byte_identical(tmp_path):
-    # 1000 replications fill 76 blocks of 13 and a last one of 12
+    # 1000 replications fill 15 blocks of 65 (five draw groups of 13 each) and
+    # a last one of 25 (groups of 13 and 12)
     argv = ["simulate-pw", "--n", "50", "--dm", "10", "--nb", "100", "--reps", "1000", "--seed", "9"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(argv + ["--out", str(a)]) == 0

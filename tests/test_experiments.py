@@ -140,7 +140,7 @@ def test_cell_statistics_match_the_per_point_references(kind, oracle, n, dim, si
     with mock.patch.object(weights, "DRAW_CHUNK_ENTRIES", chunk):
         drawer = CellWeightDrawer(scheme, dim, size)
         blocks = drawer.blocks([np.random.default_rng(seed + 1)], cells[None], counts[None])
-        cell_w = np.concatenate([sums[0] for _, sums in blocks])
+        cell_w = np.concatenate([sums[0] for _, _, sums in blocks])
         point_w = sample_weights_batch(scheme, size, np.random.default_rng(seed + 1))
     np.testing.assert_array_equal(point_w, _one_call_weights(scheme, size, np.random.default_rng(seed + 1)))
 
@@ -155,6 +155,29 @@ def test_cell_statistics_match_the_per_point_references(kind, oracle, n, dim, si
     assert cell_error_sq(counts, oracle.true_coefficients(model)) == projection_error_sq(sample, model, oracle)
     closed = cell_resampling_variance(counts)
     assert abs(closed - resampling_variance(sample, model)) <= 1e-12 * dim / (n - 1)
+
+
+def _float_cell_statistics(counts, cell_weights, scheme):
+    # the float expression of 0.3.0 for both schemes: deviations from mean(W_r) c_k
+    n, d = scheme.n, counts.shape[-1]
+    dev = cell_weights.sum(axis=-1, keepdims=True) / n * counts[..., None, :]
+    np.subtract(cell_weights, dev, out=dev)
+    rows = dev.reshape(-1, d)
+    return (scheme.normalizer * (d / (n * n)) * np.einsum("ij,ij->i", rows, rows)).reshape(dev.shape[:-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 300), dim=st.integers(1, 60), size=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_integer_efron_statistics_equal_the_float_expression(n, dim, size, seed):
+    rng = np.random.default_rng(seed)
+    cells = np.minimum(rng.integers(0, dim, size=n), rng.integers(0, dim, size=n))  # uneven counts
+    counts = np.bincount(cells, minlength=dim)
+    scheme = make_scheme("efron", n)
+    blocks = CellWeightDrawer(scheme, dim, size).blocks([rng], cells[None], counts[None])
+    sums = np.concatenate([s[0] for _, _, s in blocks])
+    assert sums.dtype.kind == "i"
+    expected = _float_cell_statistics(counts, sums, scheme)
+    assert np.array_equal(cell_resampling_statistics(counts, sums, scheme), expected)
 
 
 def _per_point_replications(oracle, n, dim, n_draws, reps, seed, kind):
@@ -212,22 +235,26 @@ def _assert_matches_per_point_replications(oracle, n, dim, n_draws, reps, seed, 
         assert abs(result.closed_form[j] - cf) <= tol
 
 
-# (n, n_draws, reps, replications per block, draw rows per block) at the
-# shipped chunk of 2**16 weight entries and cap of 2**10 replications
+# (n, n_draws, reps, replications per block, replications per draw group,
+# draw rows per draw block) at dim 7, the shipped chunk of 2**16 weight
+# entries and cap of 2**10 replications
 BLOCK_CASES = {
-    "reps-not-a-multiple-of-the-block": (50, 100, 30, 13, 100),
-    "reps-within-one-block": (50, 100, 5, 13, 100),
-    "one-replication-fills-the-chunk": (64, 1024, 3, 1, 1024),
-    "one-replication-spans-blocks": (50, 2000, 3, 1, 1310),
-    "replications-per-block-capped": (4, 2, 1500, weights.MAX_BLOCK_SAMPLES, 2),
+    # blocks of 93, 93, 14: groups of 13 with a short last one of 2, then 13 and a lone sample
+    "reps-not-a-multiple-of-the-block": (50, 100, 200, 93, 13, 100),
+    "reps-within-one-block": (50, 100, 5, 93, 13, 100),
+    "one-replication-fills-the-chunk": (64, 1024, 3, 9, 1, 1024),
+    "one-replication-spans-blocks": (50, 2000, 6, 4, 1, 1310),
+    "replications-per-block-capped": (4, 2, 1500, weights.MAX_BLOCK_SAMPLES, weights.MAX_BLOCK_SAMPLES, 2),
+    # the cell sums of 3 * 3000 draws fit the chunk, those of 4 * 3000 do not
+    "replications-per-block-capped-by-the-chunk": (20, 3000, 7, 3, 1, 3000),
 }
 
 
 @pytest.mark.parametrize("kind", ["efron", "rademacher"])
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_batched_replications_match_the_per_point_references_at_block_boundaries(kind, case):
-    n, n_draws, reps, samples, rows = BLOCK_CASES[case]
+    n, n_draws, reps, samples, group, rows = BLOCK_CASES[case]
     dim, seed = 7, 23
     drawer = CellWeightDrawer(make_scheme(kind, n), dim, n_draws)
-    assert (drawer.samples, drawer.rows) == (samples, rows)
+    assert (drawer.samples, drawer.group, drawer.rows) == (samples, group, rows)
     _assert_matches_per_point_replications(HistogramDensity([0.5, 1.5, 1.0]), n, dim, n_draws, reps, seed, kind)

@@ -13,6 +13,8 @@ from densityball.weights import (
     enumerate_weights,
     make_scheme,
     replication_rng,
+    replication_rngs,
+    replication_seed_words,
     sample_weights,
     sample_weights_batch,
 )
@@ -128,6 +130,41 @@ def test_replication_streams_are_keyed_and_reproducible():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# 1 to 5 seed words (2**128 + 3 has more than the pool's 4), and indices at
+# the draw-group edge of the README simulate-pw config (13), at the block cap
+# (1024) and at the last 32-bit key
+SEEDS = [0, 4, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3]
+INDICES = [0, 12, 13, 1023, 1024, 2**32 - 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vectorised_seeding_is_numpys_seed_sequence(seed):
+    words = replication_seed_words(seed, INDICES)
+    rngs = replication_rngs(seed, INDICES)
+    for j, row, rng in zip(INDICES, words, rngs):
+        sequence = np.random.SeedSequence(seed, spawn_key=(j,))
+        np.testing.assert_array_equal(row, sequence.generate_state(4, np.uint64))
+        first = np.random.default_rng(sequence).integers(0, 2**63, size=8)
+        np.testing.assert_array_equal(rng.integers(0, 2**63, size=8), first)
+        np.testing.assert_array_equal(replication_rng(seed, j).integers(0, 2**63, size=8), first)
+
+
+def test_replication_indices_are_one_key_word():
+    with pytest.raises(ValueError):
+        replication_rng(4, 2**32)
+    with pytest.raises(ValueError):
+        replication_seed_words(4, [0, 2**32])
+    with pytest.raises(ValueError):
+        replication_rng(4, 2**64)
+    with pytest.raises(ValueError):
+        replication_rng(4, 0.5)
+    with pytest.raises(ValueError):
+        replication_rng(4, -1)
+    with pytest.raises(ValueError):
+        replication_rng(-1, 0)
 
 
 def test_weight_kind_round_trip():
