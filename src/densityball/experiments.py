@@ -27,8 +27,8 @@ integers.  Per replication only its sample and its integer weight draws are
 made; the streams of a block of replications are seeded in one vectorised
 pass (:func:`densityball.weights.replication_rngs`), and the rest runs as
 array operations.  A block holds as many replications as keep the per-cell
-weight sums of all their draws within about ``2**16`` values, at most
-``2**10``; sample validation, cell indices, cell counts, exact errors and
+weight sums of all their draws, and their sample points, within about
+``2**16`` values each, at most ``2**10``; sample validation, cell indices, cell counts, exact errors and
 closed forms run once per block.
 :class:`densityball.weights.CellWeightDrawer` draws its weights in groups of
 about ``2**16`` weight entries, each holding the draws of as many whole
@@ -38,7 +38,7 @@ The floor is then the draws and their aggregation: at the README
 ``simulate-pw`` configuration about half the time goes to the integer draws
 (one ``integers`` call per replication) and a quarter to their per-cell sums,
 and seeding takes about 5%.  Memory stays
-O(chunk * (1 + dm / n) + reps_in_block * n), and the true coefficients are
+O(chunk * (1 + dm / n) + n + nb), and the true coefficients are
 computed once per experiment.  The integer draws are the ones the per-point
 weights would take, so the seeded stream is that of the per-point
 estimators of :mod:`densityball.estimators`, which serve as references.

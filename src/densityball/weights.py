@@ -89,16 +89,16 @@ class CellWeightDrawer:
     Each sample has its own generator and ``scheme.n`` points, each in one of
     ``n_cells`` cells.  One call of :meth:`blocks` takes up to ``samples``
     samples: as many as keep the cell sums of all their draws,
-    ``samples * size * n_cells`` values, within ``DRAW_CHUNK_ENTRIES``, and
-    at most ``MAX_BLOCK_SAMPLES``.  It draws them in blocks of about
-    ``DRAW_CHUNK_ENTRIES`` weight entries: a block holds all ``size`` draws
-    of a group of up to ``group`` samples when one sample's draws fit, and
-    otherwise ``rows`` draws of a single sample.  Only the integer draws are
-    made per sample; one ``take`` and one ``bincount`` aggregate a whole
-    block, with row ``(a, r)`` of the block shifted by
-    ``(a * rows + r) * n_cells``.  The block buffers are kept from one call of
-    :meth:`blocks` to the next: fresh ones per call cost more in page faults
-    than the draws themselves.
+    ``samples * size * n_cells`` values, and their ``samples * n`` points
+    within ``DRAW_CHUNK_ENTRIES``, and at most ``MAX_BLOCK_SAMPLES``.  It
+    draws them in blocks of about ``DRAW_CHUNK_ENTRIES`` weight entries: a
+    block holds all ``size`` draws of a group of up to ``group`` samples when
+    one sample's draws fit, and otherwise ``rows`` draws of a single sample.
+    Only the integer draws are made per sample; one ``take`` and one
+    ``bincount`` aggregate a whole block, with row ``(a, r)`` of the block
+    shifted by ``(a * rows + r) * n_cells``.  The block buffers are kept from
+    one call of :meth:`blocks` to the next: fresh ones per call cost more in
+    page faults than the draws themselves.
     """
 
     def __init__(self, scheme: WeightScheme, n_cells: int, size: int):
@@ -106,7 +106,10 @@ class CellWeightDrawer:
             raise ValueError("need size >= 1")
         n = scheme.n
         self.scheme, self.n_cells, self.size = scheme, n_cells, size
-        self.samples = min(max(DRAW_CHUNK_ENTRIES // (size * n_cells), 1), MAX_BLOCK_SAMPLES)
+        # a block's cell sums and its points both stay within the chunk
+        self.samples = min(
+            max(DRAW_CHUNK_ENTRIES // (size * n_cells), 1), max(DRAW_CHUNK_ENTRIES // n, 1), MAX_BLOCK_SAMPLES
+        )
         self.group = min(max(DRAW_CHUNK_ENTRIES // (size * n), 1), self.samples)
         self.rows = min(max(DRAW_CHUNK_ENTRIES // n, 1), size)
         entries = self.group * self.rows * n
@@ -296,20 +299,30 @@ def replication_seed_words(master_seed: int, indices) -> np.ndarray:
 class _SeedWords:
     """State words computed ahead, handed to ``PCG64`` as its seed sequence.
 
-    It is registered as a ``numpy.random.bit_generator.ISeedSequence`` on
-    first use, not subclassed, so that importing this module leaves
-    ``numpy.random`` (about 5 MB) unloaded for work that never draws.
+    ``spawn`` builds ``SeedSequence(seed, spawn_key=(index,))`` from the
+    words' ``key`` on first use and spawns from it, so a stream spawns the
+    children of that sequence.  The
+    class is registered as a ``numpy.random.bit_generator
+    .ISpawnableSeedSequence`` on first use, not subclassed, so that importing
+    this module does not itself load ``numpy.random`` (about 5 MB), which
+    numpy 2 loads only when it is first used.
     """
 
-    __slots__ = ("words",)
+    __slots__ = ("words", "key", "_sequence")
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    def __init__(self, words: np.ndarray, seed: int, index: int):
+        self.words, self.key, self._sequence = words, (seed, index), None
 
     def generate_state(self, n_words, dtype=np.uint32):
         if (n_words, dtype) != (self.words.size, np.uint64):
             raise ValueError(f"holds {self.words.size} uint64 words only")
         return self.words
+
+    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
+        if self._sequence is None:
+            seed, index = self.key
+            self._sequence = np.random.SeedSequence(seed, spawn_key=(index,))
+        return self._sequence.spawn(n_children)
 
 
 def replication_rngs(master_seed: int, indices) -> list[np.random.Generator]:
@@ -318,11 +331,15 @@ def replication_rngs(master_seed: int, indices) -> list[np.random.Generator]:
     Streams are keyed by ``(master_seed, index)`` so a Monte Carlo loop can
     be split, reordered, or parallelized without changing any draw.  Each is
     ``default_rng(SeedSequence(master_seed, spawn_key=(index,)))``, seeded
-    from :func:`replication_seed_words`.
+    from :func:`replication_seed_words`, and spawns as that generator does.
     """
     words = replication_seed_words(master_seed, indices)
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # a no-op once registered
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
+    np.random.bit_generator.ISpawnableSeedSequence.register(_SeedWords)  # a no-op once registered
+    seed = int(master_seed)
+    return [
+        np.random.Generator(np.random.PCG64(_SeedWords(row, seed, index)))
+        for row, index in zip(words, np.asarray(indices).ravel().tolist())
+    ]
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:

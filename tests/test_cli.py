@@ -733,14 +733,19 @@ def test_cli_never_imports_scipy(sample_file, tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # about 5 MB of RSS that ball and check-assumptions never use
+def test_import_loads_numpy_random_only_if_numpy_does():
+    # about 5 MB of RSS that ball and check-assumptions never use; numpy 2
+    # loads numpy.random lazily, numpy 1 on its own import
     src = str(Path(densityball.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, densityball.cli; print('numpy.random' in sys.modules)"
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; import densityball.cli; "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 README_ALPHAS = "0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95"

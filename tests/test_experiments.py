@@ -247,6 +247,9 @@ BLOCK_CASES = {
     "replications-per-block-capped": (4, 2, 1500, weights.MAX_BLOCK_SAMPLES, weights.MAX_BLOCK_SAMPLES, 2),
     # the cell sums of 3 * 3000 draws fit the chunk, those of 4 * 3000 do not
     "replications-per-block-capped-by-the-chunk": (20, 3000, 7, 3, 1, 3000),
+    # the points of 6 samples of 10,000 fit the chunk, those of 7 do not;
+    # blocks of 6 (two groups of 3) and 2
+    "replications-per-block-capped-by-their-points": (10000, 2, 8, 6, 3, 2),
 }
 
 

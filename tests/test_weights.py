@@ -152,6 +152,16 @@ def test_vectorised_seeding_is_numpys_seed_sequence(seed):
         np.testing.assert_array_equal(replication_rng(seed, j).integers(0, 2**63, size=8), first)
 
 
+def test_replication_streams_spawn_as_their_seed_sequence_does():
+    reference = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(13,)))
+    rng = replication_rng(9, 13)
+    for _ in range(2):  # a second spawn gives the next children, not the same ones
+        for child, expected in zip(rng.spawn(2), reference.spawn(2)):
+            np.testing.assert_array_equal(child.integers(0, 2**63, size=4), expected.integers(0, 2**63, size=4))
+    child, expected = rng.bit_generator.spawn(1)[0], reference.bit_generator.spawn(1)[0]
+    assert child.random_raw() == expected.random_raw()
+
+
 def test_replication_indices_are_one_key_word():
     with pytest.raises(ValueError):
         replication_rng(4, 2**32)
