@@ -45,13 +45,13 @@ from .estimators import (
     centered_u_statistic,
     coordinate_variance_total,
     max_unit_variance,
+    prefix_estimates,
     project,
     projection_bias_estimate,
     projection_error_sq,
     resampling_statistics,
     resampling_variance,
     resampling_variance_enumerated,
-    resampling_variance_monte_carlo,
 )
 from .experiments import (
     DEFAULT_SEED,
@@ -78,7 +78,7 @@ from .weights import (
     sample_weights_batch,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BoundConfig",
@@ -120,6 +120,7 @@ __all__ = [
     "normalized_difference_experiment",
     "order_statistic_rank",
     "piecewise_polynomial_collection",
+    "prefix_estimates",
     "project",
     "projection_bias_estimate",
     "projection_error_sq",
@@ -128,7 +129,6 @@ __all__ = [
     "resampling_statistics",
     "resampling_variance",
     "resampling_variance_enumerated",
-    "resampling_variance_monte_carlo",
     "residual_norm_sq",
     "sample_from",
     "sample_weights_batch",

@@ -5,16 +5,16 @@ orthonormal system, so one pass over the sample suffices for the whole
 collection: :meth:`~densityball.basis.Model.basis_sums` of the top model
 gives the per-coefficient sums ``S_l = sum_i psi_l(X_i)`` and
 ``Q_l = sum_i psi_l(X_i)^2``, from the top basis evaluated once per point
-or, for histograms, from per-level cell counts.  Prefix sums of
-``max(Q_l - S_l^2 / n, 0)`` give every closed-form resampling variance
-estimate, suffix sums of ``S_l^2 - Q_l`` give every nested-bias
-U-statistic, and ``S[:d] / n`` is the projection estimator of the model of
-dimension ``d``.  The bounds of all models are then evaluated together; the
-ball is centered at the projection estimator of the model with the
-smallest radius (ties go to the smallest dimension).  Membership is
-evaluated in the coefficient space of the collection's top model, with an
-optional quadrature term for candidates that have mass outside the top
-model.
+or, for histograms, from per-level cell counts.
+:func:`~densityball.estimators.prefix_estimates` turns them into every
+model's resampling variance (prefix sums) and nested-bias U-statistic
+(suffix sums), the same function the per-model estimators are views of,
+and ``S[:d] / n`` is the projection estimator of the model of dimension
+``d``.  The bounds of all models are then evaluated together; the ball is
+centered at the projection estimator of the model with the smallest radius
+(ties go to the smallest dimension).  Membership is evaluated in the
+coefficient space of the collection's top model, with an optional
+quadrature term for candidates that have mass outside the top model.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from .basis import Model, ModelCollection, check_dimension_growth
 from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, variance_bounds
-# resampling_variance stays importable from here for perfbench's traced runs,
-# which look it up in this namespace; the ball itself no longer calls it.
-from .estimators import Sample, resampling_statistics, resampling_variance  # noqa: F401
+# resampling_variance stays importable from here: perfbench's tests look it up
+# in this namespace.  The ball itself does not call it.
+from .estimators import Sample, _check_scheme, prefix_estimates, resampling_statistics, resampling_variance  # noqa: F401
 from .weights import WeightScheme, sample_weights_batch
 
 # The per-model columns of a report and the type of their values, in field
@@ -108,21 +108,17 @@ def build_confidence_ball(
     The estimates equal :func:`~densityball.estimators.resampling_variance`
     and :func:`~densityball.estimators.projection_bias_estimate` of each
     model, and the center equals :func:`~densityball.estimators.project` of
-    the selected one, all obtained from one ``basis_sums`` pass of the top model.
+    the selected one, all obtained from one ``basis_sums`` pass of the top
+    model through :func:`~densityball.estimators.prefix_estimates`.
     The dimension-growth check is advisory here: a failure is recorded in
     ``growth_check_ok`` and the construction proceeds.
     """
-    if scheme.n != sample.n:
-        raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
+    _check_scheme(sample, scheme)
     growth = check_dimension_growth(collection, sample.n, config.beta)
     n = sample.n
     dims = np.array([model.dim for model in collection])
     sums, squares = collection.top.basis_sums(sample.points)
-    pairs = n * (n - 1.0)
-    variance = np.cumsum(np.maximum(squares - sums * sums / n, 0.0))[dims - 1] / pairs
-    # suffix[d] = sum over l >= d of the off-diagonal terms; 0 at the top model
-    suffix = np.append(np.cumsum((sums * sums - squares)[::-1])[::-1], 0.0)
-    bias = suffix[dims] / pairs
+    variance, bias, _ = prefix_estimates(sums, squares, n, dims)
     v = variance_bounds(variance, dims, collection, config, n)
     k = bias_bounds(bias, collection, config, n)
     radius_sq, rho, clamped = radii(v, k, config.eta)

@@ -25,36 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._quadrature import piecewise_nodes
 
-# Basis entries evaluated per chunk of points by Model.basis_sums and
-# unit_ball_sup_norm: memory stays O(CHUNK_ENTRIES) whatever the number of
-# points, instead of a dense (dim, n) matrix.
+# Basis entries evaluated per chunk of points by Model.basis_chunks: memory
+# stays O(CHUNK_ENTRIES) whatever the number of points, instead of a dense
+# (dim, n) matrix.
 CHUNK_ENTRIES = 2**20
 # Complex powers per multiply in FourierModel.basis_sums: a cache-sized block
 # of points, or of several consecutive powers of a few points.
 POWER_CHUNK_ENTRIES = 2**14
-
-
-def helmert_contrasts(r: int) -> np.ndarray:
-    """Orthonormal contrast vectors of length ``r``.
-
-    The rows are mutually orthonormal and each is orthogonal to the constant
-    vector, so together with ``(1, ..., 1)/sqrt(r)`` they form an orthonormal
-    basis of R^r.
-    """
-    if r < 2:
-        raise ValueError("contrasts need r >= 2")
-    h = np.zeros((r - 1, r))
-    for level in range(1, r):
-        scale = 1.0 / math.sqrt(level * (level + 1))
-        h[level - 1, :level] = scale
-        h[level - 1, level] = -level * scale
-    return h
 
 
 class Model:
@@ -77,18 +60,31 @@ class Model:
         """Evaluate all basis functions at ``x``; shape ``(dim, len(x))``."""
         raise NotImplementedError
 
+    @property
+    def _evaluated_dim(self) -> int:
+        """Basis functions :meth:`basis_matrix` computes per point."""
+        return self.dim
+
+    def basis_chunks(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(columns, basis_matrix(x[columns]))`` for consecutive slices of ``x``.
+
+        Each slice holds ``CHUNK_ENTRIES // _evaluated_dim`` points, so a chunk
+        has about ``CHUNK_ENTRIES`` basis entries whatever the number of points.
+        """
+        x = np.asarray(x, dtype=float)
+        step = max(CHUNK_ENTRIES // self._evaluated_dim, 1)
+        for start in range(0, x.size, step):
+            columns = slice(start, start + step)
+            yield columns, self.basis_matrix(x[columns])
+
     def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``S_l = sum_i psi_l(x_i)`` and ``Q_l = sum_i psi_l(x_i)^2`` for every index ``l``.
 
-        The points are streamed in chunks of about ``CHUNK_ENTRIES`` basis
-        entries, so each basis function is evaluated once per point.
+        Each basis function is evaluated once per point, chunk by chunk.
         """
-        x = np.asarray(x, dtype=float)
-        step = max(CHUNK_ENTRIES // self.dim, 1)
         sums = np.zeros(self.dim)
         squares = np.zeros(self.dim)
-        for start in range(0, x.size, step):
-            psi = self.basis_matrix(x[start : start + step])
+        for _, psi in self.basis_chunks(x):
             sums += psi.sum(axis=1)
             squares += np.einsum("ij,ij->i", psi, psi)
         return sums, squares
@@ -300,6 +296,10 @@ class PiecewisePolynomialModel(Model):
         c1 = math.sqrt(self.degree_bound)
         super().__init__(pieces * degree_bound, c1, f"poly-{pieces}x{degree_bound}", params)
 
+    @property
+    def _evaluated_dim(self) -> int:
+        return self.chain.transform.shape[1]  # the whole chain, whatever dim
+
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         return self.chain.matrix(x, self.dim)
 
@@ -343,8 +343,8 @@ class _HistogramChain:
 
     def __init__(self, dims: Sequence[int]):
         self.dims = _validate_divisor_chain(dims, "histogram")
-        # Contrast l = 1..r-1 of helmert_contrasts(r) is h_l on sub-cells 0..l-1,
-        # -l h_l on sub-cell l and 0 after it, with h_l = 1/sqrt(l(l+1)).
+        # The Helmert contrast l = 1..r-1 of r sub-cells is h_l on sub-cells
+        # 0..l-1, -l h_l on sub-cell l and 0 after it, with h_l = 1/sqrt(l(l+1)).
         self._levels = []
         for prev, cur in zip(self.dims[:-1], self.dims[1:]):
             l = np.arange(1.0, cur // prev)
@@ -448,7 +448,10 @@ class _PolynomialChain:
 
     def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:
         natural = _natural_legendre(x, self.piece_counts[-1], self.degree_bound)
-        return self.transform[:, :dim].T @ natural
+        # The product of the whole transform, then the first ``dim`` rows: how
+        # BLAS sums a row can depend on the number of rows, and a model's basis
+        # must be bit for bit the prefix of the top's.
+        return (self.transform.T @ natural)[:dim]
 
 
 class ModelCollection:
@@ -559,14 +562,12 @@ def unit_ball_sup_norm(model: Model) -> float:
     By Cauchy-Schwarz ``sup_{||a|| <= 1} |sum_l a_l psi_l(x)| = sqrt(sum_l
     psi_l(x)^2)`` at each ``x``.  The maximum is taken over a 4096-point
     grid plus the breakpoints and piece midpoints, whose basis matrix is
-    evaluated in chunks of about ``CHUNK_ENTRIES`` entries.
+    evaluated chunk by chunk.
     """
     bps = model.breakpoints()
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 4096), bps, (bps[:-1] + bps[1:]) / 2.0]))
-    step = max(CHUNK_ENTRIES // model.dim, 1)
     top = 0.0
-    for start in range(0, xs.size, step):
-        psi = model.basis_matrix(xs[start : start + step])
+    for _, psi in model.basis_chunks(xs):
         top = max(top, float(np.max(np.einsum("ij,ij->j", psi, psi))))
     return math.sqrt(top)
 

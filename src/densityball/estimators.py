@@ -1,49 +1,43 @@
 """Projection estimators and the quadratic-functional estimators around them.
 
 For a sample ``X_1..X_n`` and an orthonormal system ``psi_0..psi_{d-1}``,
-the projection estimator has coefficients ``mean_i psi_l(X_i)``.  Around it
-this module provides:
+the projection estimator has coefficients ``mean_i psi_l(X_i)``.  The
+estimators around it are functions of the per-coefficient sums
+``S_l = sum_i psi_l(X_i)`` and ``Q_l = sum_i psi_l(X_i)^2`` of
+:meth:`~densityball.basis.Model.basis_sums`, and :func:`prefix_estimates`
+computes them for every leading block of indices at once:
 
-* ``resampling_variance`` -- the exchangeable-weights estimator of the
-  squared distance between the projection of the density and its estimator,
-  evaluated in closed form:
-
-      (1 / (n (n-1))) sum_l sum_i (psi_l(X_i) - mean_i psi_l(X_i))^2
-
-  which equals the normalized conditional expectation of the reweighted
-  statistic for *every* exchangeable scheme, so Monte Carlo and exact
-  enumeration versions exist purely as cross-checks and to reproduce the
-  simulation protocol.
-
-* ``projection_bias_estimate`` -- the order-two U-statistic over the basis
-  indices separating two nested models; it estimates the squared bias
-  between the two projections without bias of its own and may be negative.
-
-* ``centered_u_statistic`` / ``projection_error_sq`` -- oracle-centered
-  quantities used to validate the algebraic decomposition
+* the closed-form resampling variance, the normalized conditional
+  expectation of the reweighted statistic for *every* exchangeable scheme
+  (exact enumeration cross-checks it);
+* the nested-bias U-statistic over the indices separating two nested
+  models, unbiased for the squared bias between their projections and
+  possibly negative;
+* the U-statistic centered at the true coefficients, which validates
   ``projection_error_sq - resampling_variance = centered_u_statistic``.
 
-These per-model functions are the references for the one-pass statistics
-of :func:`densityball.ball.build_confidence_ball`, which obtains every
-model's variance and bias estimate and the selected center from a single
-evaluation of the top basis.
+:func:`~densityball.ball.build_confidence_ball` calls it on the sums of a
+collection's top model; ``resampling_variance``, ``projection_bias_estimate``
+and ``centered_u_statistic`` are views of it on one model's sums, so they
+equal the ball's rows bit for bit.  Only the reweighted statistic of given
+weight vectors needs the basis itself, chunk by chunk of points.
 
 Reductions are plain numpy sums and dot products; row sums are pairwise,
-so their rounding grows as O(eps log n).  Coefficients come from
-:meth:`~densityball.basis.Model.basis_sums`, which for a histogram is
-``sqrt(m)`` times its integer cell counts, so the projection equals the
-count formula of :mod:`densityball.experiments` bit for bit.
+so their rounding grows as O(eps log n).  For a histogram the sums are
+``sqrt(m)`` times integer cell counts, so the projection equals the count
+formula of :mod:`densityball.experiments` bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ._quadrature import density_gram
 from .basis import Model
-from .weights import WeightScheme, enumerate_weights, sample_weights_batch
+from .weights import WeightScheme, enumerate_weights
 
 
 def check_unit_interval(points: np.ndarray) -> None:
@@ -97,16 +91,42 @@ def _check_scheme(sample: Sample, scheme: WeightScheme) -> None:
         raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
 
 
+def prefix_estimates(
+    sums: np.ndarray, squares: np.ndarray, n: int, dims: Sequence[int], true: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Variance, bias and centered estimates of the leading blocks of ``dims`` indices.
+
+    ``sums`` and ``squares`` are ``S`` and ``Q`` of a sample of ``n`` points,
+    and ``true`` the true coefficients of the same indices.  For each ``d``
+    of ``dims``, all divided by ``n (n - 1)``:
+
+    * variance: the sum over ``l < d`` of ``max(Q_l - S_l^2 / n, 0)``;
+    * bias: the sum over ``l >= d`` of ``S_l^2 - Q_l``, 0 at ``d = len(sums)``;
+    * centered: the sum over ``l < d`` of
+      ``(S_l - n t_l)^2 - (Q_l - 2 t_l S_l + n t_l^2)``, or ``None`` without ``true``.
+    """
+    dims = np.asarray(dims)
+    pairs = n * (n - 1.0)
+    variance = np.cumsum(np.maximum(squares - sums * sums / n, 0.0))[dims - 1] / pairs
+    # suffix[d] = sum over l >= d of the off-diagonal terms; 0 at the top model
+    suffix = np.append(np.cumsum((sums * sums - squares)[::-1])[::-1], 0.0)
+    bias = suffix[dims] / pairs
+    if true is None:
+        return variance, bias, None
+    dev = sums - n * true
+    # sum_i (psi_l(X_i) - t_l)^2 = Q_l - 2 t_l S_l + n t_l^2
+    centered = np.cumsum(dev * dev - (squares - 2.0 * true * sums + n * true * true))[dims - 1] / pairs
+    return variance, bias, centered
+
+
 def resampling_variance(sample: Sample, model: Model) -> float:
     """Closed form of the resampling estimator of the estimation error.
 
     The value is the same for every exchangeable scheme with the canonical
     normalizer, so no scheme is needed.  Always nonnegative.
     """
-    n = sample.n
-    dev = model.basis_matrix(sample.points)
-    dev -= dev.mean(axis=1, keepdims=True)
-    return float(np.einsum("ij,ij->", dev, dev)) / (n * (n - 1.0))
+    sums, squares = model.basis_sums(sample.points)
+    return float(prefix_estimates(sums, squares, sample.n, [model.dim])[0][0])
 
 
 def resampling_statistics(
@@ -116,40 +136,22 @@ def resampling_statistics(
 
     ``weights`` has shape ``(batch, n)``; the result has shape ``(batch,)``
     with entries ``normalizer * sum_l ((1/n) sum_i (W_i - mean W) psi_l(X_i))^2``.
+    The basis is evaluated chunk by chunk of points.
     """
+    _check_scheme(sample, scheme)
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     if w.shape[1] != sample.n:
         raise ValueError("weight vectors must have length n")
-    psi = model.basis_matrix(sample.points)
     centered = w - w.mean(axis=1, keepdims=True)
-    proj = centered @ psi.T / sample.n
+    proj = np.zeros((w.shape[0], model.dim))
+    for columns, psi in model.basis_chunks(sample.points):
+        proj += centered[:, columns] @ psi.T
+    proj /= sample.n
     return scheme.normalizer * np.einsum("ij,ij->i", proj, proj)
-
-
-def resampling_variance_monte_carlo(
-    sample: Sample,
-    model: Model,
-    scheme: WeightScheme,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo version of :func:`resampling_variance` over weight draws.
-
-    Mirrors the simulation protocol; converges to the closed form as the
-    number of draws grows.  The reduction is an ordered mean, so a fixed
-    generator state gives a bit-reproducible value.
-    """
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
-    _check_scheme(sample, scheme)
-    draws = sample_weights_batch(scheme, n_draws, rng)
-    stats = resampling_statistics(sample, model, scheme, draws)
-    return float(np.mean(stats))
 
 
 def resampling_variance_enumerated(sample: Sample, model: Model, scheme: WeightScheme) -> float:
     """Exact expectation over the enumerated weight support (small n only)."""
-    _check_scheme(sample, scheme)
     support = enumerate_weights(scheme)
     stacked = np.stack([w for w, _ in support])
     probs = np.array([p for _, p in support])
@@ -164,19 +166,15 @@ def projection_bias_estimate(sample: Sample, sub_model: Model, top_model: Model)
 
         (1 / (n (n-1))) sum_{i != j} sum_l psi_l(X_i) psi_l(X_j)
 
-    computed in O(n d) as ``sum_l ((sum_i psi_l)^2 - sum_i psi_l^2)``.
-    The value can be negative; no clamping is applied.
+    computed in O(n d) as ``sum_l (S_l^2 - Q_l)``.  The value can be
+    negative; no clamping is applied.
     """
     if not sub_model.shares_prefix_with(top_model):
         raise ValueError(
             f"{sub_model.label} is not nested in {top_model.label} (no shared index prefix)"
         )
-    if sub_model.dim == top_model.dim:
-        return 0.0
-    n = sample.n
-    psi = top_model.basis_matrix(sample.points)[sub_model.dim :]
-    sums = psi.sum(axis=1)
-    return float(sums @ sums - np.einsum("ij,ij->", psi, psi)) / (n * (n - 1.0))
+    sums, squares = top_model.basis_sums(sample.points)
+    return float(prefix_estimates(sums, squares, sample.n, [sub_model.dim])[1][0])
 
 
 def centered_u_statistic(sample: Sample, model: Model, oracle) -> float:
@@ -189,12 +187,9 @@ def centered_u_statistic(sample: Sample, model: Model, oracle) -> float:
     which has mean zero and equals ``projection_error_sq`` minus
     ``resampling_variance`` exactly.
     """
-    n = sample.n
     true = np.asarray(oracle.true_coefficients(model), dtype=float)
-    dev = model.basis_matrix(sample.points)
-    dev -= true[:, None]
-    sums = dev.sum(axis=1)
-    return float(sums @ sums - np.einsum("ij,ij->", dev, dev)) / (n * (n - 1.0))
+    sums, squares = model.basis_sums(sample.points)
+    return float(prefix_estimates(sums, squares, sample.n, [model.dim], true)[2][0])
 
 
 def projection_error_sq(sample: Sample, model: Model, oracle) -> float:

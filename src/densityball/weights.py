@@ -64,11 +64,6 @@ def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
     return WeightScheme(kind=kind, n=int(n), normalizer=n / (n - 1.0))
 
 
-def sample_weights(scheme: WeightScheme, rng: np.random.Generator) -> np.ndarray:
-    """One weight vector of length ``scheme.n``."""
-    return sample_weights_batch(scheme, 1, rng)[0]
-
-
 def sample_weights_batch(scheme: WeightScheme, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` independent weight vectors, shape ``(size, n)``, as floats.
 

@@ -1,7 +1,7 @@
 """Tests for the public names of the package."""
 
 import densityball
-from densityball import basis, weights
+from densityball import basis, estimators, weights
 
 
 def test_all_names_are_unique_and_resolve():
@@ -12,8 +12,7 @@ def test_all_names_are_unique_and_resolve():
 
 
 def test_all_leaves_out_the_module_level_helpers():
-    # contrasts and the single weight vector are imported from their modules
-    helpers = {"helmert_contrasts": basis, "sample_weights": weights}
-    assert all(hasattr(module, name) for name, module in helpers.items())
-    assert set(helpers).isdisjoint(densityball.__all__)
-
+    # helpers with no caller in the package live in the tests' reference module since 0.4.0
+    removed = {"helmert_contrasts": basis, "sample_weights": weights, "resampling_variance_monte_carlo": estimators}
+    assert not any(hasattr(module, name) for name, module in removed.items())
+    assert set(removed).isdisjoint(densityball.__all__)

@@ -27,15 +27,12 @@ from densityball.basis import (
     piecewise_polynomial_collection,
 )
 from densityball.bounds import EPSILON_GRID, BoundConfig, bias_deviation_constant, variance_deviation_constant
-from densityball.estimators import (
-    Sample,
-    project,
-    projection_bias_estimate,
-    resampling_statistics,
-    resampling_variance,
-)
+from densityball import estimators
+from densityball.estimators import Sample, project, resampling_statistics
 from densityball.oracle import UniformDensity, sample_from
 from densityball.weights import make_scheme, replication_rng, sample_weights_batch
+
+from reference import projection_bias_estimate, resampling_variance
 
 CFG = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0)
 
@@ -250,6 +247,43 @@ def test_one_pass_matches_per_model_references(family, size):
 
     center = project(sample, coll.models[ball.selected_index]).coefficients
     np.testing.assert_allclose(ball.center, center, rtol=0, atol=1e-12 * np.abs(center).max())
+
+
+CHAIN_PREFIXES = {
+    "histogram": lambda levels, degree: histogram_collection([1, 2, 6, 12, 24][:levels]),
+    "fourier": lambda levels, degree: fourier_collection(dims=[1, 3, 5, 9, 17][:levels]),
+    "piecewise-polynomial": lambda levels, degree: piecewise_polynomial_collection([1, 2, 4, 8][:levels], degree),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(list(CHAIN_PREFIXES)),
+    levels=st.integers(1, 5),
+    degree=st.integers(1, 4),
+    points=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=150),
+)
+def test_ball_rows_are_the_per_model_views(family, levels, degree, points):
+    coll = CHAIN_PREFIXES[family](levels, degree)
+    top = coll.top
+    sample = Sample(np.array(points))
+    n = sample.n
+    ball = build_confidence_ball(sample, coll, make_scheme("efron", n), CFG)
+
+    psi = top.basis_matrix(sample.points)
+    sums = psi.sum(axis=1)
+    squares = (psi * psi).sum(axis=1)
+    pairs = n * (n - 1.0)
+    for model, row in zip(coll, ball.report):
+        d = model.dim
+        # the ball and the per-model functions take the same sums through the same function
+        assert row.variance_estimate == estimators.resampling_variance(sample, model)
+        assert row.bias_estimate == estimators.projection_bias_estimate(sample, model, top)
+        # and the dense definitions agree within the scales of test_one_pass_matches_per_model_references
+        v_scale = squares[:d].sum() / pairs
+        b_scale = max((sums[d:] ** 2).sum(), squares[d:].sum()) / pairs
+        assert abs(row.variance_estimate - resampling_variance(sample, model)) <= 1e-12 * v_scale
+        assert abs(row.bias_estimate - projection_bias_estimate(sample, model, top)) <= 1e-12 * b_scale
 
 
 def test_one_pass_accuracy_on_a_long_histogram_chain():

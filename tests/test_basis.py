@@ -15,10 +15,11 @@ from densityball.basis import (
     check_sup_norm_control,
     fourier_collection,
     fourier_collection_for_sobolev,
-    helmert_contrasts,
     histogram_collection,
     piecewise_polynomial_collection,
 )
+
+from reference import helmert_contrasts
 
 
 def _orthonormality_nodes(model):
@@ -211,6 +212,22 @@ def test_unit_ball_sup_norm_is_chunked(monkeypatch):
     monkeypatch.setattr(basis, "CHUNK_ENTRIES", model.dim * 7)
     assert basis.unit_ball_sup_norm(model) == whole
     assert whole == pytest.approx(math.sqrt(model.dim), rel=1e-12)
+
+
+def test_member_sums_are_the_prefix_of_the_top_sums_bit_for_bit(monkeypatch):
+    # many chunks: a polynomial member evaluates its whole chain, so it must chunk as the top does
+    monkeypatch.setattr(basis, "CHUNK_ENTRIES", 1000)
+    x = np.random.default_rng(4).random(5000)
+    for coll in (
+        piecewise_polynomial_collection([1, 2, 4, 8], 3),
+        histogram_collection([1, 2, 6, 12]),
+        fourier_collection(dims=[1, 3, 9, 17]),
+    ):
+        sums, squares = coll.top.basis_sums(x)
+        for model in coll:
+            member_sums, member_squares = model.basis_sums(x)
+            assert np.array_equal(member_sums, sums[: model.dim]), model.label
+            assert np.array_equal(member_squares, squares[: model.dim]), model.label
 
 
 def test_piecewise_poly_sup_norm_constant():

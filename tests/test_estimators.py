@@ -1,10 +1,12 @@
 """Tests for the projection and quadratic-functional estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from densityball import estimators
 from densityball._quadrature import density_gram, nodes_for
 from densityball.basis import (
     FourierModel,
@@ -25,10 +27,12 @@ from densityball.estimators import (
     resampling_statistics,
     resampling_variance,
     resampling_variance_enumerated,
-    resampling_variance_monte_carlo,
 )
 from densityball.oracle import CosineTiltDensity, HistogramDensity, UniformDensity, sample_from
 from densityball.weights import make_scheme, replication_rng
+
+import reference
+from reference import resampling_variance_monte_carlo
 
 
 def test_sample_validation():
@@ -116,6 +120,14 @@ def test_resampling_statistics_all_ones_weights():
     scheme = make_scheme("efron", 3)
     stats = resampling_statistics(sample, HistogramModel(4), scheme, np.ones((1, 3)))
     assert stats[0] == 0.0
+
+
+def test_resampling_statistics_refuses_a_scheme_of_another_size():
+    # the normalizer of a 20-point scheme, 20/19, is not the 10-point sample's 10/9
+    sample = Sample(np.linspace(0.05, 0.95, 10))
+    weights = np.arange(10.0)[None]
+    with pytest.raises(ValueError, match="scheme size 20 does not match sample size 10"):
+        resampling_statistics(sample, HistogramModel(4), make_scheme("efron", 20), weights)
 
 
 def test_monte_carlo_tracks_closed_form():
@@ -215,6 +227,39 @@ def test_identity_decomposition_holds_at_ten_million_basis_entries(model, n):
     estimate = resampling_variance(sample, model)
     centered = centered_u_statistic(sample, model, oracle)
     assert abs(error - estimate - centered) <= 1e-10 * (1.0 + error)
+
+
+def _peak_mb(fn, *args):
+    """Peak of the memory numpy and Python allocate during ``fn(*args)``, in MB of 2**20 bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "model, halves, n",
+    [
+        (FourierModel(100), lambda: (FourierModel(50), FourierModel(100)), 50_000),
+        (HistogramModel(1000), lambda: histogram_collection([500, 1000]).models, 10_000),
+        (PiecewisePolynomialModel(250, 4), lambda: piecewise_polynomial_collection([125, 250], 4).models, 10_000),
+    ],
+    ids=["fourier-201", "histogram-1000", "poly-250x4"],
+)
+def test_estimators_and_references_peak_below_60_mb_at_ten_million_basis_entries(model, halves, n):
+    # a dense (dim, n) basis matrix at these sizes is 80 MB or more; chunks of points stay far below
+    oracle = CosineTiltDensity(0.5, 3)
+    sample = sample_from(oracle, n, np.random.default_rng(n + model.dim))
+    sub, top = halves()
+    for module in (estimators, reference):
+        peaks = {
+            "resampling_variance": _peak_mb(module.resampling_variance, sample, model),
+            "projection_bias_estimate": _peak_mb(module.projection_bias_estimate, sample, sub, top),
+            "centered_u_statistic": _peak_mb(module.centered_u_statistic, sample, model, oracle),
+        }
+        assert max(peaks.values()) < 60.0, (module.__name__, peaks)
 
 
 def test_projection_error_vanishes_on_balanced_sample():

