@@ -43,7 +43,6 @@ from .estimators import (
     ProjectionEstimate,
     Sample,
     centered_u_statistic,
-    coordinate_variance_total,
     max_unit_variance,
     prefix_estimates,
     project,
@@ -78,7 +77,7 @@ from .weights import (
     sample_weights_batch,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BoundConfig",
@@ -109,7 +108,6 @@ __all__ = [
     "centered_u_statistic",
     "check_dimension_growth",
     "check_sup_norm_control",
-    "coordinate_variance_total",
     "coverage_experiment",
     "enumerate_weights",
     "fourier_collection",

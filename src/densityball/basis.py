@@ -15,10 +15,14 @@ system, ordered so that the first ``dim`` indices of the top system span the
 member of that dimension.  A histogram or piecewise-polynomial model is one
 level of a divisor chain of grids and evaluates through the chain's system;
 a standalone model is the one-level chain, whose system is the natural one.
-Histogram chains use Helmert-style contrasts between successive refinements;
-piecewise-polynomial chains orthonormalize the successive embeddings
-numerically; trigonometric spaces are nested in their natural ordering
-already.
+Each later level adds, per coarse cell or piece, one local block spanning
+the complement of the coarse space in its refinements: closed-form Helmert
+contrasts for histograms, and for piecewise polynomials an orthonormal block
+of coefficients on the sub-pieces' Legendre polynomials, the same for every
+coarse piece.  Trigonometric spaces are nested in their natural ordering
+already.  Every family sums its basis over a sample from sufficient
+statistics (cell counts, per-piece Legendre moments, power sums), level by
+level, so that a member's sums are bit for bit a prefix of the top's.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import numpy as np
 
 from ._quadrature import piecewise_nodes
 
-# Basis entries evaluated per chunk of points by Model.basis_chunks: memory
+# Basis entries evaluated per chunk of points by Model.basis_chunks, and
+# natural-function products per chunk by the piecewise-polynomial sums: memory
 # stays O(CHUNK_ENTRIES) whatever the number of points, instead of a dense
 # (dim, n) matrix.
 CHUNK_ENTRIES = 2**20
@@ -60,19 +65,14 @@ class Model:
         """Evaluate all basis functions at ``x``; shape ``(dim, len(x))``."""
         raise NotImplementedError
 
-    @property
-    def _evaluated_dim(self) -> int:
-        """Basis functions :meth:`basis_matrix` computes per point."""
-        return self.dim
-
     def basis_chunks(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield ``(columns, basis_matrix(x[columns]))`` for consecutive slices of ``x``.
 
-        Each slice holds ``CHUNK_ENTRIES // _evaluated_dim`` points, so a chunk
-        has about ``CHUNK_ENTRIES`` basis entries whatever the number of points.
+        Each slice holds ``CHUNK_ENTRIES // dim`` points, so a chunk has about
+        ``CHUNK_ENTRIES`` basis entries whatever the number of points.
         """
         x = np.asarray(x, dtype=float)
-        step = max(CHUNK_ENTRIES // self._evaluated_dim, 1)
+        step = max(CHUNK_ENTRIES // self.dim, 1)
         for start in range(0, x.size, step):
             columns = slice(start, start + step)
             yield columns, self.basis_matrix(x[columns])
@@ -80,22 +80,11 @@ class Model:
     def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``S_l = sum_i psi_l(x_i)`` and ``Q_l = sum_i psi_l(x_i)^2`` for every index ``l``.
 
-        Each basis function is evaluated once per point, chunk by chunk.
+        Every family computes them from sufficient statistics of ``x``, with
+        no basis matrix, so that a member's sums are bit for bit the leading
+        entries of the top model's.
         """
-        sums = np.zeros(self.dim)
-        squares = np.zeros(self.dim)
-        for _, psi in self.basis_chunks(x):
-            sums += psi.sum(axis=1)
-            squares += np.einsum("ij,ij->i", psi, psi)
-        return sums, squares
-
-    def eval_basis(self, index: int, x: float) -> float:
-        """Value of one basis function at one point, with range checks."""
-        if not 0 <= index < self.dim:
-            raise IndexError(f"basis index {index} out of range [0, {self.dim})")
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"evaluation point {x} outside [0, 1]")
-        return float(self.basis_matrix(np.array([float(x)]))[index, 0])
+        raise NotImplementedError
 
     def breakpoints(self) -> np.ndarray:
         """Discontinuity / piece boundaries, always including 0 and 1."""
@@ -231,7 +220,7 @@ def _power_sums(x: np.ndarray, top: int) -> np.ndarray:
         return power
     for start in range(0, x.size, POWER_CHUNK_ENTRIES):
         z = np.exp(2j * np.pi * x[start : start + POWER_CHUNK_ENTRIES])
-        rows = min(max(POWER_CHUNK_ENTRIES // z.size, 1), top)
+        rows = max(POWER_CHUNK_ENTRIES // z.size, 1)  # not capped by top: each power's rounding depends on rows
         block = np.cumprod(np.broadcast_to(z, (rows, z.size)), axis=0)
         step = block[-1].copy()
         sums = [block.sum(axis=1)]
@@ -253,21 +242,16 @@ def _legendre(degree: int, u: np.ndarray) -> np.ndarray:
     return eval_legendre(degree, u)
 
 
-def _natural_legendre(x: np.ndarray, pieces: int, degree_bound: int) -> np.ndarray:
-    """Per-piece Legendre system ``sqrt(pieces) sqrt(2k+1) P_k(u)`` at ``x``.
+def _legendre_values(x: np.ndarray, pieces: int, degree_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The piece of each point and its natural functions ``sqrt(pieces) sqrt(2k+1) P_k(u)``.
 
-    ``u`` is the affine map of each piece onto [-1, 1]; rows run piece-major,
-    so the shape is ``(pieces * degree_bound, len(x))``.
+    ``u`` is the affine map of the piece onto [-1, 1]; the values have shape
+    ``(degree_bound, len(x))``, row ``k`` for degree ``k``.
     """
-    x = np.asarray(x, dtype=float)
     piece = _cells(x, pieces)
     u = 2.0 * (x * pieces - piece) - 1.0
-    out = np.zeros((pieces * degree_bound, x.size))
-    cols = np.arange(x.size)
     root = math.sqrt(pieces)
-    for k in range(degree_bound):
-        out[piece * degree_bound + k, cols] = root * math.sqrt(2 * k + 1) * _legendre(k, u)
-    return out
+    return piece, np.array([root * math.sqrt(2 * k + 1) * _legendre(k, u) for k in range(degree_bound)])
 
 
 class PiecewisePolynomialModel(Model):
@@ -296,12 +280,11 @@ class PiecewisePolynomialModel(Model):
         c1 = math.sqrt(self.degree_bound)
         super().__init__(pieces * degree_bound, c1, f"poly-{pieces}x{degree_bound}", params)
 
-    @property
-    def _evaluated_dim(self) -> int:
-        return self.chain.transform.shape[1]  # the whole chain, whatever dim
-
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         return self.chain.matrix(x, self.dim)
+
+    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.chain.sums(x, self.dim)
 
     def breakpoints(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.pieces + 1)
@@ -397,61 +380,83 @@ class _HistogramChain:
 
 
 class _PolynomialChain:
-    """Nested orthonormal system for a divisor chain of polynomial spaces.
+    """Shared nested orthonormal system for a divisor chain of polynomial spaces.
 
-    Functions are represented by their coefficients in the natural basis of
-    the finest space.  Each coarser space embeds exactly (Gauss quadrature of
-    sufficient order).  The orthogonal complement between consecutive levels
-    is the QR factor, with ``diag(R) > 0``, of the natural functions of every
-    sub-piece but the last one of each coarse piece, projected off the
-    coarser space: those functions and the coarser space span the finer one.
-    The sign convention makes the factor unique, so the basis itself, not
-    only its span, is fixed by the chain up to rounding.
+    Each level is stored as ``(pieces, ratio, block)``: the level refines
+    each of ``pieces // ratio`` coarse pieces into ``ratio`` sub-pieces, and
+    its functions are, per coarse piece, the columns of ``block`` as
+    coefficients on the natural functions of those sub-pieces (rows
+    sub-piece-major), the same block for every coarse piece.  The first
+    level is ``pieces`` groups of one piece with ``block = eye(r)``, its
+    natural system itself.  A later level's block is the trailing
+    ``(ratio - 1) r`` columns of the complete QR factor of the coarse
+    piece's natural functions, embedded in its sub-pieces' ones: they are
+    orthonormal and span the complement of the coarse space in the fine
+    one.  The embedding has orthonormal columns, so the factor is as well
+    conditioned as can be, and the block moves with its inputs by rounding
+    only.
     """
 
     def __init__(self, piece_counts: Sequence[int], degree_bound: int):
         self.piece_counts = _validate_divisor_chain(piece_counts, "piece")
-        self.degree_bound = int(degree_bound)
-        if self.degree_bound < 1:
+        self.degree_bound = r = int(degree_bound)
+        if r < 1:
             raise ValueError("degree bound must be >= 1")
-        self.transform = self._build_transform()
+        self.levels = [(self.piece_counts[0], 1, np.eye(r))]
+        for coarse, fine in zip(self.piece_counts[:-1], self.piece_counts[1:]):
+            ratio = fine // coarse
+            # one coarse piece, [0, 1], and its sub-pieces: the embedding is the same for every coarse piece
+            x, w = piecewise_nodes(np.linspace(0.0, 1.0, ratio + 1), max(r, 2))
+            sub = _legendre_values(x, ratio, r)[1].reshape(r, ratio, -1)
+            whole = _legendre_values(x, 1, r)[1].reshape(r, ratio, -1)
+            embed = np.einsum("asi,bsi,si->sab", sub, whole, w.reshape(ratio, -1)).reshape(ratio * r, r)
+            self.levels.append((fine, ratio, np.linalg.qr(embed, mode="complete")[0][:, r:]))
 
-    def _build_transform(self) -> np.ndarray:
-        top, r = self.piece_counts[-1], self.degree_bound
-        if len(self.piece_counts) == 1:
-            return np.eye(top * r)  # a one-level chain is the natural system itself
-        x, w = piecewise_nodes(np.linspace(0.0, 1.0, top + 1), max(r, 2))
-        weighted_top = _natural_legendre(x, top, r) * w
-        q = np.zeros((top * r, top * r))
-        filled = 0
-        coarse = 0
-        for pieces in self.piece_counts:
-            embed = weighted_top @ _natural_legendre(x, pieces, r).T
-            if filled == 0:
-                block = embed
-            else:
-                ratio = pieces // coarse
-                prev = q[:, :filled]
-                block = embed[:, (np.arange(pieces * r) // r) % ratio != ratio - 1]
-                # The selected functions are ill-conditioned at high degree
-                # (condition 1.6e7 for 1 -> 8 pieces of degree < 6), and R^-1
-                # amplifies what rounding leaves of the coarser space; a second
-                # pass on the orthonormal factor removes it ("twice is enough").
-                for _ in range(2):
-                    block -= prev @ (prev.T @ block)
-                    block, upper = np.linalg.qr(block)
-                    block *= np.sign(np.diag(upper))
-            q[:, filled : filled + block.shape[1]] = block
-            filled += block.shape[1]
-            coarse = pieces
-        return q
+    def levels_within(self, dim: int) -> list[tuple[int, int, np.ndarray]]:
+        """The levels whose functions are among the first ``dim``."""
+        return [level for level in self.levels if level[0] * self.degree_bound <= dim]
 
     def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:
-        natural = _natural_legendre(x, self.piece_counts[-1], self.degree_bound)
-        # The product of the whole transform, then the first ``dim`` rows: how
-        # BLAS sums a row can depend on the number of rows, and a model's basis
-        # must be bit for bit the prefix of the top's.
-        return (self.transform.T @ natural)[:dim]
+        x = np.asarray(x, dtype=float)
+        r = self.degree_bound
+        out = np.zeros((dim, x.size))
+        cols = np.arange(x.size)
+        offset = 0
+        for pieces, ratio, block in self.levels_within(dim):
+            piece, values = _legendre_values(x, pieces, r)
+            coarse, sub = np.divmod(piece, ratio)
+            width = block.shape[1]
+            blocks = block.reshape(ratio, r, width)
+            rows = offset + coarse * width + np.arange(width)[:, None]
+            out[rows, cols] = sum(blocks[sub, k].T * values[k] for k in range(r))
+            offset += pieces // ratio * width
+        return out
+
+    def sums(self, x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the first ``dim`` functions and of their squares over ``x``.
+
+        Each level sums, per piece, the natural functions and their pairwise
+        products over its points, and maps them through its block.  The
+        points are sorted first, so that a piece's points are one run and
+        ``np.add.reduceat`` sums it pairwise; the work is O(n r^2) per level
+        and the memory O(CHUNK_ENTRIES) whatever the number of points.
+        """
+        x = np.sort(np.asarray(x, dtype=float))
+        r = self.degree_bound
+        step = max(CHUNK_ENTRIES // (r * r), 1)
+        sums, squares = [], []
+        for pieces, ratio, block in self.levels_within(dim):
+            first = np.zeros((pieces, r))
+            second = np.zeros((pieces, r, r))
+            for start in range(0, x.size, step):
+                piece, values = _legendre_values(x[start : start + step], pieces, r)
+                runs = np.flatnonzero(np.diff(piece, prepend=-1))
+                first[piece[runs]] += np.add.reduceat(values, runs, axis=1).T
+                second[piece[runs]] += np.add.reduceat(values[:, None] * values, runs, axis=2).transpose(2, 0, 1)
+            blocks = block.reshape(ratio, r, -1)
+            sums.append((first.reshape(-1, ratio * r) @ block).ravel())
+            squares.append(np.einsum("cskl,skm,slm->cm", second.reshape(-1, ratio, r, r), blocks, blocks).ravel())
+        return np.concatenate(sums), np.concatenate(squares)
 
 
 class ModelCollection:

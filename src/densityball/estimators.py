@@ -205,17 +205,11 @@ def projection_error_sq(sample: Sample, model: Model, oracle) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics for the centered system under a known density: the summed
-# coordinate variance and the largest centered variance over the unit
-# coefficient ball.  With b = basis.unit_ball_sup_norm they satisfy
+# Diagnostic for the centered system under a known density: the largest
+# centered variance over the unit coefficient ball.  With the summed
+# coordinate variance D and b = basis.unit_ball_sup_norm it satisfies
 #   v^2 <= min(sup s, c1 ||s|| sqrt(d))  and  v^2 <= D <= b^2 <= c1^2 d.
 # ---------------------------------------------------------------------------
-
-
-def coordinate_variance_total(model: Model, oracle) -> float:
-    """``D = sum_l Var_s(psi_l(X))`` by quadrature against the density."""
-    gram, moments = density_gram(model, oracle)
-    return float(np.trace(gram) - moments @ moments)
 
 
 def max_unit_variance(model: Model, oracle) -> float:

@@ -11,8 +11,9 @@ provides closed-form values of ``E psi(X)`` for every basis family in
   2 i^k j_k(theta)`` with ``j_k`` the spherical Bessel function.
 
 Chain members reduce to these by linearity: histogram functions are
-constant on the member's cells, and polynomial ones are the chain's
-transform of the natural Legendre system of its finest grid.
+constant on the member's cells, and each level of a polynomial chain maps
+the natural Legendre moments of its own grid through its block, one coarse
+piece at a time.
 """
 
 from __future__ import annotations
@@ -76,14 +77,12 @@ class DensityOracle:
                 out[2 * j] = self._sine_moment(j)
             return out
         if isinstance(model, PiecewisePolynomialModel):
-            chain = model.chain
-            top = chain.piece_counts[-1]
-            natural = [
-                self._legendre_piece_moment(top, piece, k)
-                for piece in range(top)
-                for k in range(chain.degree_bound)
-            ]
-            return chain.transform[:, : model.dim].T @ np.array(natural)
+            r = model.degree_bound
+            out = []
+            for pieces, ratio, block in model.chain.levels_within(model.dim):
+                natural = [self._legendre_piece_moment(pieces, piece, k) for piece in range(pieces) for k in range(r)]
+                out.append((np.reshape(natural, (-1, ratio * r)) @ block).ravel())
+            return np.concatenate(out)
         raise TypeError(f"no exact coefficients for model type {type(model).__name__}")
 
 

@@ -4,15 +4,17 @@ The library takes every variance, bias and centered estimate from the
 per-coefficient sums ``S`` and ``Q`` (``densityball.estimators.prefix_estimates``).
 The functions here restate each one from its definition on the basis matrix
 ``psi[l, i] = psi_l(X_i)``, evaluated in chunks of points so that memory
-stays O(chunk) at any sample size.  Also here: helpers with no caller in the
-library (one weight vector, the Monte Carlo resampling variance, Helmert
-contrasts).
+stays O(chunk) at any sample size, and the sums ``S`` and ``Q`` themselves.
+Also here: helpers with no caller in the library (one weight vector, the
+Monte Carlo resampling variance, Helmert contrasts, the summed coordinate
+variance).
 """
 
 import math
 
 import numpy as np
 
+from densityball._quadrature import density_gram
 from densityball.estimators import resampling_statistics
 from densityball.weights import sample_weights_batch
 
@@ -25,6 +27,16 @@ def basis_chunks(model, points):
     step = max(CHUNK_ENTRIES // model.dim, 1)
     for start in range(0, points.size, step):
         yield model.basis_matrix(points[start : start + step])
+
+
+def basis_sums(model, points):
+    """``S_l = sum_i psi_l(X_i)`` and ``Q_l = sum_i psi_l(X_i)^2``, each basis function evaluated at every point."""
+    sums = np.zeros(model.dim)
+    squares = np.zeros(model.dim)
+    for psi in basis_chunks(model, points):
+        sums += psi.sum(axis=1)
+        squares += np.einsum("ij,ij->i", psi, psi)
+    return sums, squares
 
 
 def resampling_variance(sample, model):
@@ -61,6 +73,12 @@ def centered_u_statistic(sample, model, oracle):
     """The U-statistic of ``psi_l(X_i) - E psi_l(X)`` over every index of ``model``."""
     true = np.asarray(oracle.true_coefficients(model), dtype=float)
     return _off_diagonal(sample, model, true, slice(None))
+
+
+def coordinate_variance_total(model, oracle):
+    """``D = sum_l Var_s(psi_l(X))`` by quadrature against the density."""
+    gram, moments = density_gram(model, oracle)
+    return float(np.trace(gram) - moments @ moments)
 
 
 def sample_weights(scheme, rng):

@@ -12,7 +12,14 @@ def test_all_names_are_unique_and_resolve():
 
 
 def test_all_leaves_out_the_module_level_helpers():
-    # helpers with no caller in the package live in the tests' reference module since 0.4.0
-    removed = {"helmert_contrasts": basis, "sample_weights": weights, "resampling_variance_monte_carlo": estimators}
-    assert not any(hasattr(module, name) for name, module in removed.items())
+    # helpers with no caller in the package live in the tests' reference module since 0.4.0,
+    # coordinate_variance_total since 0.5.0, when Model.eval_basis went
+    removed = {
+        "helmert_contrasts": basis,
+        "sample_weights": weights,
+        "resampling_variance_monte_carlo": estimators,
+        "coordinate_variance_total": estimators,
+        "eval_basis": basis.Model,
+    }
+    assert not any(hasattr(owner, name) for name, owner in removed.items())
     assert set(removed).isdisjoint(densityball.__all__)

@@ -1,9 +1,11 @@
 """Tests for the orthonormal systems and nested collections."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
 from densityball import basis
 from densityball._quadrature import gram_matrix, piecewise_nodes
@@ -60,32 +62,20 @@ def test_orthonormality(model):
     np.testing.assert_allclose(gram, np.eye(model.dim), atol=1e-8)
 
 
-def test_eval_basis_examples():
+def test_basis_matrix_examples():
     # the companion constant function of the trigonometric system
     fourier = FourierModel(2)
-    for x in (0.0, 0.3, 1.0):
-        assert fourier.eval_basis(0, x) == 1.0
+    assert np.array_equal(fourier.basis_matrix(np.array([0.0, 0.3, 1.0]))[0], [1.0, 1.0, 1.0])
     # first cosine at zero
-    assert fourier.eval_basis(1, 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert fourier.basis_matrix(np.array([0.0]))[1, 0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
     # scaled indicator of the first half cell
     hist = HistogramModel(2)
-    assert hist.eval_basis(0, 0.25) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert hist.eval_basis(0, 0.75) == 0.0
+    values = hist.basis_matrix(np.array([0.25, 0.75]))[0]
+    assert values[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert values[1] == 0.0
     # the indicator squares to m on its cell, so it integrates to one
     x, w = piecewise_nodes(hist.breakpoints(), 4)
     np.testing.assert_allclose((hist.basis_matrix(x)[0] ** 2) @ w, 1.0, atol=1e-12)
-
-
-def test_eval_basis_errors():
-    model = HistogramModel(4)
-    with pytest.raises(IndexError):
-        model.eval_basis(4, 0.5)
-    with pytest.raises(IndexError):
-        model.eval_basis(-1, 0.5)
-    with pytest.raises(ValueError):
-        model.eval_basis(0, 1.5)
-    with pytest.raises(ValueError):
-        model.eval_basis(0, -0.1)
 
 
 def test_fourier_pointwise_identity():
@@ -123,10 +113,13 @@ def test_nesting_prefix_reproduces_members(collection):
         np.testing.assert_allclose(padded @ psi_top, direct, atol=1e-10)
 
 
-@pytest.mark.parametrize("pieces,degree_bound", [((1, 2, 6), 2), ((1, 3), 3), ((1, 2, 4), 2), ((2, 4, 8, 16), 3)])
+@pytest.mark.parametrize(
+    "pieces,degree_bound",
+    [((1, 2, 6), 2), ((1, 3), 3), ((1, 2, 4), 2), ((2, 4, 8, 16), 3), ((1, 8), 6), ((1, 2), 8)],
+)
 def test_polynomial_chain_basis_moves_with_its_inputs_by_rounding_only(monkeypatch, pieces, degree_bound):
     # last-bit noise in the quadrature weights must not rotate the basis inside a level
-    reference = piecewise_polynomial_collection(pieces, degree_bound).top.chain.transform
+    reference = [block for _, _, block in piecewise_polynomial_collection(pieces, degree_bound).top.chain.levels]
     rng = np.random.default_rng(5)
 
     def noisy_nodes(breakpoints, order):
@@ -134,8 +127,10 @@ def test_polynomial_chain_basis_moves_with_its_inputs_by_rounding_only(monkeypat
         return x, w * (1.0 + rng.choice([-1.0, 1.0], w.size) * 2.0**-52)
 
     monkeypatch.setattr(basis, "piecewise_nodes", noisy_nodes)
-    moved = piecewise_polynomial_collection(pieces, degree_bound).top.chain.transform
-    assert np.max(np.abs(moved - reference)) <= 1e-12
+    moved = [block for _, _, block in piecewise_polynomial_collection(pieces, degree_bound).top.chain.levels]
+    assert len(moved) == len(pieces)
+    for block, ref in zip(moved, reference):
+        assert np.max(np.abs(block - ref)) <= 1e-12
 
 
 def test_helmert_contrasts_are_orthonormal_and_centered():
@@ -214,20 +209,41 @@ def test_unit_ball_sup_norm_is_chunked(monkeypatch):
     assert whole == pytest.approx(math.sqrt(model.dim), rel=1e-12)
 
 
-def test_member_sums_are_the_prefix_of_the_top_sums_bit_for_bit(monkeypatch):
-    # many chunks: a polynomial member evaluates its whole chain, so it must chunk as the top does
+@pytest.mark.parametrize("n", [5, 5000])
+def test_member_sums_are_the_prefix_of_the_top_sums_bit_for_bit(monkeypatch, n):
+    # many chunks at n = 5000; at n = 5 one power block holds every trigonometric power,
+    # and these points once rounded FourierModel(1)'s Q apart from FourierModel(2)'s
     monkeypatch.setattr(basis, "CHUNK_ENTRIES", 1000)
-    x = np.random.default_rng(4).random(5000)
+    x = np.array([0.0, 0.0, 0.0, 0.3125, 0.375]) if n == 5 else np.random.default_rng(4).random(n)
     for coll in (
         piecewise_polynomial_collection([1, 2, 4, 8], 3),
         histogram_collection([1, 2, 6, 12]),
-        fourier_collection(dims=[1, 3, 9, 17]),
+        fourier_collection(dims=[1, 3, 5, 9, 17]),
     ):
         sums, squares = coll.top.basis_sums(x)
         for model in coll:
             member_sums, member_squares = model.basis_sums(x)
             assert np.array_equal(member_sums, sums[: model.dim]), model.label
             assert np.array_equal(member_squares, squares[: model.dim]), model.label
+
+
+def test_long_polynomial_chain_sums_match_the_basis_free_kernel():
+    # sum_l psi_l(x)^2 over a member's first dim functions is its reproducing kernel on the
+    # diagonal, pieces sum_k (2k+1) P_k(u)^2, whatever orthonormal basis spans the member
+    coll = piecewise_polynomial_collection([2**k for k in range(11)], 4)
+    x = np.random.default_rng(1024).beta(2.0, 5.0, 100_000)
+    tracemalloc.start()
+    try:
+        squares = coll.top.basis_sums(x)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    for model in coll:
+        pieces = model.pieces
+        u = 2.0 * (x * pieces - np.minimum(np.floor(x * pieces), pieces - 1)) - 1.0
+        kernel = pieces * sum((2 * k + 1) * eval_legendre(k, u) ** 2 for k in range(4)).sum()
+        assert abs(squares[: model.dim].sum() - kernel) <= 1e-12 * kernel, model.label
 
 
 def test_piecewise_poly_sup_norm_constant():

@@ -19,7 +19,6 @@ from densityball.basis import (
 from densityball.estimators import (
     Sample,
     centered_u_statistic,
-    coordinate_variance_total,
     max_unit_variance,
     project,
     projection_bias_estimate,
@@ -32,7 +31,7 @@ from densityball.oracle import CosineTiltDensity, HistogramDensity, UniformDensi
 from densityball.weights import make_scheme, replication_rng
 
 import reference
-from reference import resampling_variance_monte_carlo
+from reference import coordinate_variance_total, resampling_variance_monte_carlo
 
 
 def test_sample_validation():
