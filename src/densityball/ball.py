@@ -29,7 +29,8 @@ from .basis import Model, ModelCollection, check_dimension_growth
 from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, variance_bounds
 # resampling_variance stays importable from here: perfbench's tests look it up
 # in this namespace.  The ball itself does not call it.
-from .estimators import Sample, _check_scheme, prefix_estimates, resampling_statistics, resampling_variance  # noqa: F401
+from .estimators import resampling_variance  # noqa: F401
+from .estimators import Sample, _check_scheme, prefix_estimates, resampling_statistics
 from .weights import WeightScheme, sample_weights_batch
 
 # The per-model columns of a report and the type of their values, in field
@@ -70,15 +71,18 @@ class ConfidenceBall:
 
         ``coefficients`` must have length ``top_dim``; a candidate with a
         component outside the top model passes its squared out-of-span norm
-        as ``residual_norm_sq``, which is added in quadrature.
+        as ``residual_norm_sq``, which is added in quadrature.  A NaN in
+        either is refused: no distance can be compared with the radius.
         """
         cand = np.asarray(coefficients, dtype=float)
         if cand.shape != (self.top_dim,):
             raise ValueError(
                 f"candidate must have {self.top_dim} top-model coefficients, got shape {cand.shape}"
             )
-        if residual_norm_sq < 0:
-            raise ValueError("residual_norm_sq must be nonnegative")
+        if np.isnan(cand).any():
+            raise ValueError("candidate coefficients must not be NaN")
+        if not residual_norm_sq >= 0:  # NaN fails this comparison too
+            raise ValueError(f"residual_norm_sq must be nonnegative, got {residual_norm_sq}")
         padded = np.zeros(self.top_dim)
         padded[: self.center.size] = self.center
         diff = cand - padded

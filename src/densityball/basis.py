@@ -12,23 +12,26 @@ with a family constant ``c1`` (1 for histograms and trigonometric systems,
 
 A :class:`ModelCollection` chains nested spaces behind a single orthonormal
 system, ordered so that the first ``dim`` indices of the top system span the
-member of that dimension.  A histogram or piecewise-polynomial model is one
-level of a divisor chain of grids and evaluates through the chain's system;
-a standalone model is the one-level chain, whose system is the natural one.
-Each later level adds, per coarse cell or piece, one local block spanning
-the complement of the coarse space in its refinements: closed-form Helmert
+member of that dimension.  A histogram or piecewise-polynomial model is its
+own ``levels``: a divisor chain of grids that ends at its own count, and
+``(count,)`` for a standalone model, whose system is the natural one.  It
+nests in a model of its family whose levels start with its own.  Each later
+level adds, per coarse cell or piece, one local block spanning the
+complement of the coarse space in its refinements: closed-form Helmert
 contrasts for histograms, and for piecewise polynomials an orthonormal block
 of coefficients on the sub-pieces' Legendre polynomials, the same for every
-coarse piece.  Trigonometric spaces are nested in their natural ordering
-already.  Every family sums its basis over a sample from sufficient
-statistics (cell counts, per-piece Legendre moments, power sums), level by
-level, so that a member's sums are bit for bit a prefix of the top's.
+coarse piece; both are built on first use.  Trigonometric spaces are nested
+in their natural ordering already.  Every family sums its basis over a
+sample from sufficient statistics (cell counts, per-piece Legendre moments,
+power sums), level by level, so that a member's sums are bit for bit a
+prefix of the top's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,23 +46,24 @@ CHUNK_ENTRIES = 2**20
 # Complex powers per multiply in FourierModel.basis_sums: a cache-sized block
 # of points, or of several consecutive powers of a few points.
 POWER_CHUNK_ENTRIES = 2**14
+# Cells and pieces are indexed with np.intp, so no count may exceed this.
+_INDEX_LIMIT = np.iinfo(np.intp).max
 
 
 class Model:
     """A finite-dimensional orthonormal function system on [0, 1].
 
     Subclasses fix the family and provide vectorized evaluation via
-    :meth:`basis_matrix`.  Instances are immutable after construction and
-    safe to share across threads.
+    :meth:`basis_matrix`.  Instances are immutable after construction, but
+    for level data cached on first use, and safe to share across threads.
     """
 
-    def __init__(self, dim: int, c1: float, label: str, params: dict):
+    def __init__(self, dim: int, c1: float, label: str):
         if dim < 1:
             raise ValueError("model dimension must be positive")
         self.dim = int(dim)
         self.c1 = float(c1)
         self.label = str(label)
-        self.params = dict(params)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at ``x``; shape ``(dim, len(x))``."""
@@ -108,42 +112,81 @@ def _cells(x: np.ndarray, m: int) -> np.ndarray:
 
 
 class HistogramModel(Model):
-    """The regular histogram space with ``cells`` cells, one level of a chain.
+    """The regular histogram space with ``cells`` cells, the last of its ``levels``.
 
-    Its basis is the first ``cells`` functions of ``chain``'s nested system.
-    Without a chain the model is the one-level chain ``(cells,)``, whose
-    functions are the scaled indicators ``sqrt(m) 1_[k/m,(k+1)/m)`` for
-    ``k = 0..m-1``.  The last cell is closed at 1 so that the pointwise
-    identity ``sum_l psi_l(x)^2 = dim`` holds on all of [0, 1].
+    ``levels`` is the divisor chain ``chain`` of cell counts up to
+    ``cells``, or ``(cells,)`` without a chain.  The first ``m = levels[0]``
+    functions are the scaled indicators ``sqrt(m) 1_[k/m,(k+1)/m)`` of the
+    coarsest grid, ``k = 0..m-1``; every later level contributes, per coarse
+    cell, the Helmert contrasts of its refined sub-cells, which span the
+    orthogonal complement of the coarser space.  The last cell is closed at
+    1 so that the pointwise identity ``sum_l psi_l(x)^2 = dim`` holds on all
+    of [0, 1].
     """
 
-    def __init__(self, cells: int, chain: _HistogramChain | None = None):
-        params = {"cells": cells}
-        if chain is None:
-            chain = _HistogramChain((cells,))
-        else:
-            params["chain"] = list(chain.dims)
-        if cells not in chain.dims:
-            raise ValueError(f"{cells} is not a level of the chain {chain.dims}")
-        self.chain = chain
+    def __init__(self, cells: int, chain: Sequence[int] | None = None):
+        self.levels = _chain_levels(cells, chain, "histogram")
         self.cells = int(cells)
-        super().__init__(cells, 1.0, f"histogram-{cells}", params)
+        super().__init__(cells, 1.0, f"histogram-{cells}")
+
+    @cached_property
+    def _contrasts(self) -> list[tuple]:
+        """``(prev, cur, l, h, sqrt(cur) h, cur h^2)`` for each later level, ``prev`` cells refined to ``cur``.
+
+        The Helmert contrast l = 1..r-1 of r sub-cells is h_l on sub-cells
+        0..l-1, -l h_l on sub-cell l and 0 after it, with h_l = 1/sqrt(l(l+1)).
+        """
+        levels = []
+        for prev, cur in zip(self.levels[:-1], self.levels[1:]):
+            l = np.arange(1.0, cur // prev)
+            h = 1.0 / np.sqrt(l * (l + 1.0))
+            levels.append((prev, cur, l, h, math.sqrt(cur) * h, cur * h * h))
+        return levels
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
         """Index ``k`` of the cell holding each point; 1 is in the last cell."""
         return _cells(x, self.cells)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.chain.matrix(x, self.dim)
+        x = np.asarray(x, dtype=float)
+        cols = np.arange(x.size)
+        out = np.zeros((self.dim, x.size))
+        first = self.levels[0]
+        out[_cells(x, first), cols] = math.sqrt(first)
+        # a level's contrasts follow the prev functions of the coarser levels
+        for prev, cur, _, h, _, _ in self._contrasts:
+            ratio = cur // prev
+            coarse, within = np.divmod(_cells(x, cur), ratio)
+            scale = math.sqrt(cur)
+            for l, h_l in zip(range(1, ratio), h):
+                rows = prev + coarse * (ratio - 1) + l - 1
+                out[rows, cols] = scale * np.where(within < l, h_l, np.where(within == l, -l * h_l, 0.0))
+        return out
 
     def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.chain.sums(x, self.dim)
+        """Sums of the functions and of their squares over ``x``.
+
+        Every function is constant on the cells of its level, so the sums
+        are linear in that level's cell counts: one ``bincount`` per level,
+        on the same cells as :meth:`basis_matrix`, and no basis matrix.
+        """
+        first = self.levels[0]
+        counts = np.bincount(_cells(x, first), minlength=first).astype(float)
+        sums, squares = [math.sqrt(first) * counts], [first * counts]
+        for prev, cur, l, _, sum_scale, square_scale in self._contrasts:
+            # integer-valued floats: every step before the scaling is exact
+            counts = np.bincount(_cells(x, cur), minlength=cur).astype(float).reshape(prev, cur // prev)
+            below = np.cumsum(counts[:, :-1], axis=1)  # sub-cells 0..l-1 of each coarse cell
+            at = l * counts[:, 1:]  # l times sub-cell l
+            sums.append((sum_scale * (below - at)).ravel())
+            squares.append((square_scale * (below + l * at)).ravel())
+        return np.concatenate(sums), np.concatenate(squares)
 
     def breakpoints(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.cells + 1)
 
     def shares_prefix_with(self, top: Model) -> bool:
-        return isinstance(top, HistogramModel) and top.chain.dims == self.chain.dims and self.dim <= top.dim
+        return isinstance(top, HistogramModel) and top.levels[: len(self.levels)] == self.levels
 
 
 class FourierModel(Model):
@@ -159,7 +202,7 @@ class FourierModel(Model):
             raise ValueError("frequency cutoff must be >= 0")
         self.cutoff = int(cutoff)
         dim = 2 * self.cutoff + 1
-        super().__init__(dim, 1.0, f"fourier-{dim}", {"cutoff": cutoff})
+        super().__init__(dim, 1.0, f"fourier-{dim}")
 
     @classmethod
     def from_dim(cls, dim: int) -> "FourierModel":
@@ -255,185 +298,67 @@ def _legendre_values(x: np.ndarray, pieces: int, degree_bound: int) -> tuple[np.
 
 
 class PiecewisePolynomialModel(Model):
-    """Regular piecewise polynomials of degree < ``degree_bound``, one chain level.
+    """Regular piecewise polynomials of degree < ``degree_bound``, the last of its ``levels``.
 
-    Its basis is the first ``pieces * degree_bound`` functions of
-    ``chain``'s nested system.  Without a chain the model is the one-level
-    chain ``(pieces,)``, whose functions are the per-piece shifted Legendre
-    polynomials ``sqrt(pieces) sqrt(2k+1) P_k(u)`` with ``u`` the affine map
-    of the piece onto [-1, 1], indexed piece-major.
+    ``levels`` is the divisor chain ``chain`` of piece counts up to
+    ``pieces``, or ``(pieces,)`` without a chain.  The natural functions of a
+    grid of ``p`` pieces are the per-piece shifted Legendre polynomials
+    ``sqrt(p) sqrt(2k+1) P_k(u)`` with ``u`` the affine map of the piece onto
+    [-1, 1], indexed piece-major.  A level refines each of its coarse pieces
+    into ``ratio`` sub-pieces, and its functions are, per coarse piece, the
+    columns of its entry of :attr:`blocks` as coefficients on the natural
+    functions of those sub-pieces (rows sub-piece-major), the same block for
+    every coarse piece.  The first level is ``levels[0]`` groups of one piece
+    with ``block = eye(r)``, its natural system itself, so a model without a
+    chain has exactly the natural functions.
     """
 
-    def __init__(self, pieces: int, degree_bound: int, chain: _PolynomialChain | None = None):
-        params = {"pieces": pieces, "degree_bound": degree_bound}
-        if chain is None:
-            chain = _PolynomialChain((pieces,), degree_bound)
-        else:
-            params["chain"] = list(chain.piece_counts)
-        if pieces not in chain.piece_counts or degree_bound != chain.degree_bound:
-            raise ValueError(f"{pieces}x{degree_bound} is not a level of the chain {chain.piece_counts}")
-        self.chain = chain
+    def __init__(self, pieces: int, degree_bound: int, chain: Sequence[int] | None = None):
+        self.levels = _chain_levels(pieces, chain, "piece")
+        if degree_bound < 1:
+            raise ValueError("degree bound must be >= 1")
         self.pieces = int(pieces)
-        self.degree_bound = int(degree_bound)
+        self.degree_bound = r = int(degree_bound)
         # sum_l psi_l(x)^2 = pieces sum_k (2k+1) P_k(u)^2 peaks at u = +-1, where
-        # every P_k^2 is 1, at pieces r^2 = r dim
-        c1 = math.sqrt(self.degree_bound)
-        super().__init__(pieces * degree_bound, c1, f"poly-{pieces}x{degree_bound}", params)
+        # every P_k^2 is 1, at pieces r^2 = r dim, so c1 = sqrt(r)
+        super().__init__(self.pieces * r, math.sqrt(r), f"poly-{self.pieces}x{r}")
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """One block per level, built on first use: ``eye(r)``, then each refinement's :func:`_complement_block`."""
+        r = self.degree_bound
+        later = (_complement_block(fine // coarse, r) for coarse, fine in zip(self.levels[:-1], self.levels[1:]))
+        return (np.eye(r), *later)
+
+    def map_natural(self, moments: Sequence) -> np.ndarray:
+        """The linear map of per-level natural moments through :attr:`blocks`.
+
+        ``moments`` holds, per level of ``p`` pieces, ``p * r`` values
+        piece-major, one per natural function.  A level's values, one row per
+        coarse piece, times its block are its functions' values: sums over a
+        sample give :meth:`basis_sums`, and expectations the true
+        coefficients.
+        """
+        return np.concatenate([(np.reshape(m, (-1, b.shape[0])) @ b).ravel() for m, b in zip(moments, self.blocks)])
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.chain.matrix(x, self.dim)
-
-    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.chain.sums(x, self.dim)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.pieces + 1)
-
-    def shares_prefix_with(self, top: Model) -> bool:
-        return (
-            isinstance(top, PiecewisePolynomialModel)
-            and top.chain.piece_counts == self.chain.piece_counts
-            and top.degree_bound == self.degree_bound
-            and self.dim <= top.dim
-        )
-
-
-def _validate_divisor_chain(values: Sequence[int], what: str) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in values)
-    if not vals:
-        raise ValueError(f"empty {what} chain")
-    if any(v < 1 for v in vals):
-        raise ValueError(f"{what} counts must be positive")
-    limit = np.iinfo(np.intp).max  # cells and pieces are indexed with np.intp
-    if max(vals) > limit:
-        raise ValueError(f"{what} count {max(vals)} exceeds the largest array index {limit}")
-    if any(b <= a for a, b in zip(vals[:-1], vals[1:])):
-        raise ValueError(f"{what} chain must be strictly increasing")
-    for a, b in zip(vals[:-1], vals[1:]):
-        if b % a != 0:
-            raise ValueError(f"{what} chain requires each count to divide the next ({a} | {b} fails)")
-    return vals
-
-
-class _HistogramChain:
-    """Shared nested orthonormal system for a divisor chain of histograms.
-
-    The first ``dims[0]`` functions are the natural indicators of the
-    coarsest grid; every later level contributes, per coarse cell, the
-    Helmert contrasts of its refined sub-cells, which span the orthogonal
-    complement of the coarser space.
-    """
-
-    def __init__(self, dims: Sequence[int]):
-        self.dims = _validate_divisor_chain(dims, "histogram")
-        # The Helmert contrast l = 1..r-1 of r sub-cells is h_l on sub-cells
-        # 0..l-1, -l h_l on sub-cell l and 0 after it, with h_l = 1/sqrt(l(l+1)).
-        self._levels = []
-        for prev, cur in zip(self.dims[:-1], self.dims[1:]):
-            l = np.arange(1.0, cur // prev)
-            h = 1.0 / np.sqrt(l * (l + 1.0))
-            self._levels.append((prev, cur, l, h, math.sqrt(cur) * h, cur * h * h))
-
-    def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        cols = np.arange(x.size)
-        out = np.zeros((dim, x.size))
-        first = self.dims[0]
-        out[_cells(x, first), cols] = math.sqrt(first)
-        offset = first
-        for prev, cur, _, h, _, _ in self._levels:
-            if offset >= dim:
-                break
-            ratio = cur // prev
-            fine = _cells(x, cur)
-            coarse = fine // ratio
-            within = fine - coarse * ratio
-            scale = math.sqrt(cur)
-            for l, h_l in zip(range(1, ratio), h):
-                rows = offset + coarse * (ratio - 1) + l - 1
-                out[rows, cols] = scale * np.where(within < l, h_l, np.where(within == l, -l * h_l, 0.0))
-            offset += cur - prev
-        return out
-
-    def sums(self, x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sums of the first ``dim`` functions and of their squares over ``x``.
-
-        Every function is constant on the cells of its level, so the sums
-        are linear in that level's cell counts: one ``bincount`` per level,
-        on the same cells as :meth:`matrix`, and no basis matrix.
-        """
-        first = self.dims[0]
-        counts = np.bincount(_cells(x, first), minlength=first).astype(float)
-        sums, squares = [math.sqrt(first) * counts], [first * counts]
-        offset = first
-        for prev, cur, l, _, sum_scale, square_scale in self._levels:
-            if offset >= dim:
-                break
-            # integer-valued floats: every step before the scaling is exact
-            counts = np.bincount(_cells(x, cur), minlength=cur).astype(float).reshape(prev, cur // prev)
-            below = np.cumsum(counts[:, :-1], axis=1)  # sub-cells 0..l-1 of each coarse cell
-            at = l * counts[:, 1:]  # l times sub-cell l
-            sums.append((sum_scale * (below - at)).ravel())
-            squares.append((square_scale * (below + l * at)).ravel())
-            offset += cur - prev
-        return np.concatenate(sums), np.concatenate(squares)
-
-
-class _PolynomialChain:
-    """Shared nested orthonormal system for a divisor chain of polynomial spaces.
-
-    Each level is stored as ``(pieces, ratio, block)``: the level refines
-    each of ``pieces // ratio`` coarse pieces into ``ratio`` sub-pieces, and
-    its functions are, per coarse piece, the columns of ``block`` as
-    coefficients on the natural functions of those sub-pieces (rows
-    sub-piece-major), the same block for every coarse piece.  The first
-    level is ``pieces`` groups of one piece with ``block = eye(r)``, its
-    natural system itself.  A later level's block is the trailing
-    ``(ratio - 1) r`` columns of the complete QR factor of the coarse
-    piece's natural functions, embedded in its sub-pieces' ones: they are
-    orthonormal and span the complement of the coarse space in the fine
-    one.  The embedding has orthonormal columns, so the factor is as well
-    conditioned as can be, and the block moves with its inputs by rounding
-    only.
-    """
-
-    def __init__(self, piece_counts: Sequence[int], degree_bound: int):
-        self.piece_counts = _validate_divisor_chain(piece_counts, "piece")
-        self.degree_bound = r = int(degree_bound)
-        if r < 1:
-            raise ValueError("degree bound must be >= 1")
-        self.levels = [(self.piece_counts[0], 1, np.eye(r))]
-        for coarse, fine in zip(self.piece_counts[:-1], self.piece_counts[1:]):
-            ratio = fine // coarse
-            # one coarse piece, [0, 1], and its sub-pieces: the embedding is the same for every coarse piece
-            x, w = piecewise_nodes(np.linspace(0.0, 1.0, ratio + 1), max(r, 2))
-            sub = _legendre_values(x, ratio, r)[1].reshape(r, ratio, -1)
-            whole = _legendre_values(x, 1, r)[1].reshape(r, ratio, -1)
-            embed = np.einsum("asi,bsi,si->sab", sub, whole, w.reshape(ratio, -1)).reshape(ratio * r, r)
-            self.levels.append((fine, ratio, np.linalg.qr(embed, mode="complete")[0][:, r:]))
-
-    def levels_within(self, dim: int) -> list[tuple[int, int, np.ndarray]]:
-        """The levels whose functions are among the first ``dim``."""
-        return [level for level in self.levels if level[0] * self.degree_bound <= dim]
-
-    def matrix(self, x: np.ndarray, dim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         r = self.degree_bound
-        out = np.zeros((dim, x.size))
+        out = np.zeros((self.dim, x.size))
         cols = np.arange(x.size)
         offset = 0
-        for pieces, ratio, block in self.levels_within(dim):
+        for pieces, block in zip(self.levels, self.blocks):
             piece, values = _legendre_values(x, pieces, r)
+            ratio, width = block.shape[0] // r, block.shape[1]
             coarse, sub = np.divmod(piece, ratio)
-            width = block.shape[1]
             blocks = block.reshape(ratio, r, width)
             rows = offset + coarse * width + np.arange(width)[:, None]
             out[rows, cols] = sum(blocks[sub, k].T * values[k] for k in range(r))
             offset += pieces // ratio * width
         return out
 
-    def sums(self, x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sums of the first ``dim`` functions and of their squares over ``x``.
+    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the functions and of their squares over ``x``.
 
         Each level sums, per piece, the natural functions and their pairwise
         products over its points, and maps them through its block.  The
@@ -444,8 +369,8 @@ class _PolynomialChain:
         x = np.sort(np.asarray(x, dtype=float))
         r = self.degree_bound
         step = max(CHUNK_ENTRIES // (r * r), 1)
-        sums, squares = [], []
-        for pieces, ratio, block in self.levels_within(dim):
+        firsts, squares = [], []
+        for pieces, block in zip(self.levels, self.blocks):
             first = np.zeros((pieces, r))
             second = np.zeros((pieces, r, r))
             for start in range(0, x.size, step):
@@ -453,10 +378,58 @@ class _PolynomialChain:
                 runs = np.flatnonzero(np.diff(piece, prepend=-1))
                 first[piece[runs]] += np.add.reduceat(values, runs, axis=1).T
                 second[piece[runs]] += np.add.reduceat(values[:, None] * values, runs, axis=2).transpose(2, 0, 1)
+            ratio = block.shape[0] // r
             blocks = block.reshape(ratio, r, -1)
-            sums.append((first.reshape(-1, ratio * r) @ block).ravel())
+            firsts.append(first)
             squares.append(np.einsum("cskl,skm,slm->cm", second.reshape(-1, ratio, r, r), blocks, blocks).ravel())
-        return np.concatenate(sums), np.concatenate(squares)
+        return self.map_natural(firsts), np.concatenate(squares)
+
+    def breakpoints(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.pieces + 1)
+
+    def shares_prefix_with(self, top: Model) -> bool:
+        return (
+            isinstance(top, PiecewisePolynomialModel)
+            and top.degree_bound == self.degree_bound
+            and top.levels[: len(self.levels)] == self.levels
+        )
+
+
+def _complement_block(ratio: int, r: int) -> np.ndarray:
+    """The functions a level adds on one coarse piece split into ``ratio`` sub-pieces.
+
+    They are the trailing ``(ratio - 1) r`` columns of the complete QR
+    factor of the coarse piece's natural functions, embedded in its
+    sub-pieces' ones: they are orthonormal and span the complement of the
+    coarse space in the fine one.  The embedding has orthonormal columns, so
+    the factor is as well conditioned as can be, and the block moves with
+    its inputs by rounding only.
+    """
+    # one coarse piece, [0, 1], and its sub-pieces: the embedding is the same for every coarse piece
+    x, w = piecewise_nodes(np.linspace(0.0, 1.0, ratio + 1), max(r, 2))
+    sub = _legendre_values(x, ratio, r)[1].reshape(r, ratio, -1)
+    whole = _legendre_values(x, 1, r)[1].reshape(r, ratio, -1)
+    embed = np.einsum("asi,bsi,si->sab", sub, whole, w.reshape(ratio, -1)).reshape(ratio * r, r)
+    return np.linalg.qr(embed, mode="complete")[0][:, r:]
+
+
+def _chain_levels(count: int, chain: Sequence[int] | None, what: str) -> tuple[int, ...]:
+    """The divisor chain ``chain`` up to ``count``, or ``(count,)`` without a chain."""
+    vals = (int(count),) if chain is None else tuple(map(int, chain))
+    if not vals:
+        raise ValueError(f"empty {what} chain")
+    if min(vals) < 1:
+        raise ValueError(f"{what} counts must be positive")
+    if max(vals) > _INDEX_LIMIT:
+        raise ValueError(f"{what} count {max(vals)} exceeds the largest array index {_INDEX_LIMIT}")
+    for a, b in zip(vals, vals[1:]):
+        if b <= a:
+            raise ValueError(f"{what} chain must be strictly increasing")
+        if b % a != 0:
+            raise ValueError(f"{what} chain requires each count to divide the next ({a} | {b} fails)")
+    if count not in vals:
+        raise ValueError(f"{count} is not a level of the chain {vals}")
+    return vals[: vals.index(count) + 1]
 
 
 class ModelCollection:
@@ -510,8 +483,8 @@ class ModelCollection:
 
 def histogram_collection(dims: Sequence[int], c_m: float = 4.0) -> ModelCollection:
     """Nested histograms over a divisor chain of cell counts (e.g. dyadic)."""
-    chain = _HistogramChain(sorted(int(d) for d in dims))
-    return ModelCollection([HistogramModel(d, chain) for d in chain.dims], c_m=c_m)
+    chain = sorted(int(d) for d in dims)
+    return ModelCollection([HistogramModel(d, chain) for d in chain], c_m=c_m)
 
 
 def fourier_collection(
@@ -533,11 +506,8 @@ def piecewise_polynomial_collection(
     piece_counts: Sequence[int], degree_bound: int, c_m: float = 4.0
 ) -> ModelCollection:
     """Nested piecewise-polynomial spaces over a divisor chain of pieces."""
-    chain = _PolynomialChain(sorted(int(p) for p in piece_counts), degree_bound)
-    return ModelCollection(
-        [PiecewisePolynomialModel(p, chain.degree_bound, chain) for p in chain.piece_counts],
-        c_m=c_m,
-    )
+    chain = sorted(int(p) for p in piece_counts)
+    return ModelCollection([PiecewisePolynomialModel(p, degree_bound, chain) for p in chain], c_m=c_m)
 
 
 def fourier_collection_for_sobolev(n: int, gamma: float, c_m: float = 4.0) -> ModelCollection:

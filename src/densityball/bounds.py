@@ -62,6 +62,9 @@ class BoundConfig:
     kappa_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("beta", "m2", "m_inf", "eta", "kappa_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if self.m2 <= 0 or self.m_inf <= 0:

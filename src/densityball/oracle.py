@@ -11,9 +11,9 @@ provides closed-form values of ``E psi(X)`` for every basis family in
   2 i^k j_k(theta)`` with ``j_k`` the spherical Bessel function.
 
 Chain members reduce to these by linearity: histogram functions are
-constant on the member's cells, and each level of a polynomial chain maps
-the natural Legendre moments of its own grid through its block, one coarse
-piece at a time.
+constant on the member's cells, and a piecewise-polynomial model maps the
+natural Legendre moments of each of its levels to its own coefficients with
+:meth:`~densityball.basis.PiecewisePolynomialModel.map_natural`.
 """
 
 from __future__ import annotations
@@ -77,12 +77,9 @@ class DensityOracle:
                 out[2 * j] = self._sine_moment(j)
             return out
         if isinstance(model, PiecewisePolynomialModel):
-            r = model.degree_bound
-            out = []
-            for pieces, ratio, block in model.chain.levels_within(model.dim):
-                natural = [self._legendre_piece_moment(pieces, piece, k) for piece in range(pieces) for k in range(r)]
-                out.append((np.reshape(natural, (-1, ratio * r)) @ block).ravel())
-            return np.concatenate(out)
+            r, moment = model.degree_bound, self._legendre_piece_moment
+            natural = [[moment(p, piece, k) for piece in range(p) for k in range(r)] for p in model.levels]
+            return model.map_natural(natural)
         raise TypeError(f"no exact coefficients for model type {type(model).__name__}")
 
 

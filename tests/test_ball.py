@@ -101,6 +101,33 @@ def test_contains_with_residual_mass():
     assert not ball.contains(center_padded, residual_norm_sq=r_sq * (1.0 + 1e-9))
 
 
+def test_contains_refuses_nan():
+    # a NaN distance compares False with every radius, which would read as "outside the ball"
+    coll = histogram_collection([1, 2])
+    sample = sample_from(UniformDensity(), 40, replication_rng(3, 0))
+    ball = build_confidence_ball(sample, coll, make_scheme("efron", 40), CFG)
+    center_padded = np.zeros(ball.top_dim)
+    center_padded[: ball.center.size] = ball.center
+    with pytest.raises(ValueError, match="NaN"):
+        ball.contains(np.where(np.arange(ball.top_dim) == 1, math.nan, center_padded))
+    with pytest.raises(ValueError, match="residual_norm_sq"):
+        ball.contains(center_padded, residual_norm_sq=math.nan)
+    # an infinite distance is a distance: outside
+    assert not ball.contains(center_padded + math.inf)
+    assert not ball.contains(center_padded, residual_norm_sq=math.inf)
+
+
+def test_a_standalone_first_level_gives_the_ball_of_its_chain():
+    # HistogramModel(2) is the first level of HistogramModel(4, [2, 4]): same basis, same ball
+    from densityball.basis import ModelCollection
+
+    sample = sample_from(UniformDensity(), 60, replication_rng(4, 0))
+    scheme = make_scheme("efron", 60)
+    mixed = ModelCollection([HistogramModel(2), HistogramModel(4, [2, 4])])
+    ball = build_confidence_ball(sample, mixed, scheme, CFG)
+    assert ball_to_doc(ball) == ball_to_doc(build_confidence_ball(sample, histogram_collection([2, 4]), scheme, CFG))
+
+
 def test_ball_determinism_and_doc_round_trip():
     import json
 

@@ -20,6 +20,7 @@ from densityball.basis import (
     histogram_collection,
     piecewise_polynomial_collection,
 )
+from densityball.oracle import CosineTiltDensity
 
 from reference import helmert_contrasts
 
@@ -33,7 +34,7 @@ def _orthonormality_nodes(model):
     if isinstance(model, FourierModel):
         panels = np.linspace(0.0, 1.0, max(256, 8 * (model.cutoff + 1)) + 1)
         return piecewise_nodes(panels, 8)
-    order = model.params.get("degree_bound", 1) + 1
+    order = getattr(model, "degree_bound", 1) + 1
     return piecewise_nodes(model.breakpoints(), max(order, 4))
 
 
@@ -55,7 +56,7 @@ ALL_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label + str(m.params))
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label + str(getattr(m, "levels", "")))
 def test_orthonormality(model):
     x, w = _orthonormality_nodes(model)
     gram = gram_matrix(model, x, w)
@@ -119,7 +120,7 @@ def test_nesting_prefix_reproduces_members(collection):
 )
 def test_polynomial_chain_basis_moves_with_its_inputs_by_rounding_only(monkeypatch, pieces, degree_bound):
     # last-bit noise in the quadrature weights must not rotate the basis inside a level
-    reference = [block for _, _, block in piecewise_polynomial_collection(pieces, degree_bound).top.chain.levels]
+    reference = piecewise_polynomial_collection(pieces, degree_bound).top.blocks
     rng = np.random.default_rng(5)
 
     def noisy_nodes(breakpoints, order):
@@ -127,7 +128,7 @@ def test_polynomial_chain_basis_moves_with_its_inputs_by_rounding_only(monkeypat
         return x, w * (1.0 + rng.choice([-1.0, 1.0], w.size) * 2.0**-52)
 
     monkeypatch.setattr(basis, "piecewise_nodes", noisy_nodes)
-    moved = [block for _, _, block in piecewise_polynomial_collection(pieces, degree_bound).top.chain.levels]
+    moved = piecewise_polynomial_collection(pieces, degree_bound).top.blocks
     assert len(moved) == len(pieces)
     for block, ref in zip(moved, reference):
         assert np.max(np.abs(block - ref)) <= 1e-12
@@ -291,7 +292,7 @@ def test_sobolev_collection_sizing():
     # floor(100 ** 0.4) = 6
     coll = fourier_collection_for_sobolev(100, 1.0)
     assert coll.cardinality == 6
-    assert coll.top.params["cutoff"] == 6
+    assert coll.top.cutoff == 6
     assert [m.dim for m in coll] == [3, 5, 7, 9, 11, 13]
 
     # exponent -> 0 collapses to a single cutoff
@@ -311,7 +312,7 @@ def test_sobolev_collection_sizing():
 def test_fourier_from_dim_rejects_even():
     with pytest.raises(ValueError):
         FourierModel.from_dim(4)
-    assert FourierModel.from_dim(5).params["cutoff"] == 2
+    assert FourierModel.from_dim(5).cutoff == 2
 
 
 def test_collection_rejects_non_nested():
@@ -320,3 +321,53 @@ def test_collection_rejects_non_nested():
         from densityball.basis import ModelCollection
 
         ModelCollection([HistogramModel(2), HistogramModel(4)])
+
+
+@pytest.mark.parametrize(
+    "chain,degree_bound", [((3, 6, 12), None), ((1, 4, 8), None), ((2, 4, 8), 3), ((1, 3, 9), 2)]
+)
+def test_a_standalone_model_is_the_first_level_of_a_chain_bit_for_bit(chain, degree_bound):
+    def make(count, chain=None):
+        if degree_bound is None:
+            return HistogramModel(count, chain)
+        return PiecewisePolynomialModel(count, degree_bound, chain)
+
+    standalone, first, top = make(chain[0]), make(chain[0], chain), make(chain[-1], chain)
+    assert vars(standalone) == vars(first) and standalone.shares_prefix_with(top)
+    x = np.concatenate([np.random.default_rng(7).beta(2.0, 5.0, 3000), [0.0, 0.5, 1.0]])
+    d = standalone.dim
+    for own, lead in zip(standalone.basis_sums(x), top.basis_sums(x)):
+        np.testing.assert_array_equal(own, lead[:d])
+    np.testing.assert_array_equal(standalone.basis_matrix(x), top.basis_matrix(x)[:d])
+    oracle = CosineTiltDensity(0.3, 2)
+    np.testing.assert_array_equal(oracle.true_coefficients(standalone), oracle.true_coefficients(first))
+    if degree_bound is not None:
+        # a histogram's coefficients come from its own cells, a polynomial level's from its own moments
+        np.testing.assert_array_equal(oracle.true_coefficients(standalone), oracle.true_coefficients(top)[:d])
+
+
+def test_any_sequence_of_counts_is_a_chain():
+    # a tuple, a list and a range give equal models, whose levels stop at their own count
+    for make in (HistogramModel, lambda count, chain: PiecewisePolynomialModel(count, 3, chain)):
+        for count, levels in ((2, (2,)), (6, (2, 6))):
+            models = [make(count, chain) for chain in ((2, 6), [2, 6], range(2, 7, 4))]
+            assert all(vars(model) == vars(models[0]) for model in models)
+            assert models[0].levels == levels
+
+
+def test_polynomial_blocks_are_built_on_first_use():
+    # the collection is built on every CLI op; the 4096 x 4092 block of the ratio-1024 level is not
+    coll = piecewise_polynomial_collection([1, 1024], 4)
+    assert all("blocks" not in vars(model) for model in coll)
+    first, top = coll
+    first.basis_matrix(np.array([0.25]))
+    assert [block.shape for block in vars(first)["blocks"]] == [(4, 4)]
+    assert "blocks" not in vars(top)
+
+
+def test_a_member_nests_by_its_levels_alone():
+    # a standalone model nesting in a chain that starts at its count is in test_ball.py
+    assert not HistogramModel(2).shares_prefix_with(HistogramModel(4, [1, 4]))
+    assert not PiecewisePolynomialModel(2, 3).shares_prefix_with(PiecewisePolynomialModel(4, 2, [2, 4]))
+    with pytest.raises(ValueError, match="not a level"):
+        HistogramModel(3, [1, 2, 4])

@@ -240,3 +240,9 @@ def test_bound_config_validation():
         BoundConfig(beta=0.1, m2=1.0, m_inf=1.0, eta=-0.1)
     with pytest.raises(ValueError):
         BoundConfig(beta=0.1, m2=1.0, m_inf=1.0, kappa_scale=-1.0)
+    # NaN passes every < / > check and inf makes the radius overflow, so both are refused by name
+    valid = {"beta": 0.1, "m2": 1.0, "m_inf": 1.0, "eta": 0.0, "kappa_scale": 1.0}
+    for name in valid:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                BoundConfig(**{**valid, name: value})

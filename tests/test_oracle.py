@@ -62,7 +62,7 @@ def test_validation():
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: repr(o.__dict__))
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label + str(m.params.get("chain", "")))
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label + str(getattr(m, "levels", "")))
 def test_coefficients_match_quadrature(oracle, model):
     x, w = nodes_for(model, oracle, order=16)
     quad = model.basis_matrix(x) @ (w * oracle.density(x))
