@@ -77,7 +77,7 @@ from .weights import (
     sample_weights_batch,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BoundConfig",

@@ -10,9 +10,11 @@ or, for histograms, from per-level cell counts.
 model's resampling variance (prefix sums) and nested-bias U-statistic
 (suffix sums), the same function the per-model estimators are views of,
 and ``S[:d] / n`` is the projection estimator of the model of dimension
-``d``.  The bounds of all models are then evaluated together; the ball is
-centered at the projection estimator of the model with the smallest radius
-(ties go to the smallest dimension).  Membership is evaluated in the
+``d``.  Building a ball takes no weight scheme (see
+:func:`build_confidence_ball`); only :func:`resampled_quantile_radius`
+draws weights.  The bounds of all models are then evaluated together; the
+ball is centered at the projection estimator of the model with the smallest
+radius (ties go to the smallest dimension).  Membership is evaluated in the
 coefficient space of the collection's top model, with an optional
 quadrature term for candidates that have mass outside the top model.
 """
@@ -30,7 +32,7 @@ from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, 
 # resampling_variance stays importable from here: perfbench's tests look it up
 # in this namespace.  The ball itself does not call it.
 from .estimators import resampling_variance  # noqa: F401
-from .estimators import Sample, _check_scheme, prefix_estimates, resampling_statistics
+from .estimators import Sample, prefix_estimates, resampling_statistics
 from .weights import WeightScheme, sample_weights_batch
 
 # The per-model columns of a report and the type of their values, in field
@@ -101,12 +103,7 @@ def select_model_index(radius_sq_values: Sequence[float], dims: Sequence[int]) -
     return min(order, key=lambda i: (radius_sq_values[i], dims[i], i))
 
 
-def build_confidence_ball(
-    sample: Sample,
-    collection: ModelCollection,
-    scheme: WeightScheme,
-    config: BoundConfig,
-) -> ConfidenceBall:
+def build_confidence_ball(sample: Sample, collection: ModelCollection, config: BoundConfig) -> ConfidenceBall:
     """Compute every model's radius, select the minimizer, build the ball.
 
     The estimates equal :func:`~densityball.estimators.resampling_variance`
@@ -114,10 +111,13 @@ def build_confidence_ball(
     model, and the center equals :func:`~densityball.estimators.project` of
     the selected one, all obtained from one ``basis_sums`` pass of the top
     model through :func:`~densityball.estimators.prefix_estimates`.
+    No weight scheme is taken: the variance estimate is the closed form of
+    the normalized resampling penalty, which is the same for every
+    exchangeable scheme, so no draw is made and the ball does not depend
+    on the scheme.
     The dimension-growth check is advisory here: a failure is recorded in
     ``growth_check_ok`` and the construction proceeds.
     """
-    _check_scheme(sample, scheme)
     growth = check_dimension_growth(collection, sample.n, config.beta)
     n = sample.n
     dims = np.array([model.dim for model in collection])

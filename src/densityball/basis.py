@@ -24,7 +24,8 @@ coarse piece; both are built on first use.  Trigonometric spaces are nested
 in their natural ordering already.  Every family sums its basis over a
 sample from sufficient statistics (cell counts, per-piece Legendre moments,
 power sums), level by level, so that a member's sums are bit for bit a
-prefix of the top's.
+prefix of the top's.  Every family refuses points outside [0, 1], NaN
+included, on entry to ``basis_matrix`` and ``basis_sums``.
 """
 
 from __future__ import annotations
@@ -106,9 +107,21 @@ class Model:
         return f"<{type(self).__name__} {self.label}>"
 
 
+def check_unit_interval(points) -> np.ndarray:
+    """``points`` as a float array, refused with a ``ValueError`` outside [0, 1], NaN included.
+
+    A cell index of a point outside [0, 1] would wrap or clip to a wrong
+    cell, so every family checks its points on entry.
+    """
+    points = np.asarray(points, dtype=float)
+    if not np.all((points >= 0.0) & (points <= 1.0)):
+        raise ValueError("sample points must lie in [0, 1]")
+    return points
+
+
 def _cells(x: np.ndarray, m: int) -> np.ndarray:
     """Cell ``min(floor(m x), m - 1)`` of each point on the regular ``m``-grid."""
-    return np.minimum((np.asarray(x, dtype=float) * m).astype(int), m - 1)
+    return np.minimum((x * m).astype(int), m - 1)
 
 
 class HistogramModel(Model):
@@ -145,10 +158,10 @@ class HistogramModel(Model):
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
         """Index ``k`` of the cell holding each point; 1 is in the last cell."""
-        return _cells(x, self.cells)
+        return _cells(check_unit_interval(x), self.cells)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = check_unit_interval(x)
         cols = np.arange(x.size)
         out = np.zeros((self.dim, x.size))
         first = self.levels[0]
@@ -170,6 +183,7 @@ class HistogramModel(Model):
         are linear in that level's cell counts: one ``bincount`` per level,
         on the same cells as :meth:`basis_matrix`, and no basis matrix.
         """
+        x = check_unit_interval(x)
         first = self.levels[0]
         counts = np.bincount(_cells(x, first), minlength=first).astype(float)
         sums, squares = [math.sqrt(first) * counts], [first * counts]
@@ -211,7 +225,7 @@ class FourierModel(Model):
         return cls((dim - 1) // 2)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = check_unit_interval(x)
         out = np.empty((self.dim, x.size))
         out[0] = 1.0
         if self.cutoff:
@@ -229,7 +243,7 @@ class FourierModel(Model):
         ``n + Re T_2j`` and ``n - Re T_2j``.  One complex exponential per
         point and one complex multiply per basis entry, no basis matrix.
         """
-        x = np.asarray(x, dtype=float)
+        x = check_unit_interval(x)
         n = float(x.size)
         power = _power_sums(x, 2 * self.cutoff)
         sums = np.empty(self.dim)
@@ -342,7 +356,7 @@ class PiecewisePolynomialModel(Model):
         return np.concatenate([(np.reshape(m, (-1, b.shape[0])) @ b).ravel() for m, b in zip(moments, self.blocks)])
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = check_unit_interval(x)
         r = self.degree_bound
         out = np.zeros((self.dim, x.size))
         cols = np.arange(x.size)
@@ -366,7 +380,7 @@ class PiecewisePolynomialModel(Model):
         ``np.add.reduceat`` sums it pairwise; the work is O(n r^2) per level
         and the memory O(CHUNK_ENTRIES) whatever the number of points.
         """
-        x = np.sort(np.asarray(x, dtype=float))
+        x = np.sort(check_unit_interval(x))
         r = self.degree_bound
         step = max(CHUNK_ENTRIES // (r * r), 1)
         firsts, squares = [], []
@@ -438,11 +452,14 @@ class ModelCollection:
     The last model spans every other one and the member of dimension ``d``
     is exactly the span of the first ``d`` indices of the top system, so
     coefficient vectors of members embed into the top model by zero padding.
-    ``c_m`` is the cap used by the dimension-growth check and ``c1`` the
-    largest sup-norm constant of the members.
+    ``c_m`` is the cap used by the dimension-growth check, the same constant
+    for every collection, and ``c1`` the largest sup-norm constant of the
+    members.
     """
 
-    def __init__(self, models: Sequence[Model], c_m: float = 4.0):
+    c_m = 4.0
+
+    def __init__(self, models: Sequence[Model]):
         models = tuple(models)
         if not models:
             raise ValueError("a collection needs at least one model")
@@ -453,19 +470,12 @@ class ModelCollection:
         for m in models:
             if not m.shares_prefix_with(top):
                 raise ValueError(f"model {m.label} is not a nested prefix of {top.label}")
-        if c_m <= 0:
-            raise ValueError("c_m must be positive")
         self.models = models
-        self.c_m = float(c_m)
         self.c1 = max(m.c1 for m in models)
 
     @property
     def top(self) -> Model:
         return self.models[-1]
-
-    @property
-    def top_index(self) -> int:
-        return len(self.models) - 1
 
     @property
     def cardinality(self) -> int:
@@ -481,49 +491,37 @@ class ModelCollection:
         return f"<ModelCollection {[m.label for m in self.models]}>"
 
 
-def histogram_collection(dims: Sequence[int], c_m: float = 4.0) -> ModelCollection:
+def histogram_collection(dims: Sequence[int]) -> ModelCollection:
     """Nested histograms over a divisor chain of cell counts (e.g. dyadic)."""
     chain = sorted(int(d) for d in dims)
-    return ModelCollection([HistogramModel(d, chain) for d in chain], c_m=c_m)
+    return ModelCollection([HistogramModel(d, chain) for d in chain])
 
 
-def fourier_collection(
-    dims: Sequence[int] | None = None,
-    cutoffs: Sequence[int] | None = None,
-    c_m: float = 4.0,
-) -> ModelCollection:
-    """Nested trigonometric spaces given by odd dimensions or by cutoffs."""
-    if (dims is None) == (cutoffs is None):
-        raise ValueError("give exactly one of dims= or cutoffs=")
-    if dims is not None:
-        models = [FourierModel.from_dim(d) for d in sorted(int(d) for d in dims)]
-    else:
-        models = [FourierModel(j) for j in sorted(int(j) for j in cutoffs)]
-    return ModelCollection(models, c_m=c_m)
+def fourier_collection(dims: Sequence[int]) -> ModelCollection:
+    """Nested trigonometric spaces of the given odd dimensions, ``2 j + 1`` for cutoff ``j``."""
+    return ModelCollection([FourierModel.from_dim(d) for d in sorted(int(d) for d in dims)])
 
 
-def piecewise_polynomial_collection(
-    piece_counts: Sequence[int], degree_bound: int, c_m: float = 4.0
-) -> ModelCollection:
+def piecewise_polynomial_collection(piece_counts: Sequence[int], degree_bound: int) -> ModelCollection:
     """Nested piecewise-polynomial spaces over a divisor chain of pieces."""
     chain = sorted(int(p) for p in piece_counts)
-    return ModelCollection([PiecewisePolynomialModel(p, degree_bound, chain) for p in chain], c_m=c_m)
+    return ModelCollection([PiecewisePolynomialModel(p, degree_bound, chain) for p in chain])
 
 
-def fourier_collection_for_sobolev(n: int, gamma: float, c_m: float = 4.0) -> ModelCollection:
+def fourier_collection_for_sobolev(n: int, gamma: float) -> ModelCollection:
     """Trigonometric collection sized for a Sobolev smoothness ``gamma``.
 
     The top cutoff is ``floor(min(n**(1/(2 gamma + 1/2)), n^2 / (ln n)^2))``
     and the collection holds one model per cutoff from 1 up to it.
     """
-    if n < 3:
+    if not n >= 3:
         raise ValueError("need n >= 3")
-    if gamma <= 0:
+    if not gamma > 0:  # NaN fails this comparison too
         raise ValueError("gamma must be positive")
     rate = float(n) ** (1.0 / (2.0 * gamma + 0.5))
     cap = float(n) ** 2 / math.log(n) ** 2
     top = max(int(min(rate, cap)), 1)
-    return fourier_collection(cutoffs=range(1, top + 1), c_m=c_m)
+    return fourier_collection(range(3, 2 * top + 2, 2))
 
 
 # Relative slack of check_sup_norm_control: for c1 = 1 the exact ratio is c1
@@ -588,7 +586,7 @@ def log_ratio(numerator: float, beta: float) -> float:
 
 def check_dimension_growth(collection: ModelCollection, n: int, beta: float) -> GrowthReport:
     """Check ``2 sqrt(d_top) ln(6 N / beta) / n <= c_m`` for the collection."""
-    if n < 2:
+    if not n >= 2:  # NaN fails this comparison too
         raise ValueError("need n >= 2")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")

@@ -66,13 +66,13 @@ class BoundConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.m2 <= 0 or self.m_inf <= 0:
-            raise ValueError("norm bounds must be positive")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if self.kappa_scale < 0:
-            raise ValueError("kappa_scale must be nonnegative")
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        for name in ("m2", "m_inf"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("eta", "kappa_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 def _deviation_level(cardinality: int, beta: float, prefactor: float) -> float:

@@ -45,9 +45,11 @@ from .experiments import (
     normalized_difference_experiment,
 )
 from .oracle import CosineTiltDensity, DensityOracle, HistogramDensity, UniformDensity
-from .weights import make_scheme
+from .weights import WeightKind
 
 DEFAULT_ALPHA_GRID = [round(0.5 + 0.05 * i, 2) for i in range(10)]
+# Collection family -> builder from the model dimensions.
+COLLECTIONS = {"histogram": histogram_collection, "fourier": fourier_collection}
 
 
 class ConfigError(Exception):
@@ -76,18 +78,13 @@ class Settings:
     input: str | None = None
     seed: int = DEFAULT_SEED
 
+    def bound_config(self) -> BoundConfig:
+        """The radius-bound parameters; :class:`BoundConfig` checks them."""
+        return BoundConfig(beta=self.beta, m2=self.m2, m_inf=self.m_inf, eta=self.eta, kappa_scale=self.kappa_scale)
+
     def validate(self) -> None:
-        reals = (self.beta, self.eta, self.m2, self.m_inf, self.kappa_scale)
-        if not all(np.isfinite(reals)):
-            raise ConfigError("beta, eta, m2, mInf and kappaScale must be finite")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError("beta must lie in (0, 1)")
-        if self.eta < 0:
-            raise ConfigError("eta must be nonnegative")
-        if self.m2 <= 0 or self.m_inf <= 0:
-            raise ConfigError("m2 and mInf must be positive")
-        if self.kappa_scale < 0:
-            raise ConfigError("kappaScale must be nonnegative")
+        self.bound_config()
+        WeightKind(self.weights_kind)
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.dm < 1 or self.nb < 1 or self.reps < 1:
@@ -200,9 +197,9 @@ def _json_object(text: str) -> dict:
 # collection.dims: collection_dims, --collection-dims).  A flag type that is a
 # tuple lists the flag's choices.  Config values are checked in row order.
 KEYS = (
-    ("collection.family", _string, ("histogram", "fourier"), "collection family"),
+    ("collection.family", _string, tuple(COLLECTIONS), "collection family"),
     ("collection.dims", _integers, _comma_list(int, "integer"), "comma-separated model dimensions"),
-    ("weights.kind", _string, ("efron", "rademacher"), "weight scheme"),
+    ("weights.kind", _string, tuple(kind.value for kind in WeightKind), "weight scheme"),
     ("oracle.kind", _string, ("uniform", "histogram", "cosine"), "simulation density"),
     ("oracle.params", _object, _json_object, "JSON oracle parameters"),
     ("beta", _number, float, "confidence parameter in (0, 1)"),
@@ -245,12 +242,10 @@ def settings_from_mapping(raw: dict) -> Settings:
 def build_collection(settings: Settings) -> ModelCollection:
     if not settings.collection_family or not settings.collection_dims:
         raise ConfigError("collection.family and collection.dims are required")
-    family = settings.collection_family.lower()
-    if family == "histogram":
-        return histogram_collection(settings.collection_dims)
-    if family == "fourier":
-        return fourier_collection(dims=settings.collection_dims)
-    raise ConfigError(f"unsupported collection family {settings.collection_family!r}")
+    build = COLLECTIONS.get(settings.collection_family.lower())
+    if build is None:
+        raise ConfigError(f"unsupported collection family {settings.collection_family!r}")
+    return build(settings.collection_dims)
 
 
 def build_oracle(settings: Settings) -> DensityOracle:
@@ -369,15 +364,7 @@ def run_ball(settings: Settings, out_path: str | None, fmt: str) -> int:
         raise ConfigError("ball needs an input sample file (input / --input)")
     sample = read_sample_file(settings.input)
     collection = build_collection(settings)
-    scheme = make_scheme(settings.weights_kind, sample.n)
-    config = BoundConfig(
-        beta=settings.beta,
-        m2=settings.m2,
-        m_inf=settings.m_inf,
-        eta=settings.eta,
-        kappa_scale=settings.kappa_scale,
-    )
-    doc = ball_to_doc(build_confidence_ball(sample, collection, scheme, config))
+    doc = ball_to_doc(build_confidence_ball(sample, collection, settings.bound_config()))
     if fmt == "doc":
         _write_text(out_path, json.dumps(doc, indent=2) + "\n")
     else:

@@ -36,14 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from ._quadrature import density_gram
-from .basis import Model
+from .basis import Model, check_unit_interval
 from .weights import WeightScheme, enumerate_weights
-
-
-def check_unit_interval(points: np.ndarray) -> None:
-    """Refuse points outside [0, 1], NaN included, with a ``ValueError``."""
-    if not np.all((points >= 0.0) & (points <= 1.0)):
-        raise ValueError("sample points must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ import numpy as np
 
 from .ball import order_statistic_rank
 from .basis import HistogramModel
-from .estimators import check_unit_interval
 from .oracle import DensityOracle
 from .weights import (
     CellWeightDrawer,
@@ -168,7 +167,6 @@ def _replication_blocks(
     for first in range(0, reps, drawer.samples):
         rngs = replication_rngs(seed, range(first, min(first + drawer.samples, reps)))
         points = np.stack([oracle.sample_points(n, rng) for rng in rngs])
-        check_unit_interval(points)
         cells = model.cell_index(points)
         counts = _cell_counts(cells, dim)
         stats = np.empty((len(rngs), n_draws))

@@ -59,8 +59,8 @@ class WeightScheme:
 def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
     """Build a scheme; the normalizer is analytic, ``n / (n - 1)`` here."""
     kind = WeightKind(kind)
-    if n < 2:
-        raise ValueError("resampling needs n >= 2")
+    if not n >= 2 or n % 1:  # NaN fails the first test, a fraction and inf the second
+        raise ValueError(f"resampling needs an integer n >= 2, got {n}")
     return WeightScheme(kind=kind, n=int(n), normalizer=n / (n - 1.0))
 
 

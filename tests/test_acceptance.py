@@ -185,8 +185,8 @@ def test_criterion_7_theoretical_ball_coverage():
     scenarios = [
         ("uniform/hist", db.UniformDensity(), db.histogram_collection([1, 2, 4, 8])),
         ("histogram/hist", db.HistogramDensity([1.5, 0.5]), db.histogram_collection([1, 2, 4, 8])),
-        ("cosine in-span", db.CosineTiltDensity(0.3, 2), db.fourier_collection(cutoffs=[0, 1, 2])),
-        ("cosine out-of-span", db.CosineTiltDensity(0.3, 3), db.fourier_collection(cutoffs=[0, 1, 2])),
+        ("cosine in-span", db.CosineTiltDensity(0.3, 2), db.fourier_collection([1, 3, 5])),
+        ("cosine out-of-span", db.CosineTiltDensity(0.3, 3), db.fourier_collection([1, 3, 5])),
     ]
     reps = 500
     n = 100
@@ -197,12 +197,11 @@ def test_criterion_7_theoretical_ball_coverage():
         cfg = db.BoundConfig(
             beta=0.1, m2=oracle.norm2, m_inf=oracle.norm_inf, eta=math.sqrt(residual)
         )
-        scheme = db.make_scheme("efron", n)
         truth = oracle.true_coefficients(collection.top)
         covered = 0
         for j in range(reps):
             sample = db.sample_from(oracle, n, replication_rng(321, j))
-            ball = db.build_confidence_ball(sample, collection, scheme, cfg)
+            ball = db.build_confidence_ball(sample, collection, cfg)
             covered += ball.contains(truth, residual_norm_sq=residual)
         rate = covered / reps
         ok &= rate >= 0.90
@@ -224,7 +223,7 @@ def test_criterion_8_pythagoras_identity():
     for case in range(100):
         oracle = _random_oracle(rng)
         if case % 2 == 0:
-            coll = db.fourier_collection(cutoffs=sorted(rng.choice(6, size=3, replace=False)))
+            coll = db.fourier_collection([2 * j + 1 for j in sorted(rng.choice(6, size=3, replace=False))])
         else:
             coll = db.histogram_collection([1, 2, 4, 8])
         sub = coll.models[int(rng.integers(0, len(coll) - 1))]

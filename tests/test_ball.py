@@ -40,7 +40,7 @@ CFG = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0)
 def test_single_model_collection():
     coll = histogram_collection([4])
     sample = sample_from(UniformDensity(), 30, replication_rng(1, 0))
-    ball = build_confidence_ball(sample, coll, make_scheme("efron", 30), CFG)
+    ball = build_confidence_ball(sample, coll, CFG)
     assert ball.selected_model == "histogram-4"
     assert len(ball.report) == 1
     assert ball.radius == ball.report[0].radius
@@ -61,12 +61,11 @@ def test_tie_break_prefers_smaller_dimension():
 
 def test_uniform_density_selects_the_constant_model():
     coll = histogram_collection([1, 2, 4, 8])
-    scheme = make_scheme("efron", 100)
     chosen_smallest = 0
     reps = 500
     for j in range(reps):
         sample = sample_from(UniformDensity(), 100, replication_rng(77, j))
-        ball = build_confidence_ball(sample, coll, scheme, CFG)
+        ball = build_confidence_ball(sample, coll, CFG)
         chosen_smallest += ball.selected_index == 0
     assert chosen_smallest / reps >= 0.95
 
@@ -74,7 +73,7 @@ def test_uniform_density_selects_the_constant_model():
 def test_contains_center_and_boundary():
     coll = histogram_collection([1, 2, 4])
     sample = sample_from(UniformDensity(), 40, replication_rng(2, 0))
-    ball = build_confidence_ball(sample, coll, make_scheme("efron", 40), CFG)
+    ball = build_confidence_ball(sample, coll, CFG)
     center_padded = np.zeros(ball.top_dim)
     center_padded[: ball.center.size] = ball.center
     assert ball.contains(center_padded)
@@ -93,7 +92,7 @@ def test_contains_center_and_boundary():
 def test_contains_with_residual_mass():
     coll = histogram_collection([1, 2])
     sample = sample_from(UniformDensity(), 40, replication_rng(3, 0))
-    ball = build_confidence_ball(sample, coll, make_scheme("efron", 40), CFG)
+    ball = build_confidence_ball(sample, coll, CFG)
     center_padded = np.zeros(ball.top_dim)
     center_padded[: ball.center.size] = ball.center
     r_sq = ball.radius**2
@@ -105,7 +104,7 @@ def test_contains_refuses_nan():
     # a NaN distance compares False with every radius, which would read as "outside the ball"
     coll = histogram_collection([1, 2])
     sample = sample_from(UniformDensity(), 40, replication_rng(3, 0))
-    ball = build_confidence_ball(sample, coll, make_scheme("efron", 40), CFG)
+    ball = build_confidence_ball(sample, coll, CFG)
     center_padded = np.zeros(ball.top_dim)
     center_padded[: ball.center.size] = ball.center
     with pytest.raises(ValueError, match="NaN"):
@@ -122,21 +121,19 @@ def test_a_standalone_first_level_gives_the_ball_of_its_chain():
     from densityball.basis import ModelCollection
 
     sample = sample_from(UniformDensity(), 60, replication_rng(4, 0))
-    scheme = make_scheme("efron", 60)
     mixed = ModelCollection([HistogramModel(2), HistogramModel(4, [2, 4])])
-    ball = build_confidence_ball(sample, mixed, scheme, CFG)
-    assert ball_to_doc(ball) == ball_to_doc(build_confidence_ball(sample, histogram_collection([2, 4]), scheme, CFG))
+    ball = build_confidence_ball(sample, mixed, CFG)
+    assert ball_to_doc(ball) == ball_to_doc(build_confidence_ball(sample, histogram_collection([2, 4]), CFG))
 
 
 def test_ball_determinism_and_doc_round_trip():
     import json
 
     coll = histogram_collection([1, 2, 4])
-    scheme = make_scheme("efron", 50)
     balls = []
     for _ in range(2):
         sample = sample_from(UniformDensity(), 50, replication_rng(9, 0))
-        balls.append(build_confidence_ball(sample, coll, scheme, CFG))
+        balls.append(build_confidence_ball(sample, coll, CFG))
     a, b = balls
     assert a.selected_model == b.selected_model
     assert a.radius == b.radius
@@ -156,16 +153,9 @@ def test_ball_determinism_and_doc_round_trip():
 def test_growth_flag_surfaces_without_blocking():
     coll = histogram_collection([1, 2, 4, 8, 16, 32, 64, 128, 256])
     sample = sample_from(UniformDensity(), 20, replication_rng(4, 0))
-    ball = build_confidence_ball(sample, coll, make_scheme("efron", 20), CFG)
+    ball = build_confidence_ball(sample, coll, CFG)
     assert not ball.growth_check_ok
     assert ball.radius > 0
-
-
-def test_scheme_size_must_match():
-    coll = histogram_collection([1, 2])
-    sample = sample_from(UniformDensity(), 20, replication_rng(5, 0))
-    with pytest.raises(ValueError):
-        build_confidence_ball(sample, coll, make_scheme("efron", 21), CFG)
 
 
 def test_order_statistic_rank_convention():
@@ -209,9 +199,9 @@ def test_resampled_quantile_validation():
 
 
 def test_fourier_collection_ball_runs():
-    coll = fourier_collection(cutoffs=[0, 1, 2])
+    coll = fourier_collection([1, 3, 5])
     sample = sample_from(UniformDensity(), 60, replication_rng(10, 0))
-    ball = build_confidence_ball(sample, coll, make_scheme("rademacher", 60), CFG)
+    ball = build_confidence_ball(sample, coll, CFG)
     assert ball.top_dim == 5
     assert math.isfinite(ball.radius)
     assert len(ball.report) == 3
@@ -236,7 +226,7 @@ def test_one_pass_matches_per_model_references(family, size):
     n = 2 * (CHUNK_ENTRIES // top.dim) + 7 if size == "three-chunks" else size
     sample = Sample(np.random.default_rng(n).beta(2.0, 5.0, n))
     cfg = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0, eta=0.05, kappa_scale=1e-3)
-    ball = build_confidence_ball(sample, coll, make_scheme("efron", n), cfg)
+    ball = build_confidence_ball(sample, coll, cfg)
 
     psi = top.basis_matrix(sample.points)
     sums = psi.sum(axis=1)
@@ -299,7 +289,7 @@ def test_ball_rows_are_the_per_model_views(family, levels, degree, points):
     top = coll.top
     sample = Sample(np.array(points))
     n = sample.n
-    ball = build_confidence_ball(sample, coll, make_scheme("efron", n), CFG)
+    ball = build_confidence_ball(sample, coll, CFG)
 
     psi = top.basis_matrix(sample.points)
     sums = psi.sum(axis=1)
@@ -323,9 +313,7 @@ def test_one_pass_accuracy_on_a_long_histogram_chain():
     dims = [2**k for k in range(11)]
     n = 100_000
     points = np.random.default_rng(1024).beta(2.0, 5.0, n)
-    ball = build_confidence_ball(
-        Sample(points), histogram_collection(dims), make_scheme("efron", n), CFG
-    )
+    ball = build_confidence_ball(Sample(points), histogram_collection(dims), CFG)
     norms = {}  # Q_d = sum_l (sum_i psi_l(X_i))^2 = d sum_k c_k^2 over the d-cell grid
     for d in dims:
         counts = np.bincount(np.minimum((points * d).astype(int), d - 1), minlength=d)
@@ -390,10 +378,9 @@ def test_histogram_ball_is_invariant_under_permutation(data):
     # the ball depends on the sample through integer cell counts only
     chain, points, order = data
     coll = histogram_collection(chain)
-    scheme = make_scheme("efron", points.size)
     cfg = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0, eta=0.05, kappa_scale=1e-3)
-    ball = build_confidence_ball(Sample(points), coll, scheme, cfg)
-    shuffled = build_confidence_ball(Sample(points[order]), coll, scheme, cfg)
+    ball = build_confidence_ball(Sample(points), coll, cfg)
+    shuffled = build_confidence_ball(Sample(points[order]), coll, cfg)
     assert ball_to_doc(shuffled) == ball_to_doc(ball)
 
 
@@ -441,13 +428,12 @@ def test_fourier_power_sums_match_the_basis_matrix_at_cutoff_1000():
 )
 def test_fourier_ball_is_invariant_under_permutation(cutoffs, n, kappa_scale, data):
     # the sums change only in their summation order, so within rounding
-    coll = fourier_collection(cutoffs=cutoffs)
+    coll = fourier_collection([2 * j + 1 for j in cutoffs])
     points = data.draw(fourier_points(max(cutoffs), n))
     order = np.array(data.draw(st.permutations(range(n))))
-    scheme = make_scheme("efron", n)
     cfg = BoundConfig(beta=0.1, m2=2.0, m_inf=2.0, eta=0.05, kappa_scale=kappa_scale)
-    ball = build_confidence_ball(Sample(points), coll, scheme, cfg)
-    shuffled = build_confidence_ball(Sample(points[order]), coll, scheme, cfg)
+    ball = build_confidence_ball(Sample(points), coll, cfg)
+    shuffled = build_confidence_ball(Sample(points[order]), coll, cfg)
     assert shuffled.selected_index == ball.selected_index
 
     sums, squares = coll.top.basis_sums(points)
@@ -473,7 +459,7 @@ def ball_inputs(draw):
 def _ball_at(inputs, beta):
     coll, sample, kappa_scale, eta = inputs
     cfg = BoundConfig(beta=beta, m2=2.0, m_inf=2.0, eta=eta, kappa_scale=kappa_scale)
-    return build_confidence_ball(sample, coll, make_scheme("efron", sample.n), cfg)
+    return build_confidence_ball(sample, coll, cfg)
 
 
 BETAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)

@@ -93,7 +93,7 @@ def test_fourier_pointwise_identity():
     [
         histogram_collection([1, 2, 4, 8]),
         histogram_collection([3, 6, 12]),
-        fourier_collection(cutoffs=[0, 1, 3]),
+        fourier_collection([1, 3, 7]),
         piecewise_polynomial_collection([1, 2, 6], 2),
     ],
     ids=["hist-dyadic", "hist-triadic", "fourier", "poly"],
@@ -161,7 +161,6 @@ def test_histogram_chain_requires_divisors():
 def test_collection_counts():
     coll = histogram_collection([1, 2, 4])
     assert coll.cardinality == 3
-    assert coll.top_index == 2
     assert coll.top.dim == 4
     assert coll.c1 == 1.0
 
@@ -307,6 +306,36 @@ def test_sobolev_collection_sizing():
         fourier_collection_for_sobolev(2, 1.0)
     with pytest.raises(ValueError):
         fourier_collection_for_sobolev(100, 0.0)
+
+
+def test_dimension_growth_refuses_a_nan_sample_size():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        check_dimension_growth(histogram_collection([1, 2]), math.nan, 0.1)
+
+
+def test_sobolev_collection_refuses_a_nan_smoothness():
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        fourier_collection_for_sobolev(100, math.nan)
+
+
+OUTSIDE_MODELS = {
+    "histogram": lambda: HistogramModel(4, [2, 4]),
+    "fourier": lambda: FourierModel(2),
+    "piecewise-polynomial": lambda: PiecewisePolynomialModel(4, 2, [2, 4]),
+}
+
+
+@pytest.mark.parametrize("point", [-0.5, 1.5, math.nan])
+@pytest.mark.parametrize("family", list(OUTSIDE_MODELS))
+def test_every_family_refuses_points_outside_the_unit_interval(family, point):
+    # a histogram cell index would wrap (-0.5 in cell 2) or clip (1.5 in cell 3)
+    model = OUTSIDE_MODELS[family]()
+    methods = [model.basis_matrix, model.basis_sums]
+    if family == "histogram":
+        methods.append(model.cell_index)
+    for method in methods:
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            method([0.25, point])
 
 
 def test_fourier_from_dim_rejects_even():

@@ -500,6 +500,55 @@ def test_non_finite_flags_rejected(sample_file, capsys, flag, value):
     assert "finite" in capsys.readouterr().err
 
 
+# One out-of-range value per bound: config key, value and the BoundConfig field it sets.
+BAD_BOUNDS = [
+    ("beta", 1.5, "beta"),
+    ("eta", -1, "eta"),
+    ("m2", 0, "m2"),
+    ("mInf", 0, "m_inf"),
+    ("kappaScale", -1, "kappa_scale"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value,name", BAD_BOUNDS)
+def test_an_out_of_range_bound_exits_2_naming_its_field(sample_file, tmp_path, capsys, key, value, name, source):
+    # BoundConfig is the one place the bound rules are written, for the library and the CLI
+    argv = ["ball", "--input", sample_file, "--collection-family", "histogram", "--collection-dims", "1,2"]
+    if source == "flag":
+        argv.append(f"{KEY_EXAMPLES[key][1]}={value}")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family,dims", [("histogram", "1,2,4,8,16"), ("fourier", "1,3,5,7,9")])
+def test_the_ball_does_not_depend_on_the_weight_kind(sample_file, tmp_path, family, dims):
+    # the variance estimate is the closed form, the same for every exchangeable scheme
+    argv = ["ball", "--input", sample_file, "--collection-family", family, "--collection-dims", dims]
+    docs = []
+    for kind in ("efron", "rademacher"):
+        out = tmp_path / f"{kind}.json"
+        assert main(argv + ["--weights-kind", kind, "--format", "doc", "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("command", ["ball", "simulate-pw", "coverage", "check-assumptions"])
+def test_an_unknown_weight_kind_in_a_config_exits_2(sample_file, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weights": {"kind": "x"}, "collection": {"family": "histogram", "dims": [1, 2]}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--input", sample_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,setting", [(["--eta", "1e200"], "eta"), (["--kappa-scale", "1e308"], "kappa_scale")])
 def test_radius_overflow_exits_2_naming_the_setting(sample_file, tmp_path, capsys, flags, setting):
     out = tmp_path / "ball.json"
@@ -742,7 +791,9 @@ def test_import_loads_numpy_random_only_if_numpy_does():
         "import sys, numpy; before = 'numpy.random' in sys.modules; import densityball.cli; "
         "print(before, 'numpy.random' in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=False)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=False
+    )
     assert proc.returncode == 0, proc.stderr
     before, after = proc.stdout.split()
     assert after == before

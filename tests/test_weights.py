@@ -32,6 +32,13 @@ def test_make_scheme_rejects_tiny_n():
         make_scheme("efron", 1)
 
 
+@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")])
+def test_make_scheme_rejects_a_size_that_is_not_an_integer(n):
+    # int(2.5) would give n = 2 with the normalizer of n = 2.5
+    with pytest.raises(ValueError, match="integer n >= 2"):
+        make_scheme("efron", n)
+
+
 def test_efron_normalizer_against_monte_carlo():
     # Var(W_1 - mean W) = Var(W_1) for multinomial weights; 1e6 draws
     scheme = make_scheme("efron", 10)
