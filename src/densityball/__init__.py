@@ -12,8 +12,6 @@ from .ball import (
     ball_from_doc,
     ball_to_doc,
     build_confidence_ball,
-    order_statistic_rank,
-    resampled_quantile_radius,
     select_model_index,
 )
 from .basis import (
@@ -40,7 +38,6 @@ from .bounds import (
     variance_deviation_constant,
 )
 from .estimators import (
-    ProjectionEstimate,
     Sample,
     centered_u_statistic,
     max_unit_variance,
@@ -57,6 +54,7 @@ from .experiments import (
     NormalizedDifferenceResult,
     coverage_experiment,
     normalized_difference_experiment,
+    order_statistic_rank,
 )
 from .oracle import (
     CosineTiltDensity,
@@ -66,7 +64,6 @@ from .oracle import (
     residual_norm_sq,
     sample_from,
     true_bias_sq,
-    true_coefficient,
 )
 from .weights import (
     WeightKind,
@@ -77,7 +74,7 @@ from .weights import (
     sample_weights_batch,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BoundConfig",
@@ -94,7 +91,6 @@ __all__ = [
     "ModelRadius",
     "NormalizedDifferenceResult",
     "PiecewisePolynomialModel",
-    "ProjectionEstimate",
     "RadiusReport",
     "Sample",
     "SupNormReport",
@@ -123,7 +119,6 @@ __all__ = [
     "projection_bias_estimate",
     "projection_error_sq",
     "replication_rng",
-    "resampled_quantile_radius",
     "resampling_statistics",
     "resampling_variance",
     "resampling_variance_enumerated",
@@ -132,7 +127,6 @@ __all__ = [
     "sample_weights_batch",
     "select_model_index",
     "true_bias_sq",
-    "true_coefficient",
     "unit_ball_sup_norm",
     "variance_deviation_constant",
 ]

@@ -57,12 +57,6 @@ def nodes_for(model, oracle=None, order: int = 12) -> tuple[np.ndarray, np.ndarr
     return piecewise_nodes(bps, order)
 
 
-def gram_matrix(model, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quadrature Gram matrix of the basis under Lebesgue measure."""
-    psi = model.basis_matrix(x)
-    return (psi * w) @ psi.T
-
-
 def density_gram(model, oracle) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and first moments of the basis against a density.
 

@@ -10,30 +10,28 @@ or, for histograms, from per-level cell counts.
 model's resampling variance (prefix sums) and nested-bias U-statistic
 (suffix sums), the same function the per-model estimators are views of,
 and ``S[:d] / n`` is the projection estimator of the model of dimension
-``d``.  Building a ball takes no weight scheme (see
-:func:`build_confidence_ball`); only :func:`resampled_quantile_radius`
-draws weights.  The bounds of all models are then evaluated together; the
-ball is centered at the projection estimator of the model with the smallest
-radius (ties go to the smallest dimension).  Membership is evaluated in the
-coefficient space of the collection's top model, with an optional
-quadrature term for candidates that have mass outside the top model.
+``d``.  Building a ball takes no weight scheme and draws no weights (see
+:func:`build_confidence_ball`).  The bounds of all models are then
+evaluated together; the ball is centered at the projection estimator of the
+model with the smallest radius (ties go to the smallest dimension).
+Membership is evaluated in the coefficient space of the collection's top
+model, with an optional quadrature term for candidates that have mass
+outside the top model.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .basis import Model, ModelCollection, check_dimension_growth
+from .basis import ModelCollection, check_dimension_growth
 from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, variance_bounds
 # resampling_variance stays importable from here: perfbench's tests look it up
 # in this namespace.  The ball itself does not call it.
 from .estimators import resampling_variance  # noqa: F401
-from .estimators import Sample, prefix_estimates, resampling_statistics
-from .weights import WeightScheme, sample_weights_batch
+from .estimators import Sample, prefix_estimates
 
 # The per-model columns of a report and the type of their values, in field
 # order: the one schema of the report rows, the ball document and the CSV table.
@@ -63,10 +61,6 @@ class ConfidenceBall:
         center = np.asarray(self.center, dtype=float).copy()
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
 
     def contains(self, coefficients: Sequence[float], residual_norm_sq: float = 0.0) -> bool:
         """Closed-ball membership for a candidate in top-model coordinates.
@@ -140,40 +134,6 @@ def build_confidence_ball(sample: Sample, collection: ModelCollection, config: B
         growth_check_ok=growth.holds,
         report=rows,
     )
-
-
-def order_statistic_rank(level: float, count: int) -> int:
-    """Rank ``ceil(level * count)`` in 1..count, robust to float fuzz."""
-    t = level * count
-    nearest = round(t)
-    if abs(t - nearest) < 1e-9:
-        t = nearest
-    return min(max(int(math.ceil(t)), 1), count)
-
-
-def resampled_quantile_radius(
-    sample: Sample,
-    model: Model,
-    scheme: WeightScheme,
-    alpha: float,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical (1 - alpha) quantile of the reweighted squared statistic.
-
-    Draws ``n_draws`` weight vectors, computes the normalized reweighted
-    statistic for each, and returns the order statistic of rank
-    ``ceil((1 - alpha) n_draws)``; ``alpha -> 0`` gives the largest draw.
-    This is the squared-radius threshold used by the empirical coverage
-    experiment.
-    """
-    if n_draws < 100:
-        raise ValueError("need at least 100 draws for a stable quantile")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    draws = sample_weights_batch(scheme, n_draws, rng)
-    stats = np.sort(resampling_statistics(sample, model, scheme, draws))
-    return float(stats[order_statistic_rank(1.0 - alpha, n_draws) - 1])
 
 
 def ball_to_doc(ball: ConfidenceBall) -> dict:

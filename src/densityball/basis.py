@@ -477,10 +477,6 @@ class ModelCollection:
     def top(self) -> Model:
         return self.models[-1]
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.models)
-
     def __iter__(self):
         return iter(self.models)
 
@@ -591,5 +587,5 @@ def check_dimension_growth(collection: ModelCollection, n: int, beta: float) -> 
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     d_top = collection.top.dim
-    value = 2.0 * math.sqrt(d_top) * log_ratio(6.0 * collection.cardinality, beta) / n
+    value = 2.0 * math.sqrt(d_top) * log_ratio(6.0 * len(collection), beta) / n
     return GrowthReport(value=value, bound=collection.c_m, holds=value <= collection.c_m)

@@ -34,16 +34,17 @@ def variance_deviation_constant(c1: float, c3: float) -> float:
     return 2040.0 * c1 * max(1.0, c1, 1.5 * c1 * c3)
 
 
-def bias_deviation_constant(epsilon: float, c1: float, c3: float) -> float:
-    """Explicit constant of the bias deviation term at trade-off ``epsilon``."""
-    if not 0.0 < epsilon < 1.0:
+def bias_deviation_constant(epsilon: float | np.ndarray, c1: float, c3: float) -> float | np.ndarray:
+    """Explicit constant of the bias deviation term at trade-off ``epsilon``.
+
+    ``epsilon`` is a number, giving a float, or an array, giving the
+    constant at each of its entries; every entry must lie in (0, 1).
+    """
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all((eps > 0.0) & (eps < 1.0)):  # NaN fails these comparisons too
         raise ValueError("epsilon must lie in (0, 1)")
-    return variance_deviation_constant(c1, c3) + (2.0 / epsilon) * _bias_factor(c1, c3)
-
-
-def _bias_factor(c1: float, c3: float) -> float:
-    """The factor of ``2 / epsilon`` in :func:`bias_deviation_constant`."""
-    return max(2.0, 2.0 * c1, c3 * c1 * c1 / 9.0)
+    kappa = variance_deviation_constant(c1, c3) + (2.0 / eps) * max(2.0, 2.0 * c1, c3 * c1 * c1 / 9.0)
+    return float(kappa) if eps.ndim == 0 else kappa
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def variance_bounds(
     if np.any(estimates < 0):
         raise ValueError("the variance estimate is nonnegative by construction")
     d = np.asarray(dims, dtype=float)
-    x = _deviation_level(collection.cardinality, config.beta, 2.0)
+    x = _deviation_level(len(collection), config.beta, 2.0)
     kappa = variance_deviation_constant(collection.c1, collection.c_m)
     root_d = np.sqrt(d)
     # an overflow gives inf: in m2 * sqrt(d) the minimum discards it, and a
@@ -120,13 +121,11 @@ def bias_bounds(
     estimate.  Negative estimates are allowed in the numerator.
     """
     d_top = collection.top.dim
-    x = _deviation_level(collection.cardinality, config.beta, 6.0)
+    x = _deviation_level(len(collection), config.beta, 6.0)
     norm_part = 1.0 + math.sqrt(min(config.m_inf, config.m2 * math.sqrt(d_top)))
     base = config.kappa_scale * norm_part * math.sqrt(d_top) * x / n
     eps = np.array(EPSILON_GRID)
-    # bias_deviation_constant over the grid, with the same roundings
-    c1, c3 = collection.c1, collection.c_m
-    kappa = variance_deviation_constant(c1, c3) + (2.0 / eps) * _bias_factor(c1, c3)
+    kappa = bias_deviation_constant(eps, collection.c1, collection.c_m)
     estimates = np.asarray(bias_estimates, dtype=float)
     with np.errstate(over="ignore"):  # a deviation term that overflows is refused by radii
         return np.min((estimates[:, None] + kappa * base) / (1.0 - eps), axis=1)

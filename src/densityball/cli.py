@@ -171,15 +171,28 @@ def _integers(value, where: str) -> list[int]:
     return _numbers(value, where, integral=True)
 
 
+def _decimal(cast):
+    """``cast`` refusing the digit separators and non-ASCII digits that ``int`` and ``float`` take."""
+
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return cast(text)
+
+    parse.__name__ = cast.__name__  # argparse names the type in its message
+    return parse
+
+
+_INT, _FLOAT = _decimal(int), _decimal(float)
+
+
 def _comma_list(cast, name: str):
     """Flag type for a comma-separated list of ``cast`` values; blank items are skipped."""
 
     def parse(text: str) -> list:
-        try:
-            return [cast(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse {name} list {text!r}") from exc
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
 
+    parse.__name__ = f"{name} list"  # argparse names the type in its message
     return parse
 
 
@@ -198,22 +211,22 @@ def _json_object(text: str) -> dict:
 # tuple lists the flag's choices.  Config values are checked in row order.
 KEYS = (
     ("collection.family", _string, tuple(COLLECTIONS), "collection family"),
-    ("collection.dims", _integers, _comma_list(int, "integer"), "comma-separated model dimensions"),
+    ("collection.dims", _integers, _comma_list(_INT, "integer"), "comma-separated model dimensions"),
     ("weights.kind", _string, tuple(kind.value for kind in WeightKind), "weight scheme"),
     ("oracle.kind", _string, ("uniform", "histogram", "cosine"), "simulation density"),
     ("oracle.params", _object, _json_object, "JSON oracle parameters"),
-    ("beta", _number, float, "confidence parameter in (0, 1)"),
-    ("eta", _number, float, "out-of-span radius"),
-    ("m2", _number, float, "L2-norm bound on the density"),
-    ("mInf", _number, float, "sup-norm bound on the density"),
-    ("kappaScale", _number, float, "constant multiplier"),
-    ("n", _integer, int, "sample size"),
-    ("dm", _integer, int, "model dimension for the experiments"),
-    ("nb", _integer, int, "weight draws per replication"),
-    ("reps", _integer, int, "number of replications"),
-    ("seed", _integer, int, "master seed for all randomness"),
+    ("beta", _number, _FLOAT, "confidence parameter in (0, 1)"),
+    ("eta", _number, _FLOAT, "out-of-span radius"),
+    ("m2", _number, _FLOAT, "L2-norm bound on the density"),
+    ("mInf", _number, _FLOAT, "sup-norm bound on the density"),
+    ("kappaScale", _number, _FLOAT, "constant multiplier"),
+    ("n", _integer, _INT, "sample size"),
+    ("dm", _integer, _INT, "model dimension for the experiments"),
+    ("nb", _integer, _INT, "weight draws per replication"),
+    ("reps", _integer, _INT, "number of replications"),
+    ("seed", _integer, _INT, "master seed for all randomness"),
     ("input", _string, str, "sample file (one value per line)"),
-    ("alphaGrid", _numbers, _comma_list(float, "float"), "comma-separated alpha levels"),
+    ("alphaGrid", _numbers, _comma_list(_FLOAT, "float"), "comma-separated alpha levels"),
 )
 
 
@@ -304,9 +317,7 @@ def read_sample_file(path: str) -> Sample:
         if not token:
             continue
         try:
-            if not token.isascii() or "_" in token:  # float takes digit separators and non-ASCII digits
-                raise ValueError
-            value = float(token)
+            value = _FLOAT(token)
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: not a decimal real: {token!r}") from exc
         if not 0.0 <= value <= 1.0:
@@ -470,10 +481,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one line, like any other ConfigError
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use; ``parse_args`` leaves it unchanged, so calls share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="densityball",
         description="Adaptive confidence balls for densities on [0, 1].",
     )
@@ -502,7 +518,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
 def main(argv: list[str] | None = None) -> int:
     settings = Settings()
     try:
-        # flag types raise ConfigError, which argparse passes through
+        # _Parser.error and the flag types raise ConfigError, which argparse passes through
         args = build_parser().parse_args(argv)
         settings = resolve_settings(args)
         settings.validate()

@@ -61,28 +61,15 @@ class Sample:
         return self.points.size
 
 
-@dataclass(frozen=True)
-class ProjectionEstimate:
-    """Basis coefficients of the projection estimator on one model."""
-
-    model: Model
-    coefficients: np.ndarray
-
-
-def project(sample: Sample, model: Model) -> ProjectionEstimate:
+def project(sample: Sample, model: Model) -> np.ndarray:
     """Projection estimator: coefficient ``l`` is ``mean_i psi_l(X_i)``.
 
     Equivalently the minimizer of ``||t||^2 - 2 mean_i t(X_i)`` over the
-    model.
+    model.  The coefficients come back as a read-only array.
     """
     coeffs = model.basis_sums(sample.points)[0] / sample.n
     coeffs.flags.writeable = False
-    return ProjectionEstimate(model=model, coefficients=coeffs)
-
-
-def _check_scheme(sample: Sample, scheme: WeightScheme) -> None:
-    if scheme.n != sample.n:
-        raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
+    return coeffs
 
 
 def prefix_estimates(
@@ -132,7 +119,8 @@ def resampling_statistics(
     with entries ``normalizer * sum_l ((1/n) sum_i (W_i - mean W) psi_l(X_i))^2``.
     The basis is evaluated chunk by chunk of points.
     """
-    _check_scheme(sample, scheme)
+    if scheme.n != sample.n:
+        raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     if w.shape[1] != sample.n:
         raise ValueError("weight vectors must have length n")
@@ -192,7 +180,7 @@ def projection_error_sq(sample: Sample, model: Model, oracle) -> float:
     ``sum_l (mean_i psi_l(X_i) - E psi_l(X))^2``, computable exactly when an
     oracle supplies the true coefficients.
     """
-    est = project(sample, model).coefficients
+    est = project(sample, model)
     true = np.asarray(oracle.true_coefficients(model), dtype=float)
     diff = est - true
     return float(diff @ diff)

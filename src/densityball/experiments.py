@@ -54,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import order_statistic_rank
 from .basis import HistogramModel
 from .oracle import DensityOracle
 from .weights import (
@@ -142,6 +141,15 @@ def _cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
     rows = cells.shape[0]
     shifted = cells + n_cells * np.arange(rows)[:, None]
     return np.bincount(shifted.ravel(), minlength=rows * n_cells).reshape(rows, n_cells)
+
+
+def order_statistic_rank(level: float, count: int) -> int:
+    """Rank ``ceil(level * count)`` in 1..count, robust to float fuzz."""
+    t = level * count
+    nearest = round(t)
+    if abs(t - nearest) < 1e-9:
+        t = nearest
+    return min(max(int(math.ceil(t)), 1), count)
 
 
 def _check_reps(reps: int) -> None:

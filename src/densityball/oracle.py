@@ -29,7 +29,6 @@ from .estimators import Sample
 class DensityOracle:
     """A density on [0, 1] with exact norms, CDF, and basis moments."""
 
-    kind: str
     norm2: float
     norm_inf: float
 
@@ -83,13 +82,6 @@ class DensityOracle:
         raise TypeError(f"no exact coefficients for model type {type(model).__name__}")
 
 
-def true_coefficient(oracle: DensityOracle, model: Model, index: int) -> float:
-    """Exact coefficient ``E psi_index(X)`` of one basis function."""
-    if not 0 <= index < model.dim:
-        raise IndexError(f"basis index {index} out of range [0, {model.dim})")
-    return float(oracle.true_coefficients(model)[index])
-
-
 def true_bias_sq(oracle: DensityOracle, sub_model: Model, top_model: Model) -> float:
     """Exact squared bias between the projections onto two nested models."""
     if not sub_model.shares_prefix_with(top_model):
@@ -116,7 +108,6 @@ def sample_from(oracle: DensityOracle, n: int, rng: np.random.Generator) -> Samp
 class UniformDensity(DensityOracle):
     """The uniform density on [0, 1]."""
 
-    kind = "uniform"
     norm2 = 1.0
     norm_inf = 1.0
 
@@ -154,8 +145,6 @@ class HistogramDensity(DensityOracle):
     ``cell_values`` are the density values; they must be nonnegative with
     mean 1 so the density integrates to 1 exactly.
     """
-
-    kind = "histogram"
 
     def __init__(self, cell_values):
         values = np.asarray(cell_values, dtype=float)
@@ -228,8 +217,6 @@ class CosineTiltDensity(DensityOracle):
     Exactly one trigonometric coefficient is nonzero, which makes this the
     natural stress case for Fourier models.
     """
-
-    kind = "cosine"
 
     def __init__(self, amplitude: float, frequency: int):
         if not (math.isfinite(amplitude) and math.isfinite(frequency)):

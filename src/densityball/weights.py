@@ -59,8 +59,9 @@ class WeightScheme:
 def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
     """Build a scheme; the normalizer is analytic, ``n / (n - 1)`` here."""
     kind = WeightKind(kind)
-    if not n >= 2 or n % 1:  # NaN fails the first test, a fraction and inf the second
-        raise ValueError(f"resampling needs an integer n >= 2, got {n}")
+    # NaN and inf fail the first test, a fraction the second; the drawers size their arrays by n
+    if not 2 <= n <= np.iinfo(np.intp).max or n % 1:
+        raise ValueError(f"resampling needs an integer n >= 2 within the array index range, got {n}")
     return WeightScheme(kind=kind, n=int(n), normalizer=n / (n - 1.0))
 
 

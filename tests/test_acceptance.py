@@ -231,7 +231,7 @@ def test_criterion_8_pythagoras_identity():
         sample = db.sample_from(oracle, int(rng.integers(2, 40)), rng)
 
         truth_top = oracle.true_coefficients(top)
-        estimate = db.project(sample, sub).coefficients
+        estimate = db.project(sample, sub)
         truth_sub = truth_top[: sub.dim]
         # left side via exact norms: ||s - est||^2 expanded in coefficients
         total = (

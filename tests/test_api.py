@@ -1,11 +1,18 @@
 """Tests for the public names of the package."""
 
+import ast
 import inspect
+import math
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import densityball
-from densityball import basis, estimators, weights
+from densityball import _quadrature, ball, basis, bounds, estimators, experiments, oracle, weights
+
+SRC = Path(densityball.__file__).resolve().parent
 
 
 def test_all_names_are_unique_and_resolve():
@@ -51,6 +58,75 @@ def test_construction_takes_only_what_callers_vary():
         assert list(inspect.signature(function).parameters) == names, function.__name__
     assert densityball.ModelCollection.c_m == 4.0
     assert not hasattr(densityball.ModelCollection, "top_index")
+
+
+def test_names_no_caller_needs_are_gone():
+    # since 0.8.0: a resampled quantile is an order statistic of resampling_statistics, project returns its
+    # array, a coefficient is an entry of true_coefficients, and len(collection) counts the models
+    removed = {
+        "resampled_quantile_radius": ball,
+        "ProjectionEstimate": estimators,
+        "true_coefficient": oracle,
+        "gram_matrix": _quadrature,
+        "_bias_factor": bounds,
+    }
+    assert not any(hasattr(owner, name) for name, owner in removed.items())
+    assert set(removed).isdisjoint(densityball.__all__)
+    # the rank convention moved to its one caller
+    assert not hasattr(ball, "order_statistic_rank")
+    assert densityball.order_statistic_rank is experiments.order_statistic_rank
+    assert len(densityball.__all__) == 52
+    assert not hasattr(basis.ModelCollection, "cardinality")
+    assert not hasattr(ball.ConfidenceBall, "diameter")
+    for cls in (oracle.DensityOracle, *oracle.DensityOracle.__subclasses__()):
+        assert not hasattr(cls, "kind") and "kind" not in vars(cls).get("__annotations__", {}), cls.__name__
+    coefficients = estimators.project(estimators.Sample([0.1, 0.2, 0.7]), basis.HistogramModel(2))
+    assert isinstance(coefficients, np.ndarray) and not coefficients.flags.writeable
+
+
+def test_the_ball_binds_nothing_from_weights():
+    tree = ast.parse((SRC / "ball.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "weights" not in imported
+    assert [name for name, value in vars(ball).items() if getattr(value, "__module__", None) == weights.__name__] == []
+
+
+def test_bias_deviation_constant_takes_an_array_of_epsilons():
+    grid = np.array(bounds.EPSILON_GRID)
+    for c1, c3 in ((1.0, 4.0), (math.sqrt(2.0), 4.0), (3.0, 7.5)):
+        scalars = [bounds.bias_deviation_constant(eps, c1, c3) for eps in bounds.EPSILON_GRID]
+        assert all(type(value) is float for value in scalars)
+        assert bounds.bias_deviation_constant(grid, c1, c3).tolist() == scalars
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            bounds.bias_deviation_constant(np.append(grid, bad), 1.0, 4.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            bounds.bias_deviation_constant(bad, 1.0, 4.0)
+
+
+def _module_level_definitions():
+    """(module, name, first line, last line) of each module-level function and class in the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.stem, node.name, node.lineno, node.end_lineno
+
+
+def test_every_module_level_name_is_exported_or_used():
+    # a reference is a Name or an Attribute anywhere in the package outside the name's own definition
+    references = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                references.append((path.stem, name, node.lineno))
+    dead = [
+        f"{module}.{name}"
+        for module, name, first, last in _module_level_definitions()
+        if name not in densityball.__all__
+        and not any(n == name and not (m == module and first <= line <= last) for m, n, line in references)
+    ]
+    assert dead == []
 
 
 def test_no_line_is_longer_than_120_characters():

@@ -12,8 +12,6 @@ from densityball.ball import (
     ball_from_doc,
     ball_to_doc,
     build_confidence_ball,
-    order_statistic_rank,
-    resampled_quantile_radius,
     select_model_index,
 )
 from densityball.basis import (
@@ -28,6 +26,7 @@ from densityball.basis import (
 from densityball.bounds import EPSILON_GRID, BoundConfig, bias_deviation_constant, variance_deviation_constant
 from densityball import estimators
 from densityball.estimators import Sample, project, resampling_statistics
+from densityball.experiments import order_statistic_rank
 from densityball.oracle import UniformDensity, sample_from
 from densityball.weights import make_scheme, replication_rng, sample_weights_batch
 
@@ -165,39 +164,6 @@ def test_order_statistic_rank_convention():
     assert order_statistic_rank(1e-12, 50) == 1
 
 
-def test_resampled_quantile_degenerate_sample():
-    sample = Sample(np.full(20, 0.4))
-    model = HistogramModel(5)
-    scheme = make_scheme("efron", 20)
-    for alpha in (0.05, 0.5, 0.9):
-        q = resampled_quantile_radius(sample, model, scheme, alpha, 200, replication_rng(6, 0))
-        assert q == 0.0
-
-
-def test_resampled_quantile_matches_manual_rank():
-    sample = sample_from(UniformDensity(), 25, replication_rng(7, 0))
-    model = HistogramModel(5)
-    scheme = make_scheme("efron", 25)
-    n_draws = 400
-    got = resampled_quantile_radius(sample, model, scheme, 0.3, n_draws, replication_rng(7, 1))
-    draws = sample_weights_batch(scheme, n_draws, replication_rng(7, 1))
-    stats = np.sort(resampling_statistics(sample, model, scheme, draws))
-    assert got == stats[order_statistic_rank(0.7, n_draws) - 1]
-    # alpha near zero returns the largest draw
-    top = resampled_quantile_radius(sample, model, scheme, 1e-9, n_draws, replication_rng(7, 1))
-    assert top == stats[-1]
-
-
-def test_resampled_quantile_validation():
-    sample = sample_from(UniformDensity(), 25, replication_rng(8, 0))
-    model = HistogramModel(5)
-    scheme = make_scheme("efron", 25)
-    with pytest.raises(ValueError):
-        resampled_quantile_radius(sample, model, scheme, 0.5, 50, replication_rng(8, 1))
-    with pytest.raises(ValueError):
-        resampled_quantile_radius(sample, model, scheme, 1.5, 200, replication_rng(8, 1))
-
-
 def test_fourier_collection_ball_runs():
     coll = fourier_collection([1, 3, 5])
     sample = sample_from(UniformDensity(), 60, replication_rng(10, 0))
@@ -262,7 +228,7 @@ def test_one_pass_matches_per_model_references(family, size):
         assert row.clamped == (row.radius_sq < 0.0)
         assert row.radius == math.sqrt(max(row.radius_sq, 0.0))
 
-    center = project(sample, coll.models[ball.selected_index]).coefficients
+    center = project(sample, coll.models[ball.selected_index])
     np.testing.assert_allclose(ball.center, center, rtol=0, atol=1e-12 * np.abs(center).max())
 
 

@@ -83,7 +83,7 @@ def test_bias_bound_zero_estimate_grid_minimum():
     n = 100
     got = bias_bounds(np.array([0.0]), collection, cfg, n)[0]
     d_top = collection.top.dim
-    level = max(2.0 * math.log(6.0 * collection.cardinality / cfg.beta), 2.0)
+    level = max(2.0 * math.log(6.0 * len(collection) / cfg.beta), 2.0)
     base = (1.0 + math.sqrt(min(cfg.m_inf, cfg.m2 * math.sqrt(d_top)))) * math.sqrt(d_top) * level / n
     values = [
         bias_deviation_constant(eps, 1.0, collection.c_m) * base / (1.0 - eps)
@@ -106,7 +106,7 @@ def test_bias_bounds_equal_the_per_epsilon_constants(collection, kappa_scale, be
     n = 4000
     estimates = np.random.default_rng(7).normal(0.0, 0.05, len(collection))
     d_top = collection.top.dim
-    level = max(2.0 * log_ratio(6.0 * collection.cardinality, beta), 2.0)
+    level = max(2.0 * log_ratio(6.0 * len(collection), beta), 2.0)
     norm_part = 1.0 + math.sqrt(min(cfg.m_inf, cfg.m2 * math.sqrt(d_top)))
     base = kappa_scale * norm_part * math.sqrt(d_top) * level / n
     eps = np.array(EPSILON_GRID)
@@ -215,7 +215,7 @@ def test_epsilon_grid_close_to_finer_grid():
         estimate = float(rng.uniform(-0.5, 5.0))
         coarse_min = bias_bounds(np.array([estimate]), collection, cfg, n)[0]
         d_top = collection.top.dim
-        level = max(2.0 * math.log(6.0 * collection.cardinality / cfg.beta), 2.0)
+        level = max(2.0 * math.log(6.0 * len(collection) / cfg.beta), 2.0)
         base = (
             cfg.kappa_scale
             * (1.0 + math.sqrt(min(cfg.m_inf, cfg.m2 * math.sqrt(d_top))))

@@ -308,6 +308,30 @@ def test_options_of_another_command_exit_2_with_one_line(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-pw", "--n", "2.0"],
+        ["simulate-pw", "--weights-kind", "foo"],
+        ["ball", "--format", "x"],
+        ["ball", "--nope", "1"],
+        ["simulate-pw", "--n"],
+        [],
+        ["simulate-pw", "--n", "1_0"],
+        ["simulate-pw", "--reps", "\u0663"],
+        ["simulate-pw", "--beta", "0.0_5"],
+        ["coverage", "--alpha-grid", "0.5,0.9_5"],
+        ["check-assumptions", "--collection-family", "histogram", "--collection-dims", "1,\uff12"],
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert not out.exists()
+
+
 def test_help_lists_every_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
@@ -992,3 +1016,34 @@ def test_the_shared_parser_keeps_no_state_between_calls(sample_file, tmp_path, c
     assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
     assert (tmp_path / "config.csv").read_bytes() != (tmp_path / "before.csv").read_bytes()
     assert resolve_settings(build_parser().parse_args(["ball"])) == Settings()
+
+
+# SHA-256 of the ball document and CSV on 4000 Beta(2, 5) points (seed 8,
+# written with repr), as written by 0.7.0: a refactor of the ball path must
+# not move its last bit.
+BALL_DOC_DIGESTS = {
+    ("histogram", "doc"): "18a3b57322a67298131766eb241beb6f7207d151b3ff17d21b51ecd38c36b1a8",
+    ("histogram", "csv"): "f11f0c7b503facf3f96ac4287def571d5229513e922290359d1c082a9b62ed9f",
+    ("fourier", "doc"): "1cb28d7fe8c40c6f0f19a53f546351cca8ce265566e64c75c131be02d54b573e",
+    ("fourier", "csv"): "b1fdece8e66292e0b0efc8a3c753a2d83036a18d2ac47bfa84c2b8b2e0a7a7f5",
+}
+BALL_DIGEST_DIMS = {
+    "histogram": ",".join(str(2**k) for k in range(9)),
+    "fourier": ",".join(str(d) for d in range(1, 62, 2)),
+}
+
+
+@pytest.fixture(scope="module")
+def beta_sample_file(tmp_path_factory):
+    pts = np.random.default_rng(8).beta(2.0, 5.0, 4000)
+    path = tmp_path_factory.mktemp("beta") / "sample.txt"
+    path.write_text("".join(f"{float(p)!r}\n" for p in pts))
+    return str(path)
+
+
+@pytest.mark.parametrize("family,fmt", sorted(BALL_DOC_DIGESTS))
+def test_ball_outputs_keep_their_digests(beta_sample_file, tmp_path, family, fmt):
+    out = tmp_path / f"ball.{fmt}"
+    argv = ["ball", "--input", beta_sample_file, "--collection-family", family]
+    assert main(argv + ["--collection-dims", BALL_DIGEST_DIMS[family], "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BALL_DOC_DIGESTS[family, fmt]

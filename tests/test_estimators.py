@@ -50,17 +50,17 @@ def test_project_histogram_counts():
     sample = Sample(np.array([0.1, 0.2, 0.3, 0.7]))
     est = project(sample, HistogramModel(2))
     np.testing.assert_allclose(
-        est.coefficients, [3.0 * math.sqrt(2.0) / 4.0, math.sqrt(2.0) / 4.0], rtol=1e-15
+        est, [3.0 * math.sqrt(2.0) / 4.0, math.sqrt(2.0) / 4.0], rtol=1e-15
     )
     # density values on the two halves
-    np.testing.assert_allclose(est.coefficients * math.sqrt(2.0), [1.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(est * math.sqrt(2.0), [1.5, 0.5], rtol=1e-15)
 
 
 def test_project_minimizes_quadratic_risk():
     # brute-force grid search over coefficients agrees with the formula
     sample = Sample(np.array([0.1, 0.2, 0.3, 0.7]))
     model = HistogramModel(2)
-    empirical = project(sample, model).coefficients
+    empirical = project(sample, model)
     psi_means = model.basis_matrix(sample.points).mean(axis=1)
     grid = np.linspace(0.0, 2.0, 101)
     best, best_val = None, np.inf
@@ -75,13 +75,13 @@ def test_project_minimizes_quadratic_risk():
 def test_project_constant_model_gives_one():
     sample = Sample(np.array([0.12, 0.9, 0.4]))
     est = project(sample, FourierModel(0))
-    assert est.coefficients[0] == 1.0
+    assert est[0] == 1.0
 
 
 def test_project_symmetric_sample_kills_sine():
     sample = Sample(np.array([0.25, 0.75, 0.1, 0.9]))
     est = project(sample, FourierModel(1))
-    assert abs(est.coefficients[2]) < 1e-12
+    assert abs(est[2]) < 1e-12
 
 
 def test_resampling_variance_degenerate_sample():

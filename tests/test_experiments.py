@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densityball import weights
-from densityball.ball import order_statistic_rank, resampled_quantile_radius
 from densityball.basis import HistogramModel
 from densityball.estimators import (
     Sample,
@@ -22,6 +21,7 @@ from densityball.experiments import (
     cell_resampling_variance,
     coverage_experiment,
     normalized_difference_experiment,
+    order_statistic_rank,
 )
 from densityball.oracle import CosineTiltDensity, HistogramDensity, UniformDensity, sample_from
 from densityball.weights import (
@@ -81,10 +81,10 @@ def test_coverage_matches_quantile_threshold():
     rng = replication_rng(seed, 0)
     sample = sample_from(oracle, n, rng)
     error = projection_error_sq(sample, model, oracle)
+    draws = sample_weights_batch(scheme, n_draws, _replay_weights_rng(seed))
+    stats = np.sort(resampling_statistics(sample, model, scheme, draws))
     for alpha, covered in table:
-        threshold = resampled_quantile_radius(
-            sample, model, scheme, 1.0 - alpha, n_draws, rng=_replay_weights_rng(seed)
-        )
+        threshold = stats[order_statistic_rank(alpha, n_draws) - 1]
         assert covered == float(error <= threshold)
 
 

@@ -20,7 +20,6 @@ from densityball.oracle import (
     residual_norm_sq,
     sample_from,
     true_bias_sq,
-    true_coefficient,
 )
 from densityball.weights import replication_rng
 
@@ -104,16 +103,16 @@ def test_specific_coefficients():
     uniform = UniformDensity()
     fourier = FourierModel(3)
     for lam in range(1, fourier.dim):
-        assert true_coefficient(uniform, fourier, lam) == 0.0
+        assert uniform.true_coefficients(fourier)[lam] == 0.0
     hist = HistogramModel(5)
     for lam in range(5):
-        assert true_coefficient(uniform, hist, lam) == pytest.approx(1.0 / math.sqrt(5.0))
+        assert uniform.true_coefficients(hist)[lam] == pytest.approx(1.0 / math.sqrt(5.0))
     tilt = CosineTiltDensity(0.3, 2)
     # cosine coefficient of the matching frequency is the amplitude
-    assert true_coefficient(tilt, FourierModel(3), 3) == pytest.approx(0.3, abs=1e-15)
-    assert true_coefficient(tilt, FourierModel(3), 4) == 0.0
+    assert tilt.true_coefficients(FourierModel(3))[3] == pytest.approx(0.3, abs=1e-15)
+    assert tilt.true_coefficients(FourierModel(3))[4] == 0.0
     with pytest.raises(IndexError):
-        true_coefficient(uniform, hist, 5)
+        uniform.true_coefficients(hist)[5]
 
 
 def test_true_bias_examples():

@@ -39,6 +39,18 @@ def test_make_scheme_rejects_a_size_that_is_not_an_integer(n):
         make_scheme("efron", n)
 
 
+@pytest.mark.parametrize("n", [10**400, 2**63], ids=["10**400", "2**63"])
+def test_make_scheme_refuses_a_size_beyond_the_array_index_range(n):
+    # 10**400 used to overflow in n / (n - 1.0)
+    with pytest.raises(ValueError, match="array index range"):
+        make_scheme("efron", n)
+
+
+def test_normalizers_are_n_over_n_minus_one_bit_for_bit():
+    sizes = range(2, 10**4 + 1)
+    assert [make_scheme("rademacher", n).normalizer for n in sizes] == [n / (n - 1.0) for n in sizes]
+
+
 def test_efron_normalizer_against_monte_carlo():
     # Var(W_1 - mean W) = Var(W_1) for multinomial weights; 1e6 draws
     scheme = make_scheme("efron", 10)
