@@ -37,8 +37,23 @@ not fit; per-cell weight sums and reweighted statistics run once per group.
 The floor is then the draws and their aggregation: at the README
 ``simulate-pw`` configuration about half the time goes to the integer draws
 (one ``integers`` call per replication) and a quarter to their per-cell sums,
-and seeding takes about 5%.  Memory stays
-O(chunk * (1 + dm / n) + n + nb), and the true coefficients are
+and seeding takes about 5%.
+
+When one replication's draws fill a draw group by themselves
+(``2 n n_draws > 2**16``, as at the README ``coverage`` configuration), every
+``integers`` call draws at least ``2**15`` entries with the GIL released, and
+the blocks run on ``min(usable CPUs, blocks)`` threads, the calling one
+included, each with its own drawer.  The usable CPUs are the process's
+affinity mask where the OS has one, else ``os.cpu_count()``.  Threads take
+the next block from one counter and reduce it where it ran (hits per alpha,
+or the per-replication differences); the results are combined in block
+order, so every output is bit-identical for any CPU count.  ``bincount`` and
+``einsum`` hold the GIL, which bounds the speed-up near 1.5x on 2 CPUs;
+smaller draws (the ``simulate-pw`` configuration) stay on the calling
+thread, where the GIL hand-offs would cost more than they gain.  If a block
+raises, the other threads stop at their next block, and the error is
+re-raised once all are joined.  Memory stays
+O(threads * chunk * (1 + dm / n) + n + nb), and the true coefficients are
 computed once per experiment.  The integer draws are the ones the per-point
 weights would take, so the seeded stream is that of the per-point
 estimators of :mod:`densityball.estimators`, which serve as references.
@@ -50,6 +65,8 @@ from the same integer counts, so the exact error here equals
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +74,7 @@ import numpy as np
 from .basis import HistogramModel
 from .oracle import DensityOracle
 from .weights import (
+    DRAW_CHUNK_ENTRIES,
     CellWeightDrawer,
     WeightKind,
     WeightScheme,
@@ -145,6 +163,8 @@ def _cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
 
 def order_statistic_rank(level: float, count: int) -> int:
     """Rank ``ceil(level * count)`` in 1..count, robust to float fuzz."""
+    if count < 1:
+        raise ValueError(f"need at least one order statistic, got count {count}")
     t = level * count
     nearest = round(t)
     if abs(t - nearest) < 1e-9:
@@ -159,30 +179,99 @@ def _check_reps(reps: int) -> None:
         raise ValueError("at most 2**32 replications")
 
 
-def _replication_blocks(
-    oracle: DensityOracle, scheme: WeightScheme, dim: int, n_draws: int, reps: int, seed: int
-):
-    """Per block of consecutive replications: cell counts ``(g, dim)`` and statistics ``(g, n_draws)``.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Per replication only its sample and (inside :class:`CellWeightDrawer`)
-    its weight draws are made; the generators of a block are seeded in one
-    vectorised pass, and the rest is one array operation per block or per
-    draw group of the drawer.
+
+def _map_in_threads(work, tasks, threads: int, state, new_state) -> list:
+    """``[work(state, task) for task in tasks]`` on ``threads`` threads, the caller's included.
+
+    The caller works with ``state``, every other thread with its own
+    ``new_state()``; each thread takes the next task from one lock-protected
+    iterator and puts the result in the task's slot, so results come back in
+    task order.  When any thread raises (an interrupt of the caller
+    included), the others stop at their next task; every thread is joined
+    before the first exception is re-raised.
+    """
+    results = [None] * len(tasks)
+    pending = iter(range(len(tasks)))
+    lock = threading.Lock()
+    errors = []
+
+    def run(own):
+        try:
+            own = new_state() if own is None else own
+            while not errors:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                results[i] = work(own, tasks[i])
+        except BaseException as exc:  # the caller re-raises it
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(threads - 1):
+            helpers.append(threading.Thread(target=run, args=(None,), name="densityball-replications"))
+            helpers[-1].start()
+        run(state)
+    except BaseException as exc:  # a thread that cannot start, or an interrupt meanwhile
+        errors.append(exc)
+    for thread in helpers:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt while waiting stops the others too
+                errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _replication_blocks(
+    oracle: DensityOracle, scheme: WeightScheme, dim: int, n_draws: int, reps: int, seed: int, reduce
+) -> list:
+    """``reduce(counts, stats)`` of each block of consecutive replications, in block order.
+
+    A block's cell counts have shape ``(g, dim)`` and its statistics
+    ``(g, n_draws)``.  Per replication only its sample and (inside
+    :class:`CellWeightDrawer`) its weight draws are made; the generators of
+    a block are seeded in one vectorised pass, and the rest is one array
+    operation per block or per draw group of the drawer.
+
+    When one replication's draws fill a draw group by themselves
+    (``2 n n_draws > DRAW_CHUNK_ENTRIES``, so ``drawer.group == 1``), every
+    ``integers`` call draws at least half a chunk with the GIL released, and
+    the blocks run on ``min(usable CPUs, blocks)`` threads, each with its own
+    drawer.  Smaller draws hand the GIL back and forth for less than they
+    gain, so they stay on the calling thread.  Each block's stream and
+    reduction are the same on any thread, so the results are too.
     """
     n = scheme.n
     model = HistogramModel(dim)
     drawer = CellWeightDrawer(scheme, dim, n_draws)
-    for first in range(0, reps, drawer.samples):
+    firsts = range(0, reps, drawer.samples)
+
+    def block(drawer, first):
         rngs = replication_rngs(seed, range(first, min(first + drawer.samples, reps)))
         points = np.stack([oracle.sample_points(n, rng) for rng in rngs])
         cells = model.cell_index(points)
         counts = _cell_counts(cells, dim)
         stats = np.empty((len(rngs), n_draws))
         for a, start, sums in drawer.blocks(rngs, cells, counts):
-            group, block = sums.shape[:2]
+            group, rows = sums.shape[:2]
             group_counts = counts[a : a + group]
-            stats[a : a + group, start : start + block] = cell_resampling_statistics(group_counts, sums, scheme)
-        yield counts, stats
+            stats[a : a + group, start : start + rows] = cell_resampling_statistics(group_counts, sums, scheme)
+        return reduce(counts, stats)
+
+    threads = min(_usable_cpus(), len(firsts)) if 2 * n * n_draws > DRAW_CHUNK_ENTRIES else 1
+    if threads == 1:
+        return [block(drawer, first) for first in firsts]
+    return _map_in_threads(block, firsts, threads, drawer, lambda: CellWeightDrawer(scheme, dim, n_draws))
 
 
 def normalized_difference_experiment(
@@ -199,11 +288,12 @@ def normalized_difference_experiment(
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     scale = n / math.sqrt(dim)
-    mc, cf = [], []
-    for counts, stats in _replication_blocks(oracle, scheme, dim, n_draws, reps, seed):
+
+    def differences(counts, stats):
         error = cell_error_sq(counts, true)
-        mc.append(scale * (error - stats.mean(axis=1)))
-        cf.append(scale * (error - cell_resampling_variance(counts)))
+        return scale * (error - stats.mean(axis=1)), scale * (error - cell_resampling_variance(counts))
+
+    mc, cf = zip(*_replication_blocks(oracle, scheme, dim, n_draws, reps, seed, differences))
     return NormalizedDifferenceResult(monte_carlo=np.concatenate(mc), closed_form=np.concatenate(cf))
 
 
@@ -232,8 +322,10 @@ def coverage_experiment(
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])
-    hits = np.zeros(len(alphas), dtype=np.int64)
-    for counts, stats in _replication_blocks(oracle, scheme, dim, n_draws, reps, seed):
+
+    def block_hits(counts, stats):
         stats.sort(axis=1)
-        hits += np.sum(cell_error_sq(counts, true)[:, None] <= stats[:, ranks - 1], axis=0)
+        return np.sum(cell_error_sq(counts, true)[:, None] <= stats[:, ranks - 1], axis=0)
+
+    hits = sum(_replication_blocks(oracle, scheme, dim, n_draws, reps, seed, block_hits))
     return [(a, float(h / reps)) for a, h in zip(alphas, hits)]

@@ -154,7 +154,9 @@ class HistogramDensity(DensityOracle):
             raise ValueError("cell values must be finite")
         if np.any(values < 0):
             raise ValueError("cell values must be nonnegative")
-        if abs(values.mean() - 1.0) > 1e-9:
+        with np.errstate(over="ignore"):  # finite values whose sum overflows average to inf, refused below
+            mean = values.mean()
+        if abs(mean - 1.0) > 1e-9:
             raise ValueError("cell values must average to 1 so the density integrates to 1")
         self.cell_values = values
         self.cells = values.size

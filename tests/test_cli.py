@@ -813,14 +813,33 @@ def test_import_loads_numpy_random_only_if_numpy_does():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, numpy; before = 'numpy.random' in sys.modules; import densityball.cli; "
-        "print(before, 'numpy.random' in sys.modules)"
+        "print(before, 'numpy.random' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    before, after = proc.stdout.split()
+    before, after, futures = proc.stdout.split()
     assert after == before
+    # the replication threads need only threading, which Python loads at start-up;
+    # concurrent.futures would add about 7 ms to every command's start
+    assert futures == "False"
+
+
+def test_an_oracle_whose_cell_values_overflow_their_mean_exits_2_with_one_line(tmp_path):
+    # a fresh interpreter shows numpy's warnings as a user sees them; this
+    # session turns them into errors
+    src = str(Path(densityball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["coverage", "--oracle-kind", "histogram", "--oracle-params", '{"cellValues": [1e308, 1e308]}',
+            "--reps", "1", "--out", str(tmp_path / "cov.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "densityball.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cell values must average to 1 so the density integrates to 1"]
+    assert not (tmp_path / "cov.csv").exists()
 
 
 README_ALPHAS = "0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95"

@@ -1,6 +1,9 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import functools
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from densityball import weights
+from densityball import experiments, weights
 from densityball.basis import HistogramModel
 from densityball.estimators import (
     Sample,
@@ -108,6 +111,13 @@ def test_rank_convention_endpoints():
     assert order_statistic_rank(0.5, 10) == 5
     assert order_statistic_rank(0.55, 10_000) == 5500
     assert order_statistic_rank(1.0 - 1e-15, 300) == 300
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_rank_needs_at_least_one_order_statistic(count):
+    # a rank outside 1..count would make stats[rank - 1] read from the end
+    with pytest.raises(ValueError, match="at least one order statistic"):
+        order_statistic_rank(0.5, count)
 
 
 def _one_call_weights(scheme, size, rng):
@@ -262,3 +272,138 @@ def test_batched_replications_match_the_per_point_references_at_block_boundaries
     drawer = CellWeightDrawer(make_scheme(kind, n), dim, n_draws)
     assert (drawer.samples, drawer.group, drawer.rows) == (samples, group, rows)
     _assert_matches_per_point_replications(HistogramDensity([0.5, 1.5, 1.0]), n, dim, n_draws, reps, seed, kind)
+
+
+ALPHAS = [round(0.05 * i, 2) for i in range(1, 20)]
+
+
+def _counting_drawers(monkeypatch):
+    # one drawer per thread: counting them counts the threads an experiment ran on
+    made = []
+
+    class Drawer(CellWeightDrawer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(threading.current_thread())
+
+    monkeypatch.setattr(experiments, "CellWeightDrawer", Drawer)
+    return made
+
+
+def _run_with_cpus(monkeypatch, cpus, oracle, n, dim, n_draws, reps, seed, kind):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    made = _counting_drawers(monkeypatch)
+    table = coverage_experiment(oracle, n, dim, n_draws, reps, ALPHAS, seed=seed, kind=kind)
+    threads = len(made)
+    assert len(set(made)) == threads
+    made.clear()
+    result = normalized_difference_experiment(oracle, n, dim, n_draws, reps, seed=seed, kind=kind)
+    assert len(made) == len(set(made)) == threads
+    return threads, table, result
+
+
+def _assert_identical(a, b):
+    assert a[1] == b[1]
+    for name in ("monte_carlo", "closed_form"):
+        assert getattr(a[2], name).tobytes() == getattr(b[2], name).tobytes()
+
+
+# the BLOCK_CASES whose replications each fill a draw group (group == 1)
+THREADED_CASES = sorted(case for case, shape in BLOCK_CASES.items() if shape[4] == 1)
+
+
+@pytest.mark.parametrize("kind", ["efron", "rademacher"])
+@pytest.mark.parametrize("case", THREADED_CASES)
+def test_threaded_replications_are_bit_identical_for_any_cpu_count(monkeypatch, kind, case):
+    n, n_draws, _, samples, _, _ = BLOCK_CASES[case]
+    reps = 2 * samples + 1  # three blocks, the last one short
+    args = (HistogramDensity([0.5, 1.5, 1.0]), n, 7, n_draws, reps, 23, kind)
+    serial = _run_with_cpus(monkeypatch, 1, *args)
+    assert serial[0] == 1
+    for cpus in (2, 3, 8):  # 8: more threads than blocks, so one per block
+        threaded = _run_with_cpus(monkeypatch, cpus, *args)
+        assert threaded[0] == min(cpus, 3)
+        _assert_identical(threaded, serial)
+
+
+def test_replications_with_small_draws_stay_on_the_calling_thread(monkeypatch):
+    # the simulate-pw shape: 13 replications share a draw group, so every
+    # integers call draws 5,000 entries and the GIL hand-offs would cost more
+    n, n_draws = 50, 100
+    assert CellWeightDrawer(make_scheme("efron", n), 10, n_draws).group == 13
+    threads, _, _ = _run_with_cpus(monkeypatch, 4, UniformDensity(), n, 10, n_draws, 400, 9, "efron")
+    assert threads == 1
+
+
+def test_threaded_replications_under_rapid_thread_switches(monkeypatch):
+    # 8 threads whatever the CPU count, switching every microsecond
+    args = (CosineTiltDensity(0.4, 2), 10, 7, 5000, 17, 5, "efron")
+    assert CellWeightDrawer(make_scheme("efron", 10), 7, 5000).samples == 1
+    serial = _run_with_cpus(monkeypatch, 1, *args)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _run_with_cpus(monkeypatch, 8, *args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded[0] == 8
+    _assert_identical(threaded, serial)
+
+
+CALLER = "experiment-caller"
+
+
+class _FailingOracle(UniformDensity):
+    """Raises ``error`` on its ``fail_at``-th sample or the first after it made on an allowed thread."""
+
+    def __init__(self, error, fail_at, caller_only):
+        self.error, self.fail_at, self.caller_only = error, fail_at, caller_only
+        self.calls, self.failed_at = 0, None
+        self.lock = threading.Lock()
+
+    def sample_points(self, n, rng):
+        with self.lock:
+            self.calls += 1
+            allowed = not self.caller_only or threading.current_thread().name == CALLER
+            if self.failed_at is None and self.calls >= self.fail_at and allowed:
+                self.failed_at = self.calls
+                raise self.error
+        return super().sample_points(n, rng)
+
+
+def _run_in_a_thread(fn):
+    # the experiment's caller is this thread; a hang fails the join's timeout
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, name=CALLER)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [functools.partial(coverage_experiment, alphas=ALPHAS), normalized_difference_experiment],
+    ids=["coverage", "normalized-difference"],
+)
+@pytest.mark.parametrize("error", [ValueError("sample 3 is bad"), KeyboardInterrupt()])
+def test_a_failing_replication_stops_every_thread_and_raises_its_error(monkeypatch, experiment, error):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    made = _counting_drawers(monkeypatch)
+    # an interrupt comes to the calling thread, any other error to whichever thread samples
+    oracle = _FailingOracle(error, fail_at=3, caller_only=isinstance(error, KeyboardInterrupt))
+    reps = 200
+    before = threading.active_count()
+    outcome = _run_in_a_thread(lambda: experiment(oracle, n=10, dim=7, n_draws=5000, reps=reps, seed=5))
+    assert outcome.get("error") is error
+    assert len(made) == 3
+    # each other thread finishes the block under way, and at most one it took as the error came
+    assert oracle.calls <= oracle.failed_at + 2 * len(made) < reps
+    assert threading.active_count() == before
