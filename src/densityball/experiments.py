@@ -39,20 +39,24 @@ The floor is then the draws and their aggregation: at the README
 (one ``integers`` call per replication) and a quarter to their per-cell sums,
 and seeding takes about 5%.
 
-When one replication's draws fill a draw group by themselves
-(``2 n n_draws > 2**16``, as at the README ``coverage`` configuration), every
-``integers`` call draws at least ``2**15`` entries with the GIL released, and
-the blocks run on ``min(usable CPUs, blocks)`` threads, the calling one
-included, each with its own drawer.  The usable CPUs are the process's
-affinity mask where the OS has one, else ``os.cpu_count()``.  Threads take
+When the drawer takes one replication per draw group (``group == 1``; at
+the README ``coverage`` configuration one replication's draws fill a group
+by themselves, ``2 n n_draws > 2**16``, so every ``integers`` call draws at
+least ``2**15`` entries with the GIL released), the blocks run on
+``min(usable CPUs, 2, blocks)`` threads, the calling one included, each
+with its own drawer.  The usable CPUs are the process's affinity mask where
+the OS has one, else ``os.cpu_count()``.  The cap of 2 is the count that
+was measured: ``bincount`` and ``einsum`` hold the GIL, which
+bounds the speed-up near 1.5x on 2 CPUs, while each thread adds its own
+drawer buffers (about 2.4 MB of peak RSS) and GIL hand-offs.  Threads take
 the next block from one counter and reduce it where it ran (hits per alpha,
 or the per-replication differences); the results are combined in block
-order, so every output is bit-identical for any CPU count.  ``bincount`` and
-``einsum`` hold the GIL, which bounds the speed-up near 1.5x on 2 CPUs;
-smaller draws (the ``simulate-pw`` configuration) stay on the calling
-thread, where the GIL hand-offs would cost more than they gain.  If a block
-raises, the other threads stop at their next block, and the error is
-re-raised once all are joined.  Memory stays
+order, so every output is bit-identical for any CPU count.  Smaller draws
+(the ``simulate-pw`` configuration) stay on the calling thread, where the
+GIL hand-offs would cost more than they gain.  On the threaded path the
+oracle's ``sample_points`` is called from several threads at once, so it
+must be thread-safe.  If a block raises, the other threads stop at their next
+block, and the error is re-raised once all are joined.  Memory stays
 O(threads * chunk * (1 + dm / n) + n + nb), and the true coefficients are
 computed once per experiment.  The integer draws are the ones the per-point
 weights would take, so the seeded stream is that of the per-point
@@ -74,7 +78,6 @@ import numpy as np
 from .basis import HistogramModel
 from .oracle import DensityOracle
 from .weights import (
-    DRAW_CHUNK_ENTRIES,
     CellWeightDrawer,
     WeightKind,
     WeightScheme,
@@ -179,6 +182,11 @@ def _check_reps(reps: int) -> None:
         raise ValueError("at most 2**32 replications")
 
 
+# threads per experiment at most: the count measured to gain (on 2 CPUs); more
+# would add drawer buffers and GIL hand-offs with no wall-time gain shown
+_MAX_THREADS = 2
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -243,13 +251,14 @@ def _replication_blocks(
     a block are seeded in one vectorised pass, and the rest is one array
     operation per block or per draw group of the drawer.
 
-    When one replication's draws fill a draw group by themselves
-    (``2 n n_draws > DRAW_CHUNK_ENTRIES``, so ``drawer.group == 1``), every
-    ``integers`` call draws at least half a chunk with the GIL released, and
-    the blocks run on ``min(usable CPUs, blocks)`` threads, each with its own
-    drawer.  Smaller draws hand the GIL back and forth for less than they
-    gain, so they stay on the calling thread.  Each block's stream and
-    reduction are the same on any thread, so the results are too.
+    When the drawer takes one replication per draw group
+    (``drawer.group == 1``, as when ``2 n n_draws > 2**16`` and
+    every ``integers`` call draws at least half a chunk with the GIL
+    released), the blocks run on ``min(usable CPUs, _MAX_THREADS, blocks)``
+    threads, each with its own drawer.  Smaller draws hand the GIL back and
+    forth for less than they gain, so they stay on the calling thread.  Each
+    block's stream and reduction are the same on any thread, so the results
+    are too.
     """
     n = scheme.n
     model = HistogramModel(dim)
@@ -268,9 +277,7 @@ def _replication_blocks(
             stats[a : a + group, start : start + rows] = cell_resampling_statistics(group_counts, sums, scheme)
         return reduce(counts, stats)
 
-    threads = min(_usable_cpus(), len(firsts)) if 2 * n * n_draws > DRAW_CHUNK_ENTRIES else 1
-    if threads == 1:
-        return [block(drawer, first) for first in firsts]
+    threads = min(_usable_cpus(), _MAX_THREADS, len(firsts)) if drawer.group == 1 else 1
     return _map_in_threads(block, firsts, threads, drawer, lambda: CellWeightDrawer(scheme, dim, n_draws))
 
 

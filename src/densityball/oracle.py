@@ -39,6 +39,12 @@ class DensityOracle:
         raise NotImplementedError
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` points drawn with ``rng`` alone.
+
+        The experiments call this from several threads at once, each with its
+        own generator, so it must be thread-safe: a subclass that keeps
+        mutable state (a cache, a counter) has to guard it.
+        """
         raise NotImplementedError
 
     def breakpoints(self) -> np.ndarray:

@@ -320,10 +320,28 @@ def test_threaded_replications_are_bit_identical_for_any_cpu_count(monkeypatch, 
     args = (HistogramDensity([0.5, 1.5, 1.0]), n, 7, n_draws, reps, 23, kind)
     serial = _run_with_cpus(monkeypatch, 1, *args)
     assert serial[0] == 1
+    shipped = _run_with_cpus(monkeypatch, 8, *args)
+    assert shipped[0] == experiments._MAX_THREADS == 2
+    _assert_identical(shipped, serial)
+    monkeypatch.setattr(experiments, "_MAX_THREADS", 8)  # lift the cap to run more threads
     for cpus in (2, 3, 8):  # 8: more threads than blocks, so one per block
         threaded = _run_with_cpus(monkeypatch, cpus, *args)
         assert threaded[0] == min(cpus, 3)
         _assert_identical(threaded, serial)
+
+
+def test_replications_with_cell_sums_that_fill_the_chunk_take_the_threaded_path(monkeypatch):
+    # dim > n: each replication is its own draw group because its per-cell
+    # sums fill the chunk, though its draws (10,000 entries) do not
+    n, dim, n_draws = 10, 100, 1000
+    drawer = CellWeightDrawer(make_scheme("efron", n), dim, n_draws)
+    assert (drawer.samples, drawer.group) == (1, 1)
+    assert 2 * n * n_draws < weights.DRAW_CHUNK_ENTRIES
+    args = (CosineTiltDensity(0.4, 2), n, dim, n_draws, 5, 3, "efron")
+    serial = _run_with_cpus(monkeypatch, 1, *args)
+    threaded = _run_with_cpus(monkeypatch, 2, *args)
+    assert threaded[0] == 2
+    _assert_identical(threaded, serial)
 
 
 def test_replications_with_small_draws_stay_on_the_calling_thread(monkeypatch):
@@ -340,6 +358,7 @@ def test_threaded_replications_under_rapid_thread_switches(monkeypatch):
     args = (CosineTiltDensity(0.4, 2), 10, 7, 5000, 17, 5, "efron")
     assert CellWeightDrawer(make_scheme("efron", 10), 7, 5000).samples == 1
     serial = _run_with_cpus(monkeypatch, 1, *args)
+    monkeypatch.setattr(experiments, "_MAX_THREADS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -396,6 +415,7 @@ def _run_in_a_thread(fn):
 @pytest.mark.parametrize("error", [ValueError("sample 3 is bad"), KeyboardInterrupt()])
 def test_a_failing_replication_stops_every_thread_and_raises_its_error(monkeypatch, experiment, error):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "_MAX_THREADS", 3)
     made = _counting_drawers(monkeypatch)
     # an interrupt comes to the calling thread, any other error to whichever thread samples
     oracle = _FailingOracle(error, fail_at=3, caller_only=isinstance(error, KeyboardInterrupt))
