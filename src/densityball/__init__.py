@@ -45,9 +45,7 @@ from .estimators import (
     project,
     projection_bias_estimate,
     projection_error_sq,
-    resampling_statistics,
     resampling_variance,
-    resampling_variance_enumerated,
 )
 from .experiments import (
     DEFAULT_SEED,
@@ -63,18 +61,15 @@ from .oracle import (
     UniformDensity,
     residual_norm_sq,
     sample_from,
-    true_bias_sq,
 )
 from .weights import (
     WeightKind,
     WeightScheme,
-    enumerate_weights,
     make_scheme,
     replication_rng,
-    sample_weights_batch,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "BoundConfig",
@@ -105,7 +100,6 @@ __all__ = [
     "check_dimension_growth",
     "check_sup_norm_control",
     "coverage_experiment",
-    "enumerate_weights",
     "fourier_collection",
     "fourier_collection_for_sobolev",
     "histogram_collection",
@@ -119,14 +113,10 @@ __all__ = [
     "projection_bias_estimate",
     "projection_error_sq",
     "replication_rng",
-    "resampling_statistics",
     "resampling_variance",
-    "resampling_variance_enumerated",
     "residual_norm_sq",
     "sample_from",
-    "sample_weights_batch",
     "select_model_index",
-    "true_bias_sq",
     "unit_ball_sup_norm",
     "variance_deviation_constant",
 ]

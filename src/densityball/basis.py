@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._quadrature import piecewise_nodes
 
-# Basis entries evaluated per chunk of points by Model.basis_chunks, and
+# Basis entries evaluated per chunk of points by unit_ball_sup_norm, and
 # natural-function products per chunk by the piecewise-polynomial sums: memory
 # stays O(CHUNK_ENTRIES) whatever the number of points, instead of a dense
 # (dim, n) matrix.
@@ -69,18 +69,6 @@ class Model:
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at ``x``; shape ``(dim, len(x))``."""
         raise NotImplementedError
-
-    def basis_chunks(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield ``(columns, basis_matrix(x[columns]))`` for consecutive slices of ``x``.
-
-        Each slice holds ``CHUNK_ENTRIES // dim`` points, so a chunk has about
-        ``CHUNK_ENTRIES`` basis entries whatever the number of points.
-        """
-        x = np.asarray(x, dtype=float)
-        step = max(CHUNK_ENTRIES // self.dim, 1)
-        for start in range(0, x.size, step):
-            columns = slice(start, start + step)
-            yield columns, self.basis_matrix(x[columns])
 
     def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``S_l = sum_i psi_l(x_i)`` and ``Q_l = sum_i psi_l(x_i)^2`` for every index ``l``.
@@ -535,8 +523,10 @@ def unit_ball_sup_norm(model: Model) -> float:
     """
     bps = model.breakpoints()
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 4096), bps, (bps[:-1] + bps[1:]) / 2.0]))
+    step = max(CHUNK_ENTRIES // model.dim, 1)
     top = 0.0
-    for _, psi in model.basis_chunks(xs):
+    for start in range(0, xs.size, step):
+        psi = model.basis_matrix(xs[start : start + step])
         top = max(top, float(np.max(np.einsum("ij,ij->j", psi, psi))))
     return math.sqrt(top)
 

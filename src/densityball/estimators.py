@@ -9,7 +9,7 @@ computes them for every leading block of indices at once:
 
 * the closed-form resampling variance, the normalized conditional
   expectation of the reweighted statistic for *every* exchangeable scheme
-  (exact enumeration cross-checks it);
+  (the tests check it against exact enumeration of the weights);
 * the nested-bias U-statistic over the indices separating two nested
   models, unbiased for the squared bias between their projections and
   possibly negative;
@@ -19,8 +19,10 @@ computes them for every leading block of indices at once:
 :func:`~densityball.ball.build_confidence_ball` calls it on the sums of a
 collection's top model; ``resampling_variance``, ``projection_bias_estimate``
 and ``centered_u_statistic`` are views of it on one model's sums, so they
-equal the ball's rows bit for bit.  Only the reweighted statistic of given
-weight vectors needs the basis itself, chunk by chunk of points.
+equal the ball's rows bit for bit.  None of them needs a basis matrix or a
+weight draw; the reweighted statistic of given per-point weight vectors,
+which the studies take from per-cell sums instead, is defined with the
+tests (``tests/reference.py``).
 
 Reductions are plain numpy sums and dot products; row sums are pairwise,
 so their rounding grows as O(eps log n).  For a histogram the sums are
@@ -37,7 +39,6 @@ import numpy as np
 
 from ._quadrature import density_gram
 from .basis import Model, check_unit_interval
-from .weights import WeightScheme, enumerate_weights
 
 
 @dataclass(frozen=True)
@@ -108,37 +109,6 @@ def resampling_variance(sample: Sample, model: Model) -> float:
     """
     sums, squares = model.basis_sums(sample.points)
     return float(prefix_estimates(sums, squares, sample.n, [model.dim])[0][0])
-
-
-def resampling_statistics(
-    sample: Sample, model: Model, scheme: WeightScheme, weights: np.ndarray
-) -> np.ndarray:
-    """Normalized reweighted statistic for each given weight vector.
-
-    ``weights`` has shape ``(batch, n)``; the result has shape ``(batch,)``
-    with entries ``normalizer * sum_l ((1/n) sum_i (W_i - mean W) psi_l(X_i))^2``.
-    The basis is evaluated chunk by chunk of points.
-    """
-    if scheme.n != sample.n:
-        raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    if w.shape[1] != sample.n:
-        raise ValueError("weight vectors must have length n")
-    centered = w - w.mean(axis=1, keepdims=True)
-    proj = np.zeros((w.shape[0], model.dim))
-    for columns, psi in model.basis_chunks(sample.points):
-        proj += centered[:, columns] @ psi.T
-    proj /= sample.n
-    return scheme.normalizer * np.einsum("ij,ij->i", proj, proj)
-
-
-def resampling_variance_enumerated(sample: Sample, model: Model, scheme: WeightScheme) -> float:
-    """Exact expectation over the enumerated weight support (small n only)."""
-    support = enumerate_weights(scheme)
-    stacked = np.stack([w for w, _ in support])
-    probs = np.array([p for _, p in support])
-    stats = resampling_statistics(sample, model, scheme, stacked)
-    return float(probs @ stats)
 
 
 def projection_bias_estimate(sample: Sample, sub_model: Model, top_model: Model) -> float:

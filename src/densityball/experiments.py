@@ -46,9 +46,12 @@ least ``2**15`` entries with the GIL released), the blocks run on
 ``min(usable CPUs, 2, blocks)`` threads, the calling one included, each
 with its own drawer.  The usable CPUs are the process's affinity mask where
 the OS has one, else ``os.cpu_count()``.  The cap of 2 is the count that
-was measured: ``bincount`` and ``einsum`` hold the GIL, which
-bounds the speed-up near 1.5x on 2 CPUs, while each thread adds its own
-drawer buffers (about 2.4 MB of peak RSS) and GIL hand-offs.  Threads take
+was measured.  At numpy 2.4 every kernel of a block (``integers``,
+``take``, ``add``, ``bincount``, ``einsum``) releases the GIL; what bounds
+the speed-up is the host's free CPUs and the Python work of each block,
+which runs one thread at a time (on a 2-vCPU host two busy processes
+finished only 1.3-1.6x faster than one after the other), while each thread
+adds its own drawer buffers (about 2.4 MB of peak RSS).  Threads take
 the next block from one counter and reduce it where it ran (hits per alpha,
 or the per-replication differences); the results are combined in block
 order, so every output is bit-identical for any CPU count.  Smaller draws
@@ -59,8 +62,9 @@ must be thread-safe.  If a block raises, the other threads stop at their next
 block, and the error is re-raised once all are joined.  Memory stays
 O(threads * chunk * (1 + dm / n) + n + nb), and the true coefficients are
 computed once per experiment.  The integer draws are the ones the per-point
-weights would take, so the seeded stream is that of the per-point
-estimators of :mod:`densityball.estimators`, which serve as references.
+weights would take, so the seeded stream is that of the per-point weights
+and reweighted statistic that the tests keep as references
+(``tests/reference.py``).
 :func:`~densityball.estimators.project` takes a histogram's coefficients
 from the same integer counts, so the exact error here equals
 ``projection_error_sq`` bit for bit without any compensated summation.

@@ -88,16 +88,6 @@ class DensityOracle:
         raise TypeError(f"no exact coefficients for model type {type(model).__name__}")
 
 
-def true_bias_sq(oracle: DensityOracle, sub_model: Model, top_model: Model) -> float:
-    """Exact squared bias between the projections onto two nested models."""
-    if not sub_model.shares_prefix_with(top_model):
-        raise ValueError(
-            f"{sub_model.label} is not nested in {top_model.label} (no shared index prefix)"
-        )
-    tail = oracle.true_coefficients(top_model)[sub_model.dim :]
-    return float(tail @ tail)
-
-
 def residual_norm_sq(oracle: DensityOracle, model: Model) -> float:
     """Exact squared distance from the density to the model (its out-of-span mass)."""
     coeffs = oracle.true_coefficients(model)
@@ -233,6 +223,8 @@ class CosineTiltDensity(DensityOracle):
             raise ValueError("need |amplitude| * sqrt(2) <= 1 to keep the density nonnegative")
         if frequency < 1 or int(frequency) != frequency:
             raise ValueError("frequency must be a positive integer")
+        if not math.isfinite(2.0 * math.pi * frequency):  # an infinite phase makes the density NaN everywhere
+            raise ValueError("frequency is too large: 2 pi frequency overflows a float")
         self.amplitude = float(amplitude)
         self.frequency = int(frequency)
         self.norm2 = math.sqrt(1.0 + self.amplitude**2)

@@ -7,9 +7,9 @@ permutations of the coordinates.  Two schemes ship:
   bootstrap counts, drawn as they are defined: ``W_i`` is the number of times
   index ``i`` occurs among ``n`` indices resampled uniformly with
   replacement (integer draws and a ``bincount``, O(size * n) work);
-* ``RADEMACHER_IID`` -- independent signs, cheap to enumerate exactly.
+* ``RADEMACHER_IID`` -- independent signs.
 
-Draws can be aggregated over groups of points as they are made, for several
+Draws are aggregated over groups of points as they are made, for several
 samples at once (:class:`CellWeightDrawer`), which is all a histogram
 statistic needs; per-point weights are the case of one group per point.
 
@@ -20,16 +20,11 @@ variance is ``(n - 1) / n``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
-
-# Keeps exact enumeration affordable: multinomial support size is
-# C(2n-1, n-1), i.e. 6435 at n = 8.
-MAX_ENUMERATION_N = 8
 
 # Weight entries (rows * n) drawn per chunk: the draw's integer temporaries
 # stay O(DRAW_CHUNK_ENTRIES) whatever the batch size, and chunked integer draws
@@ -63,20 +58,6 @@ def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
     if not 2 <= n <= np.iinfo(np.intp).max or n % 1:
         raise ValueError(f"resampling needs an integer n >= 2 within the array index range, got {n}")
     return WeightScheme(kind=kind, n=int(n), normalizer=n / (n - 1.0))
-
-
-def sample_weights_batch(scheme: WeightScheme, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` independent weight vectors, shape ``(size, n)``, as floats.
-
-    The case of :class:`CellWeightDrawer` with one sample and one cell per
-    point.
-    """
-    n = scheme.n
-    out = np.empty((size, n))
-    points = np.arange(n)[None]
-    for _, start, sums in CellWeightDrawer(scheme, n, size).blocks([rng], points, np.ones_like(points)):
-        out[start : start + sums.shape[1]] = sums[0]
-    return out
 
 
 class CellWeightDrawer:
@@ -185,41 +166,6 @@ class CellWeightDrawer:
                 bits = np.bincount(chunk.ravel(), weights=drawn.ravel(), minlength=group * block * n_cells)
                 sums = 2.0 * bits.reshape(group, block, n_cells) - counts[:, None, :]
             yield start, sums.reshape(group, block, n_cells)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_weights(scheme: WeightScheme) -> list[tuple[np.ndarray, float]]:
-    """Full support with probabilities; only for small ``n``.
-
-    Probabilities are exact up to float rounding and sum to 1 within 1e-12.
-    """
-    n = scheme.n
-    if n > MAX_ENUMERATION_N:
-        raise ValueError(f"enumeration supported only for n <= {MAX_ENUMERATION_N}")
-    out: list[tuple[np.ndarray, float]] = []
-    if scheme.kind is WeightKind.EFRON_MULTINOMIAL:
-        n_fact = math.factorial(n)
-        scale = float(n) ** n
-        for combo in _compositions(n, n):
-            denom = 1
-            for c in combo:
-                denom *= math.factorial(c)
-            prob = n_fact / (denom * scale)
-            out.append((np.array(combo, dtype=float), prob))
-    else:
-        prob = 0.5**n
-        for mask in range(2**n):
-            signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
-            out.append((signs, prob))
-    return out
 
 
 # numpy's ``SeedSequence`` hash (``numpy/random/bit_generator.pyx``), which

@@ -5,9 +5,12 @@ per-coefficient sums ``S`` and ``Q`` (``densityball.estimators.prefix_estimates`
 The functions here restate each one from its definition on the basis matrix
 ``psi[l, i] = psi_l(X_i)``, evaluated in chunks of points so that memory
 stays O(chunk) at any sample size, and the sums ``S`` and ``Q`` themselves.
-Also here: helpers with no caller in the library (one weight vector, the
-Monte Carlo resampling variance, Helmert contrasts, the summed coordinate
-variance).
+Also here: the per-point weights and the reweighted statistic of given
+weight vectors, which the studies replace by per-cell sums; the exact
+enumeration of the weight laws for small ``n`` and the exact expectation of
+the statistic over it; and helpers with no caller in the library (one weight
+vector, the Monte Carlo resampling variance, the exact squared bias between
+two nested projections, Helmert contrasts, the summed coordinate variance).
 """
 
 import math
@@ -15,8 +18,7 @@ import math
 import numpy as np
 
 from densityball._quadrature import density_gram
-from densityball.estimators import resampling_statistics
-from densityball.weights import sample_weights_batch
+from densityball.weights import CellWeightDrawer, WeightKind
 
 # Basis entries per chunk of points.
 CHUNK_ENTRIES = 2**20
@@ -81,9 +83,45 @@ def coordinate_variance_total(model, oracle):
     return float(np.trace(gram) - moments @ moments)
 
 
+def sample_weights_batch(scheme, size, rng):
+    """``size`` independent weight vectors, shape ``(size, n)``, as floats.
+
+    The case of ``CellWeightDrawer`` with one sample and one cell per point,
+    so the draws are the stream the studies take.
+    """
+    n = scheme.n
+    out = np.empty((size, n))
+    points = np.arange(n)[None]
+    for _, start, sums in CellWeightDrawer(scheme, n, size).blocks([rng], points, np.ones_like(points)):
+        out[start : start + sums.shape[1]] = sums[0]
+    return out
+
+
 def sample_weights(scheme, rng):
     """One weight vector of length ``scheme.n``."""
     return sample_weights_batch(scheme, 1, rng)[0]
+
+
+def resampling_statistics(sample, model, scheme, weights):
+    """Normalized reweighted statistic for each given weight vector.
+
+    ``weights`` has shape ``(batch, n)``; the result has shape ``(batch,)``
+    with entries ``normalizer * sum_l ((1/n) sum_i (W_i - mean W) psi_l(X_i))^2``.
+    """
+    if scheme.n != sample.n:
+        raise ValueError(f"scheme size {scheme.n} does not match sample size {sample.n}")
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    if w.shape[1] != sample.n:
+        raise ValueError("weight vectors must have length n")
+    centered = w - w.mean(axis=1, keepdims=True)
+    proj = np.zeros((w.shape[0], model.dim))
+    start = 0
+    for psi in basis_chunks(model, sample.points):
+        stop = start + psi.shape[1]
+        proj += centered[:, start:stop] @ psi.T
+        start = stop
+    proj /= sample.n
+    return scheme.normalizer * np.einsum("ij,ij->i", proj, proj)
 
 
 def resampling_variance_monte_carlo(sample, model, scheme, n_draws, rng):
@@ -96,6 +134,63 @@ def resampling_variance_monte_carlo(sample, model, scheme, n_draws, rng):
         raise ValueError("need at least one draw")
     draws = sample_weights_batch(scheme, n_draws, rng)
     return float(np.mean(resampling_statistics(sample, model, scheme, draws)))
+
+
+# Keeps exact enumeration affordable: multinomial support size is
+# C(2n-1, n-1), i.e. 6435 at n = 8.
+MAX_ENUMERATION_N = 8
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumerate_weights(scheme):
+    """Full support with probabilities; only for small ``n``.
+
+    Probabilities are exact up to float rounding and sum to 1 within 1e-12.
+    """
+    n = scheme.n
+    if n > MAX_ENUMERATION_N:
+        raise ValueError(f"enumeration supported only for n <= {MAX_ENUMERATION_N}")
+    out = []
+    if scheme.kind is WeightKind.EFRON_MULTINOMIAL:
+        n_fact = math.factorial(n)
+        scale = float(n) ** n
+        for combo in _compositions(n, n):
+            denom = 1
+            for c in combo:
+                denom *= math.factorial(c)
+            prob = n_fact / (denom * scale)
+            out.append((np.array(combo, dtype=float), prob))
+    else:
+        prob = 0.5**n
+        for mask in range(2**n):
+            signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
+            out.append((signs, prob))
+    return out
+
+
+def resampling_variance_enumerated(sample, model, scheme):
+    """Exact expectation of the reweighted statistic over the enumerated weight support (small n only)."""
+    support = enumerate_weights(scheme)
+    stacked = np.stack([w for w, _ in support])
+    probs = np.array([p for _, p in support])
+    stats = resampling_statistics(sample, model, scheme, stacked)
+    return float(probs @ stats)
+
+
+def true_bias_sq(oracle, sub_model, top_model):
+    """Exact squared bias between the projections onto two nested models."""
+    if not sub_model.shares_prefix_with(top_model):
+        raise ValueError(f"{sub_model.label} is not nested in {top_model.label} (no shared index prefix)")
+    tail = oracle.true_coefficients(top_model)[sub_model.dim :]
+    return float(tail @ tail)
 
 
 def helmert_contrasts(r):

@@ -15,7 +15,7 @@ from scipy.stats import ks_2samp
 
 import densityball as db
 from densityball.cli import main as cli_main
-from densityball.weights import replication_rng, sample_weights_batch
+from densityball.weights import replication_rng
 
 import reference
 
@@ -76,7 +76,7 @@ def test_criterion_2_exact_enumeration_oracle():
         model = _random_model(rng, max_dim=9)
         sample = db.Sample(rng.random(n))
         closed = db.resampling_variance(sample, model)
-        enum = db.resampling_variance_enumerated(sample, model, scheme)
+        enum = reference.resampling_variance_enumerated(sample, model, scheme)
         worst = max(worst, abs(closed - enum))
     elapsed = time.time() - start
     _report(
@@ -97,8 +97,8 @@ def test_criterion_3_monte_carlo_consistency():
         rng = replication_rng(555, case)
         sample = db.sample_from(db.UniformDensity(), 20, rng)
         closed = db.resampling_variance(sample, model)
-        draws = sample_weights_batch(scheme, 100_000, rng)
-        stats = db.resampling_statistics(sample, model, scheme, draws)
+        draws = reference.sample_weights_batch(scheme, 100_000, rng)
+        stats = reference.resampling_statistics(sample, model, scheme, draws)
         se = stats.std(ddof=1) / math.sqrt(stats.size)
         within += abs(float(np.mean(stats)) - closed) <= 3.0 * se
     elapsed = time.time() - start
@@ -114,7 +114,7 @@ def test_criterion_4_bias_estimator_unbiased():
     start = time.time()
     oracle = db.CosineTiltDensity(0.3, 3)
     sub, top = db.FourierModel(2), db.FourierModel(4)
-    exact = db.true_bias_sq(oracle, sub, top)
+    exact = reference.true_bias_sq(oracle, sub, top)
     assert exact == pytest.approx(0.09, abs=1e-15)
     reps = 10_000
     values = np.empty(reps)
@@ -240,7 +240,7 @@ def test_criterion_8_pythagoras_identity():
             + math.fsum(estimate * estimate)
         )
         residual = db.residual_norm_sq(oracle, top)
-        bias = db.true_bias_sq(oracle, sub, top)
+        bias = reference.true_bias_sq(oracle, sub, top)
         estimation = db.projection_error_sq(sample, sub, oracle)
         worst = max(worst, abs(total - (residual + bias + estimation)))
     elapsed = time.time() - start

@@ -75,7 +75,7 @@ def test_names_no_caller_needs_are_gone():
     # the rank convention moved to its one caller
     assert not hasattr(ball, "order_statistic_rank")
     assert densityball.order_statistic_rank is experiments.order_statistic_rank
-    assert len(densityball.__all__) == 52
+    assert len(densityball.__all__) == 47
     assert not hasattr(basis.ModelCollection, "cardinality")
     assert not hasattr(ball.ConfidenceBall, "diameter")
     for cls in (oracle.DensityOracle, *oracle.DensityOracle.__subclasses__()):
@@ -84,11 +84,42 @@ def test_names_no_caller_needs_are_gone():
     assert isinstance(coefficients, np.ndarray) and not coefficients.flags.writeable
 
 
-def test_the_ball_binds_nothing_from_weights():
-    tree = ast.parse((SRC / "ball.py").read_text(encoding="utf-8"))
+def test_per_point_references_live_with_the_tests():
+    # since 0.9.0 the per-point weights, the reweighted statistic, the exact enumeration and the exact
+    # squared bias are in tests/reference.py, and Model.basis_chunks is gone
+    removed = {
+        "sample_weights_batch": weights,
+        "enumerate_weights": weights,
+        "_compositions": weights,
+        "MAX_ENUMERATION_N": weights,
+        "resampling_statistics": estimators,
+        "resampling_variance_enumerated": estimators,
+        "true_bias_sq": oracle,
+    }
+    assert not any(hasattr(owner, name) for name, owner in removed.items())
+    assert set(removed).isdisjoint(densityball.__all__)
+    assert not hasattr(basis.Model, "basis_chunks")
+    assert not any(hasattr(cls, "basis_chunks") for cls in basis.Model.__subclasses__())
+
+
+def _assert_binds_nothing_from_weights(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "weights" not in imported
-    assert [name for name, value in vars(ball).items() if getattr(value, "__module__", None) == weights.__name__] == []
+    bound = [name for name, value in vars(module).items() if getattr(value, "__module__", None) == weights.__name__]
+    assert bound == []
+
+
+def test_the_ball_binds_nothing_from_weights():
+    _assert_binds_nothing_from_weights(ball)
+
+
+def test_the_estimators_bind_nothing_from_weights():
+    # since 0.9.0 the estimators import from basis and _quadrature only
+    _assert_binds_nothing_from_weights(estimators)
+    tree = ast.parse(Path(estimators.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"basis", "_quadrature"}
 
 
 def test_bias_deviation_constant_takes_an_array_of_epsilons():

@@ -25,10 +25,10 @@ from densityball.basis import (
 )
 from densityball.bounds import EPSILON_GRID, BoundConfig, bias_deviation_constant, variance_deviation_constant
 from densityball import estimators
-from densityball.estimators import Sample, project, resampling_statistics
+from densityball.estimators import Sample, project
 from densityball.experiments import order_statistic_rank
 from densityball.oracle import UniformDensity, sample_from
-from densityball.weights import make_scheme, replication_rng, sample_weights_batch
+from densityball.weights import make_scheme, replication_rng
 
 import reference
 from reference import projection_bias_estimate, resampling_variance

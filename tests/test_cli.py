@@ -211,6 +211,7 @@ ILL_TYPED_CONFIGS = [
     ("coverage", {"oracle": {"kind": "uniform", "params": [1]}}, "oracle.params"),
     ("coverage", {"oracle": {"kind": "cosine", "params": {"amplitude": None}}}, "amplitude"),
     ("coverage", {"oracle": {"kind": "cosine", "params": {"frequency": 2.5}}}, "frequency"),
+    ("simulate-pw", {"oracle": {"kind": "cosine", "params": {"frequency": 1e308}}}, "frequency is too large"),
     ("coverage", {"oracle": {"kind": "histogram", "params": {"cellValues": {"a": 1}}}}, "cellValues"),
     ("coverage", {"input": 5}, "input"),
     ("coverage", [], "config"),
@@ -752,6 +753,61 @@ def test_fuzzed_configs_exit_0_or_2_without_a_traceback(fuzz_dir, config, comman
         code = main(argv)
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# Study sizes are small, or refused before anything is drawn; reps stay at 3 or
+# below, so every run that gets past the checks takes milliseconds.
+FUZZ_STUDY_SIZES = st.one_of(st.integers(1, 20), st.sampled_from([0, -1, 2.5, True, "3", 2**63, 10**400]))
+FUZZ_STUDY_KEYS = {
+    **{key: FUZZ_STUDY_SIZES for key in ("n", "dm", "nb")},
+    "reps": st.sampled_from([1, 2, 3, 0, -1, 2**32 + 1, 10**400]),
+    "seed": st.sampled_from([0, -1, 1.5, 2**64, 2**200]),
+    "weights": st.sampled_from([{"kind": "efron"}, {"kind": "rademacher"}]),
+    "alphaGrid": FUZZ_KEYS["alphaGrid"],
+    "oracle": st.one_of(
+        st.builds(
+            lambda values: {"kind": "histogram", "params": {"cellValues": values}},
+            st.sampled_from([[1e308, 1e308], [0, 2], [5e-324, 2 - 5e-324], [], [-1, 3]]),
+        ),
+        st.builds(
+            lambda amplitude, frequency: {"kind": "cosine", "params": {"amplitude": amplitude, "frequency": frequency}},
+            st.sampled_from([1 / math.sqrt(2), -1 / math.sqrt(2), 1e-320]),
+            st.sampled_from([10**18, 2**63, 1e308, 10**400]),
+        ),
+    ),
+}
+
+
+@st.composite
+def fuzz_study_configs(draw):
+    """Small valid sizes and weights plus at most three keys drawn from their fuzzed values."""
+    config = {
+        "n": draw(st.integers(2, 20)),
+        "dm": draw(st.integers(1, 20)),
+        "nb": draw(st.integers(1, 20)),
+        "reps": draw(st.integers(1, 3)),
+        "weights": draw(FUZZ_STUDY_KEYS["weights"]),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_STUDY_KEYS)), max_size=3, unique=True)):
+        config[key] = draw(FUZZ_STUDY_KEYS[key])
+    return config
+
+
+@settings(max_examples=500, deadline=None)
+@given(fuzz_study_configs(), st.sampled_from(["simulate-pw", "coverage"]))
+def test_fuzzed_study_configs_exit_0_or_2_with_one_error_line(fuzz_dir, config, command):
+    cfg = fuzz_dir / "study.json"
+    cfg.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(fuzz_dir / "out")])
+    text = err.getvalue()
+    assert code in (0, 2), text
+    # so no traceback and no warning either
+    if code == 0:
+        assert text == ""
+    else:
+        assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), text
 
 
 @pytest.mark.parametrize("kind", ["input", "config"])

@@ -23,15 +23,19 @@ from densityball.estimators import (
     project,
     projection_bias_estimate,
     projection_error_sq,
-    resampling_statistics,
     resampling_variance,
-    resampling_variance_enumerated,
 )
 from densityball.oracle import CosineTiltDensity, HistogramDensity, UniformDensity, sample_from
 from densityball.weights import make_scheme, replication_rng
 
 import reference
-from reference import coordinate_variance_total, resampling_variance_monte_carlo
+from reference import (
+    coordinate_variance_total,
+    resampling_statistics,
+    resampling_variance_enumerated,
+    resampling_variance_monte_carlo,
+    sample_weights_batch,
+)
 
 
 def test_sample_validation():
@@ -138,8 +142,6 @@ def test_monte_carlo_tracks_closed_form():
     draws = 20_000
     mc = resampling_variance_monte_carlo(sample, model, scheme, draws, replication_rng(9, 1))
     # rebuild the draw set to estimate the Monte Carlo standard error
-    from densityball.weights import sample_weights_batch
-
     w = sample_weights_batch(scheme, draws, replication_rng(9, 1))
     vals = resampling_statistics(sample, model, scheme, w)
     se = vals.std(ddof=1) / math.sqrt(draws)

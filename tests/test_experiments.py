@@ -13,11 +13,7 @@ from hypothesis import strategies as st
 
 from densityball import experiments, weights
 from densityball.basis import HistogramModel
-from densityball.estimators import (
-    Sample,
-    projection_error_sq,
-    resampling_statistics,
-)
+from densityball.estimators import Sample, projection_error_sq
 from densityball.experiments import (
     cell_error_sq,
     cell_resampling_statistics,
@@ -32,10 +28,9 @@ from densityball.weights import (
     WeightKind,
     make_scheme,
     replication_rng,
-    sample_weights_batch,
 )
 
-from reference import resampling_variance
+from reference import resampling_statistics, resampling_variance, sample_weights_batch
 
 
 def test_closed_form_column_is_centered():

@@ -19,9 +19,10 @@ from densityball.oracle import (
     UniformDensity,
     residual_norm_sq,
     sample_from,
-    true_bias_sq,
 )
 from densityball.weights import replication_rng
+
+from reference import true_bias_sq
 
 ORACLES = [
     UniformDensity(),
@@ -58,6 +59,11 @@ def test_validation():
     for amplitude, frequency in ((math.nan, 1), (math.inf, 1), (0.3, math.inf), (0.3, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             CosineTiltDensity(amplitude, frequency)
+    # 2 pi * 1e308 is inf: every density value was NaN and the rejection sampler never returned
+    for frequency in (1e308, 2.0**1023, 3e307):
+        with pytest.raises(ValueError, match="frequency is too large"):
+            CosineTiltDensity(0.3, frequency)
+    assert CosineTiltDensity(0.3, 2e307).frequency == int(2e307)
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: repr(o.__dict__))

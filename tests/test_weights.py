@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from densityball.weights import (
     WeightKind,
-    enumerate_weights,
     make_scheme,
     replication_rng,
     replication_rngs,
     replication_seed_words,
-    sample_weights_batch,
 )
 
-from reference import sample_weights
+from reference import enumerate_weights, sample_weights, sample_weights_batch
 
 
 def test_normalizer_values():
