@@ -14,8 +14,9 @@ A :class:`ModelCollection` chains nested spaces behind a single orthonormal
 system, ordered so that the first ``dim`` indices of the top system span the
 member of that dimension.  A histogram or piecewise-polynomial model is its
 own ``levels``: a divisor chain of grids that ends at its own count, and
-``(count,)`` for a standalone model, whose system is the natural one.  It
-nests in a model of its family whose levels start with its own.  Each later
+``(count,)`` for a standalone model, whose system is the natural one; a
+polynomial model refines in prime steps.  It nests in a model of its family
+whose levels start with its own.  Each later
 level adds, per coarse cell or piece, one local block spanning the
 complement of the coarse space in its refinements: closed-form Helmert
 contrasts for histograms, and for piecewise polynomials an orthonormal block
@@ -49,6 +50,10 @@ CHUNK_ENTRIES = 2**20
 POWER_CHUNK_ENTRIES = 2**14
 # Cells and pieces are indexed with np.intp, so no count may exceed this.
 _INDEX_LIMIT = np.iinfo(np.intp).max
+# Trial divisors of a polynomial refinement ratio stay below this, so a huge
+# prime ratio costs at most this many divisions; a ratio left unsplit is then
+# at least 2**32, and its (ratio r)^2 block could never be built anyway.
+_PRIME_SEARCH_LIMIT = 2**16
 
 
 class Model:
@@ -122,7 +127,9 @@ class HistogramModel(Model):
     cell, the Helmert contrasts of its refined sub-cells, which span the
     orthogonal complement of the coarser space.  The last cell is closed at
     1 so that the pointwise identity ``sum_l psi_l(x)^2 = dim`` holds on all
-    of [0, 1].
+    of [0, 1].  :meth:`map_cells` is the one map of per-level cell values
+    to the functions: cell counts give the sums, cell masses the true
+    coefficients.
     """
 
     def __init__(self, cells: int, chain: Sequence[int] | None = None):
@@ -164,25 +171,34 @@ class HistogramModel(Model):
                 out[rows, cols] = scale * np.where(within < l, h_l, np.where(within == l, -l * h_l, 0.0))
         return out
 
-    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sums of the functions and of their squares over ``x``.
+    def map_cells(self, values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """The linear maps of per-level cell values to the functions and to their squares.
 
-        Every function is constant on the cells of its level, so the sums
-        are linear in that level's cell counts: one ``bincount`` per level,
-        on the same cells as :meth:`basis_matrix`, and no basis matrix.
+        ``values`` holds, per level of ``m`` cells, ``m`` values, one per
+        cell.  Every function is constant on the cells of its level, so a
+        level's functions are Helmert sums of its values: cell counts give
+        :meth:`basis_sums`, and cell masses (first output) the true
+        coefficients, in O(dim) work and memory.
         """
-        x = check_unit_interval(x)
-        first = self.levels[0]
-        counts = np.bincount(_cells(x, first), minlength=first).astype(float)
-        sums, squares = [math.sqrt(first) * counts], [first * counts]
-        for prev, cur, l, _, sum_scale, square_scale in self._contrasts:
-            # integer-valued floats: every step before the scaling is exact
-            counts = np.bincount(_cells(x, cur), minlength=cur).astype(float).reshape(prev, cur // prev)
-            below = np.cumsum(counts[:, :-1], axis=1)  # sub-cells 0..l-1 of each coarse cell
-            at = l * counts[:, 1:]  # l times sub-cell l
+        first = np.asarray(values[0], dtype=float)
+        sums, squares = [math.sqrt(self.levels[0]) * first], [self.levels[0] * first]
+        for (prev, cur, l, _, sum_scale, square_scale), level in zip(self._contrasts, values[1:]):
+            # on integer-valued counts every step before the scaling is exact
+            level = np.asarray(level, dtype=float).reshape(prev, cur // prev)
+            below = np.cumsum(level[:, :-1], axis=1)  # sub-cells 0..l-1 of each coarse cell
+            at = l * level[:, 1:]  # l times sub-cell l
             sums.append((sum_scale * (below - at)).ravel())
             squares.append((square_scale * (below + l * at)).ravel())
         return np.concatenate(sums), np.concatenate(squares)
+
+    def basis_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the functions and of their squares over ``x``.
+
+        :meth:`map_cells` of one ``bincount`` per level, on the same cells
+        as :meth:`basis_matrix`, and no basis matrix.
+        """
+        x = check_unit_interval(x)
+        return self.map_cells([np.bincount(_cells(x, m), minlength=m) for m in self.levels])
 
     def breakpoints(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.cells + 1)
@@ -303,7 +319,10 @@ class PiecewisePolynomialModel(Model):
     """Regular piecewise polynomials of degree < ``degree_bound``, the last of its ``levels``.
 
     ``levels`` is the divisor chain ``chain`` of piece counts up to
-    ``pieces``, or ``(pieces,)`` without a chain.  The natural functions of a
+    ``pieces``, or ``(pieces,)`` without a chain, with every refinement
+    split into steps of its ratio's prime factors, smallest first: the chain
+    (1, 8) has the levels (1, 2, 4, 8), a multiwavelet basis in the style of
+    Alpert (1993), and (1, 6) has (1, 2, 6).  The natural functions of a
     grid of ``p`` pieces are the per-piece shifted Legendre polynomials
     ``sqrt(p) sqrt(2k+1) P_k(u)`` with ``u`` the affine map of the piece onto
     [-1, 1], indexed piece-major.  A level refines each of its coarse pieces
@@ -316,7 +335,7 @@ class PiecewisePolynomialModel(Model):
     """
 
     def __init__(self, pieces: int, degree_bound: int, chain: Sequence[int] | None = None):
-        self.levels = _chain_levels(pieces, chain, "piece")
+        self.levels = _prime_steps(_chain_levels(pieces, chain, "piece"))
         if degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
         self.pieces = int(pieces)
@@ -413,6 +432,26 @@ def _complement_block(ratio: int, r: int) -> np.ndarray:
     whole = _legendre_values(x, 1, r)[1].reshape(r, ratio, -1)
     embed = np.einsum("asi,bsi,si->sab", sub, whole, w.reshape(ratio, -1)).reshape(ratio * r, r)
     return np.linalg.qr(embed, mode="complete")[0][:, r:]
+
+
+def _prime_steps(levels: tuple[int, ...]) -> tuple[int, ...]:
+    """``levels`` with each refinement split into steps of its ratio's prime factors, smallest first.
+
+    Every complement block is then ``(p r, (p - 1) r)`` for a prime ``p``.
+    Trial divisors stay below ``_PRIME_SEARCH_LIMIT``.
+    """
+    steps = [levels[0]]
+    for coarse, fine in zip(levels[:-1], levels[1:]):
+        rest, p = fine // coarse, 2
+        while p * p <= rest and p < _PRIME_SEARCH_LIMIT:
+            if rest % p:
+                p += 1
+            else:
+                steps.append(steps[-1] * p)
+                rest //= p
+        if rest > 1:
+            steps.append(fine)
+    return tuple(steps)
 
 
 def _chain_levels(count: int, chain: Sequence[int] | None, what: str) -> tuple[int, ...]:

@@ -61,10 +61,11 @@ oracle's ``sample_points`` is called from several threads at once, so it
 must be thread-safe.  If a block raises, the other threads stop at their next
 block, and the error is re-raised once all are joined.  Memory stays
 O(threads * chunk * (1 + dm / n) + n + nb), and the true coefficients are
-computed once per experiment.  The integer draws are the ones the per-point
-weights would take, so the seeded stream is that of the per-point weights
-and reweighted statistic that the tests keep as references
-(``tests/reference.py``).
+computed once per experiment, in O(dm) time and memory, from the cell
+masses (:meth:`~densityball.basis.HistogramModel.map_cells`).  The integer
+draws are the ones the per-point weights would take, so the seeded stream is
+that of the per-point weights and reweighted statistic that the tests keep as
+references (``tests/reference.py``).
 :func:`~densityball.estimators.project` takes a histogram's coefficients
 from the same integer counts, so the exact error here equals
 ``projection_error_sq`` bit for bit without any compensated summation.

@@ -10,10 +10,11 @@ provides closed-form values of ``E psi(X)`` for every basis family in
   against a cosine density, from ``int_{-1}^{1} P_k(u) e^{i theta u} du =
   2 i^k j_k(theta)`` with ``j_k`` the spherical Bessel function.
 
-Chain members reduce to these by linearity: histogram functions are
-constant on the member's cells, and a piecewise-polynomial model maps the
-natural Legendre moments of each of its levels to its own coefficients with
-:meth:`~densityball.basis.PiecewisePolynomialModel.map_natural`.
+Chain members reduce to these by linearity: each piecewise model maps
+per-level values through its own map, a histogram the cell masses of each
+of its levels with :meth:`~densityball.basis.HistogramModel.map_cells`, and
+a piecewise-polynomial model the natural Legendre moments of each of its
+levels with :meth:`~densityball.basis.PiecewisePolynomialModel.map_natural`.
 """
 
 from __future__ import annotations
@@ -70,10 +71,7 @@ class DensityOracle:
     def true_coefficients(self, model: Model) -> np.ndarray:
         """Exact coefficients of the projection of the density onto ``model``."""
         if isinstance(model, HistogramModel):
-            # every basis function is constant on the model's own cells
-            edges = np.linspace(0.0, 1.0, model.cells + 1)
-            masses = self.cdf(edges[1:]) - self.cdf(edges[:-1])
-            return model.basis_matrix((edges[:-1] + edges[1:]) / 2.0) @ masses
+            return model.map_cells([np.diff(self.cdf(np.linspace(0.0, 1.0, m + 1))) for m in model.levels])[0]
         if isinstance(model, FourierModel):
             out = np.empty(model.dim)
             out[0] = 1.0
@@ -143,7 +141,10 @@ class HistogramDensity(DensityOracle):
     """
 
     def __init__(self, cell_values):
-        values = np.asarray(cell_values, dtype=float)
+        try:
+            values = np.asarray(cell_values, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("cell values must be finite") from None
         if values.ndim != 1 or values.size < 1:
             raise ValueError("cell_values must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(values)):
@@ -217,7 +218,11 @@ class CosineTiltDensity(DensityOracle):
     """
 
     def __init__(self, amplitude: float, frequency: int):
-        if not (math.isfinite(amplitude) and math.isfinite(frequency)):
+        try:
+            finite = math.isfinite(amplitude) and math.isfinite(frequency)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError("amplitude and frequency must be finite")
         if abs(amplitude) * math.sqrt(2.0) > 1.0 + 1e-12:
             raise ValueError("need |amplitude| * sqrt(2) <= 1 to keep the density nonnegative")

@@ -130,9 +130,39 @@ def test_polynomial_chain_basis_moves_with_its_inputs_by_rounding_only(monkeypat
 
     monkeypatch.setattr(basis, "piecewise_nodes", noisy_nodes)
     moved = piecewise_polynomial_collection(pieces, degree_bound).top.blocks
-    assert len(moved) == len(pieces)
+    assert len(moved) == len(piecewise_polynomial_collection(pieces, degree_bound).top.levels)
     for block, ref in zip(moved, reference):
         assert np.max(np.abs(block - ref)) <= 1e-12
+
+
+def test_polynomial_refinements_run_in_prime_steps():
+    expansions = {(1, 8): (1, 2, 4, 8), (1, 6): (1, 2, 6), (1, 1021): (1, 1021), (3, 36): (3, 6, 12, 36)}
+    # a Mersenne prime ratio: the bounded search splits nothing, in about 2**16 divisions
+    expansions[1, 2**61 - 1] = (1, 2**61 - 1)
+    for chain, levels in expansions.items():
+        assert PiecewisePolynomialModel(chain[-1], 3, chain).levels == levels
+    # histograms keep their levels: Helmert contrasts are closed forms for any ratio
+    assert HistogramModel(8, (1, 8)).levels == (1, 8)
+    # members follow the chain the caller gave, and every step block has a prime ratio
+    coll = piecewise_polynomial_collection([1, 8], 3)
+    assert [model.levels for model in coll] == [(1,), (1, 2, 4, 8)]
+    assert [block.shape for block in coll.top.blocks] == [(3, 3), (6, 3), (6, 3), (6, 3)]
+
+
+def test_a_large_polynomial_ratio_sums_in_little_memory():
+    # (1, 1024) runs as the ten steps of the dyadic chain, not through one (4096, 4092) block
+    top = piecewise_polynomial_collection([1, 1024], 4).top
+    dyadic = piecewise_polynomial_collection([2**k for k in range(11)], 4).top
+    x = np.random.default_rng(1021).beta(2.0, 5.0, 4000)
+    tracemalloc.start()
+    try:
+        sums = top.basis_sums(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for got, want in zip(sums, dyadic.basis_sums(x)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_helmert_contrasts_are_orthonormal_and_centered():

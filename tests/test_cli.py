@@ -357,6 +357,19 @@ def test_simulate_pw_single_rep(tmp_path):
     assert all(len(r) == 4 for r in rows)
 
 
+@pytest.mark.parametrize("command", ["coverage", "simulate-pw"])
+def test_studies_run_at_a_large_dimension(tmp_path, capsys, command):
+    # the exact coefficients of 32768 cells take O(dm) memory, not a dense 8.6 GB product
+    out = tmp_path / "t.csv"
+    argv = [command, "--n", "100", "--dm", "32768", "--nb", "10", "--reps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read_csv(str(out))
+    assert rows[0][0] == {"coverage": "alpha", "simulate-pw": "kind"}[command]
+    assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows)
+    assert all(math.isfinite(float(v)) for r in rows[1:] for v in r[1:] if v)  # a summary row has no rep
+
+
 def test_coverage_table_ordered(tmp_path):
     out = tmp_path / "c.csv"
     code = main(

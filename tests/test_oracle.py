@@ -1,6 +1,7 @@
 """Tests for the known-density oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ def test_validation():
         with pytest.raises(ValueError, match="frequency is too large"):
             CosineTiltDensity(0.3, frequency)
     assert CosineTiltDensity(0.3, 2e307).frequency == int(2e307)
+    # an int beyond the float range is refused like any other non-finite value
+    for amplitude, frequency in ((0.3, 10**400), (10**400, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            CosineTiltDensity(amplitude, frequency)
+    with pytest.raises(ValueError, match="finite"):
+        HistogramDensity([10**400, 1])
+
+
+@pytest.mark.parametrize("oracle", [UniformDensity(), HistogramDensity([1.5, 0.5]), CosineTiltDensity(0.3, 3)])
+def test_histogram_coefficients_take_linear_memory(oracle):
+    # per-level cell masses through the model's own map; a (dim, cells) matrix at 4096 cells is 128 MiB
+    for model in (HistogramModel(4096), histogram_collection([2**k for k in range(13)]).top):
+        tracemalloc.start()
+        try:
+            coeffs = oracle.true_coefficients(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs.shape == (4096,)
+        assert peak < 2**20, model.levels
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: repr(o.__dict__))
