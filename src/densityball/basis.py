@@ -32,6 +32,7 @@ included, on entry to ``basis_matrix`` and ``basis_sums``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -134,8 +135,8 @@ class HistogramModel(Model):
 
     def __init__(self, cells: int, chain: Sequence[int] | None = None):
         self.levels = _chain_levels(cells, chain, "histogram")
-        self.cells = int(cells)
-        super().__init__(cells, 1.0, f"histogram-{cells}")
+        self.cells = self.levels[-1]
+        super().__init__(self.cells, 1.0, f"histogram-{self.cells}")
 
     @cached_property
     def _contrasts(self) -> list[tuple]:
@@ -216,14 +217,15 @@ class FourierModel(Model):
     """
 
     def __init__(self, cutoff: int):
-        if cutoff < 0:
+        self.cutoff = _whole(cutoff, "frequency cutoff")
+        if self.cutoff < 0:
             raise ValueError("frequency cutoff must be >= 0")
-        self.cutoff = int(cutoff)
         dim = 2 * self.cutoff + 1
         super().__init__(dim, 1.0, f"fourier-{dim}")
 
     @classmethod
     def from_dim(cls, dim: int) -> "FourierModel":
+        dim = _whole(dim, "trigonometric dimension")
         if dim < 1 or dim % 2 == 0:
             raise ValueError("trigonometric dimension must be odd and positive")
         return cls((dim - 1) // 2)
@@ -292,15 +294,16 @@ def _power_sums(x: np.ndarray, top: int) -> np.ndarray:
     return power
 
 
-def _legendre(degree: int, u: np.ndarray) -> np.ndarray:
-    """Legendre polynomial ``P_degree(u)``.
+def _legendre_table(u: np.ndarray, count: int) -> np.ndarray:
+    """Legendre polynomials ``P_0(u) .. P_{count-1}(u)``; shape ``(count, *u.shape)``.
 
-    ``scipy.special`` is imported here, on first use, so that histogram and
-    trigonometric work never loads scipy.
+    One pass of the recurrence ``(k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}``.
     """
-    from scipy.special import eval_legendre
-
-    return eval_legendre(degree, u)
+    table = np.zeros((count, *np.shape(u)))
+    table[0] = 1.0
+    for k in range(count - 1):  # at k = 0, table[-1] is still zero: P_{-1} = 0
+        table[k + 1] = ((2 * k + 1) * u * table[k] - k * table[k - 1]) / (k + 1)
+    return table
 
 
 def _legendre_values(x: np.ndarray, pieces: int, degree_bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +314,8 @@ def _legendre_values(x: np.ndarray, pieces: int, degree_bound: int) -> tuple[np.
     """
     piece = _cells(x, pieces)
     u = 2.0 * (x * pieces - piece) - 1.0
-    root = math.sqrt(pieces)
-    return piece, np.array([root * math.sqrt(2 * k + 1) * _legendre(k, u) for k in range(degree_bound)])
+    scale = math.sqrt(pieces) * np.sqrt(2.0 * np.arange(degree_bound) + 1.0)
+    return piece, scale[:, None] * _legendre_table(u, degree_bound)
 
 
 class PiecewisePolynomialModel(Model):
@@ -336,10 +339,10 @@ class PiecewisePolynomialModel(Model):
 
     def __init__(self, pieces: int, degree_bound: int, chain: Sequence[int] | None = None):
         self.levels = _prime_steps(_chain_levels(pieces, chain, "piece"))
-        if degree_bound < 1:
+        self.degree_bound = r = _whole(degree_bound, "degree bound")
+        if r < 1:
             raise ValueError("degree bound must be >= 1")
-        self.pieces = int(pieces)
-        self.degree_bound = r = int(degree_bound)
+        self.pieces = self.levels[-1]
         # sum_l psi_l(x)^2 = pieces sum_k (2k+1) P_k(u)^2 peaks at u = +-1, where
         # every P_k^2 is 1, at pieces r^2 = r dim, so c1 = sqrt(r)
         super().__init__(self.pieces * r, math.sqrt(r), f"poly-{self.pieces}x{r}")
@@ -454,9 +457,20 @@ def _prime_steps(levels: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(steps)
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int if it is whole: 3.0 passes; 2.5, NaN and inf raise ``ValueError``."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (OverflowError, ValueError):  # int(inf), int(nan)
+        pass
+    raise ValueError(f"{what} must be a whole number, not {value!r}")
+
+
 def _chain_levels(count: int, chain: Sequence[int] | None, what: str) -> tuple[int, ...]:
     """The divisor chain ``chain`` up to ``count``, or ``(count,)`` without a chain."""
-    vals = (int(count),) if chain is None else tuple(map(int, chain))
+    count = _whole(count, f"{what} count")
+    vals = (count,) if chain is None else tuple(_whole(c, f"{what} count") for c in chain)
     if not vals:
         raise ValueError(f"empty {what} chain")
     if min(vals) < 1:
@@ -516,18 +530,18 @@ class ModelCollection:
 
 def histogram_collection(dims: Sequence[int]) -> ModelCollection:
     """Nested histograms over a divisor chain of cell counts (e.g. dyadic)."""
-    chain = sorted(int(d) for d in dims)
+    chain = sorted(dims)
     return ModelCollection([HistogramModel(d, chain) for d in chain])
 
 
 def fourier_collection(dims: Sequence[int]) -> ModelCollection:
     """Nested trigonometric spaces of the given odd dimensions, ``2 j + 1`` for cutoff ``j``."""
-    return ModelCollection([FourierModel.from_dim(d) for d in sorted(int(d) for d in dims)])
+    return ModelCollection([FourierModel.from_dim(d) for d in sorted(dims)])
 
 
 def piecewise_polynomial_collection(piece_counts: Sequence[int], degree_bound: int) -> ModelCollection:
     """Nested piecewise-polynomial spaces over a divisor chain of pieces."""
-    chain = sorted(int(p) for p in piece_counts)
+    chain = sorted(piece_counts)
     return ModelCollection([PiecewisePolynomialModel(p, degree_bound, chain) for p in chain])
 
 
@@ -537,8 +551,8 @@ def fourier_collection_for_sobolev(n: int, gamma: float) -> ModelCollection:
     The top cutoff is ``floor(min(n**(1/(2 gamma + 1/2)), n^2 / (ln n)^2))``
     and the collection holds one model per cutoff from 1 up to it.
     """
-    if not n >= 3:
-        raise ValueError("need n >= 3")
+    if not 3 <= n <= sys.float_info.max:  # NaN fails this comparison too
+        raise ValueError("need n >= 3 and finite")
     if not gamma > 0:  # NaN fails this comparison too
         raise ValueError("gamma must be positive")
     rate = float(n) ** (1.0 / (2.0 * gamma + 0.5))
@@ -611,8 +625,8 @@ def log_ratio(numerator: float, beta: float) -> float:
 
 def check_dimension_growth(collection: ModelCollection, n: int, beta: float) -> GrowthReport:
     """Check ``2 sqrt(d_top) ln(6 N / beta) / n <= c_m`` for the collection."""
-    if not n >= 2:  # NaN fails this comparison too
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= sys.float_info.max:  # NaN fails this comparison too
+        raise ValueError("need n >= 2 and finite")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     d_top = collection.top.dim

@@ -2,13 +2,16 @@
 
 These oracles are the ground truth for tests and simulations.  Each one
 provides closed-form values of ``E psi(X)`` for every basis family in
-:mod:`densityball.basis`:
+:mod:`densityball.basis`, the last two as arrays from one hook call per
+Fourier model or per polynomial level:
 
 * indicator integrals come from the exact CDF,
-* trigonometric moments from elementary trig integrals (or orthonormality),
-* per-piece Legendre moments from the Legendre antiderivative identity and,
-  against a cosine density, from ``int_{-1}^{1} P_k(u) e^{i theta u} du =
-  2 i^k j_k(theta)`` with ``j_k`` the spherical Bessel function.
+* ``_fourier_moments(cutoff)``, every trigonometric moment up to
+  ``cutoff``, from elementary trig integrals (or orthonormality),
+* ``_legendre_moments(pieces, r)``, the per-piece Legendre moments of one
+  grid, from the Legendre antiderivative identity and, against a cosine
+  density, from ``int_{-1}^{1} P_k(u) e^{i theta u} du = 2 i^k j_k(theta)``
+  with ``j_k`` the spherical Bessel function.
 
 Chain members reduce to these by linearity: each piecewise model maps
 per-level values through its own map, a histogram the cell masses of each
@@ -23,12 +26,15 @@ import math
 
 import numpy as np
 
-from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _cells, _legendre
+from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _cells, _legendre_table
 from .estimators import Sample
 
 
 class DensityOracle:
-    """A density on [0, 1] with exact norms, CDF, and basis moments."""
+    """A density on [0, 1] with exact norms, CDF, and basis moments.
+
+    A subclass gives its moments through the two array hooks below.
+    """
 
     norm2: float
     norm_inf: float
@@ -56,16 +62,12 @@ class DensityOracle:
 
     # -- exact basis moments ------------------------------------------------
 
-    def _cosine_moment(self, j: int) -> float:
-        """``E sqrt(2) cos(2 pi j X)`` for ``j >= 1``."""
+    def _fourier_moments(self, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+        """``E sqrt(2) cos(2 pi j X)`` and ``E sqrt(2) sin(2 pi j X)`` for ``j = 1..cutoff``."""
         raise NotImplementedError
 
-    def _sine_moment(self, j: int) -> float:
-        """``E sqrt(2) sin(2 pi j X)`` for ``j >= 1``."""
-        raise NotImplementedError
-
-    def _legendre_piece_moment(self, pieces: int, piece: int, degree: int) -> float:
-        """Moment of the natural piecewise-Legendre function ``(piece, degree)``."""
+    def _legendre_moments(self, pieces: int, r: int) -> np.ndarray:
+        """``E sqrt(pieces) sqrt(2k+1) P_k(u)`` on each of ``pieces`` pieces for ``k < r``; shape ``(pieces, r)``."""
         raise NotImplementedError
 
     def true_coefficients(self, model: Model) -> np.ndarray:
@@ -75,14 +77,10 @@ class DensityOracle:
         if isinstance(model, FourierModel):
             out = np.empty(model.dim)
             out[0] = 1.0
-            for j in range(1, model.cutoff + 1):
-                out[2 * j - 1] = self._cosine_moment(j)
-                out[2 * j] = self._sine_moment(j)
+            out[1::2], out[2::2] = self._fourier_moments(model.cutoff)
             return out
         if isinstance(model, PiecewisePolynomialModel):
-            r, moment = model.degree_bound, self._legendre_piece_moment
-            natural = [[moment(p, piece, k) for piece in range(p) for k in range(r)] for p in model.levels]
-            return model.map_natural(natural)
+            return model.map_natural([self._legendre_moments(p, model.degree_bound) for p in model.levels])
         raise TypeError(f"no exact coefficients for model type {type(model).__name__}")
 
 
@@ -114,23 +112,13 @@ class UniformDensity(DensityOracle):
     def sample_points(self, n, rng):
         return rng.random(n)
 
-    def _cosine_moment(self, j):
-        return 0.0
+    def _fourier_moments(self, cutoff):
+        return np.zeros(cutoff), np.zeros(cutoff)
 
-    def _sine_moment(self, j):
-        return 0.0
-
-    def _legendre_piece_moment(self, pieces, piece, degree):
-        return 1.0 / math.sqrt(pieces) if degree == 0 else 0.0
-
-
-def _legendre_integral(degree: int, a: float, b: float) -> float:
-    """``int_a^b P_degree(u) du`` on [-1, 1] via the antiderivative identity."""
-    if degree == 0:
-        return b - a
-    upper = _legendre(degree + 1, b) - _legendre(degree - 1, b)
-    lower = _legendre(degree + 1, a) - _legendre(degree - 1, a)
-    return float(upper - lower) / (2 * degree + 1)
+    def _legendre_moments(self, pieces, r):
+        out = np.zeros((pieces, r))
+        out[:, 0] = 1.0 / math.sqrt(pieces)
+        return out
 
 
 class HistogramDensity(DensityOracle):
@@ -181,32 +169,34 @@ class HistogramDensity(DensityOracle):
     def breakpoints(self):
         return np.linspace(0.0, 1.0, self.cells + 1)
 
-    def _cosine_moment(self, j):
-        edges = np.linspace(0.0, 1.0, self.cells + 1)
-        two_pi_j = 2.0 * math.pi * j
-        terms = self.cell_values * (np.sin(two_pi_j * edges[1:]) - np.sin(two_pi_j * edges[:-1]))
-        return math.sqrt(2.0) * float(terms.sum()) / two_pi_j
+    def _fourier_moments(self, cutoff):
+        # By parts, int s e^(2 pi i j x) dx is the sum over the cell edges c / cells
+        # of the drops s(c-) - s(c+) times e^(2 pi i j c / cells), over 2 pi i j:
+        # one DFT of the drops, periodic in j, in O(cutoff + cells) memory
+        j = np.arange(1, cutoff + 1)
+        dft = np.fft.fft(np.roll(self.cell_values, 1) - self.cell_values)[j % self.cells]
+        scale = -math.sqrt(2.0) / (2.0 * math.pi * j)
+        return scale * dft.imag, scale * dft.real
 
-    def _sine_moment(self, j):
-        edges = np.linspace(0.0, 1.0, self.cells + 1)
-        two_pi_j = 2.0 * math.pi * j
-        terms = self.cell_values * (np.cos(two_pi_j * edges[:-1]) - np.cos(two_pi_j * edges[1:]))
-        return math.sqrt(2.0) * float(terms.sum()) / two_pi_j
-
-    def _legendre_piece_moment(self, pieces, piece, degree):
-        # Split the basis piece at every oracle cell edge; the density is
-        # constant on each fragment, so only Legendre antiderivatives remain.
-        left, right = piece / pieces, (piece + 1) / pieces
+    def _legendre_moments(self, pieces, r):
+        # Split the pieces at every oracle cell edge; the density is constant
+        # on each fragment, so only Legendre antiderivatives remain.
         cuts = np.linspace(0.0, 1.0, self.cells + 1)
-        inner = cuts[(cuts > left + 1e-15) & (cuts < right - 1e-15)]
-        edges = np.concatenate([[left], inner, [right]])
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            value = float(self.density(np.array([(a + b) / 2.0]))[0])
-            ua = 2.0 * (a * pieces - piece) - 1.0
-            ub = 2.0 * (b * pieces - piece) - 1.0
-            total += value * _legendre_integral(degree, ua, ub)
-        return math.sqrt(pieces) * math.sqrt(2 * degree + 1) * total / (2.0 * pieces)
+        owner = _cells(cuts, pieces)
+        edges = np.arange(pieces + 1) / pieces
+        inner = (cuts > edges[owner] + 1e-15) & (cuts < edges[owner + 1] - 1e-15)
+        starts = np.concatenate([edges[:-1], cuts[inner]])
+        order = np.argsort(starts)  # each fragment then ends where the next one starts
+        a, piece = starts[order], np.concatenate([np.arange(pieces), owner[inner]])[order]
+        b = np.append(a[1:], 1.0)
+        value = self.density((a + b) / 2.0)
+        table = _legendre_table(2.0 * (np.stack([a, b]) * pieces - piece) - 1.0, r + 1)
+        anti = table[1:].copy()
+        anti[1:] -= table[:-2]  # (2k+1) int P_k = P_{k+1} - P_{k-1}, at both ends of every fragment
+        k = np.arange(r)
+        integrals = value * ((anti[:, 1] - anti[:, 0]) / (2 * k + 1)[:, None])
+        totals = np.bincount((piece + pieces * k[:, None]).ravel(), integrals.ravel(), pieces * r)
+        return math.sqrt(pieces) * np.sqrt(2.0 * k + 1.0) * totals.reshape(r, pieces).T / (2.0 * pieces)
 
 
 class CosineTiltDensity(DensityOracle):
@@ -257,22 +247,15 @@ class CosineTiltDensity(DensityOracle):
     def max_frequency(self):
         return self.frequency
 
-    def _cosine_moment(self, j):
-        return self.amplitude if j == self.frequency else 0.0
+    def _fourier_moments(self, cutoff):
+        cosine = np.where(np.arange(1, cutoff + 1) == self.frequency, self.amplitude, 0.0)
+        return cosine, np.zeros(cutoff)
 
-    def _sine_moment(self, j):
-        return 0.0
+    def _legendre_moments(self, pieces, r):
+        from scipy.special import spherical_jn  # on first use: nothing else in the package needs scipy
 
-    def _legendre_piece_moment(self, pieces, piece, degree):
-        from scipy.special import spherical_jn  # on first use: histogram and Fourier work never needs it
-
-        base = 1.0 / math.sqrt(pieces) if degree == 0 else 0.0
+        k = np.arange(r)
         theta = math.pi * self.frequency / pieces
-        phase = (2 * piece + 1) * theta + degree * math.pi / 2.0
-        osc = (
-            math.sqrt(2.0 * (2 * degree + 1))
-            * float(spherical_jn(degree, theta))
-            * math.cos(phase)
-            / math.sqrt(pieces)
-        )
-        return base + self.amplitude * osc
+        phase = (2 * np.arange(pieces)[:, None] + 1) * theta + k * math.pi / 2.0
+        osc = np.sqrt(2.0 * (2 * k + 1)) * spherical_jn(k, theta) * np.cos(phase) / math.sqrt(pieces)
+        return np.where(k == 0, 1.0 / math.sqrt(pieces), 0.0) + self.amplitude * osc

@@ -187,6 +187,27 @@ def test_histogram_chain_requires_divisors():
         histogram_collection([2**63])
     with pytest.raises(ValueError, match=str(10**23)):
         piecewise_polynomial_collection([1, 10**23], 2)
+    # a fractional or non-finite size is refused, not truncated
+    for build in (
+        lambda: PiecewisePolynomialModel(3, 2.5),
+        lambda: FourierModel(2.5),
+        lambda: FourierModel.from_dim(5.5),
+        lambda: HistogramModel(4, [1, 2.5, 4]),
+        lambda: fourier_collection([3, 5.5]),
+        lambda: piecewise_polynomial_collection([1, 3], 2.5),
+        lambda: HistogramModel(math.inf),
+        lambda: HistogramModel(math.nan),
+        lambda: FourierModel(math.inf),
+        lambda: FourierModel.from_dim(math.nan),
+        lambda: PiecewisePolynomialModel(3, math.inf),
+        lambda: fourier_collection([3, math.inf]),
+    ):
+        with pytest.raises(ValueError, match="whole number"):
+            build()
+    # a whole float is its int
+    assert HistogramModel(4.0, [1, 2.0, 4]).levels == (1, 2, 4)
+    assert FourierModel.from_dim(5.0).label == "fourier-5"
+    assert PiecewisePolynomialModel(3.0, 2.0).label == "poly-3x2"
 
 
 def test_collection_counts():
@@ -258,6 +279,18 @@ def test_member_sums_are_the_prefix_of_the_top_sums_bit_for_bit(monkeypatch, n):
             assert np.array_equal(member_squares, squares[: model.dim]), model.label
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 12, 20])
+def test_legendre_recurrence_matches_scipy(count):
+    rough = np.random.default_rng(count).uniform(-1.0, 1.0, 500)
+    u = np.concatenate([np.linspace(-1.0, 1.0, 2001), [0.0, -1.0, 1.0], rough])
+    table = basis._legendre_table(u, count)
+    assert table.shape == (count, u.size)
+    for k in range(count):
+        np.testing.assert_allclose(table[k], eval_legendre(k, u), rtol=0, atol=1e-13)
+    grid = u[:12].reshape(3, 4)
+    assert np.array_equal(basis._legendre_table(grid, count), table[:, :12].reshape(count, 3, 4))
+
+
 def test_long_polynomial_chain_sums_match_the_basis_free_kernel():
     # sum_l psi_l(x)^2 over a member's first dim functions is its reproducing kernel on the
     # diagonal, pieces sum_k (2k+1) P_k(u)^2, whatever orthonormal basis spans the member
@@ -306,6 +339,12 @@ def test_dimension_growth_examples():
         check_dimension_growth(coll, n=100, beta=1.5)
     with pytest.raises(ValueError):
         check_dimension_growth(coll, n=1, beta=0.1)
+    # n must be finite: inf used to give holds=True with value 0, and 10**400 an OverflowError
+    for n in (math.inf, 10**400):
+        with pytest.raises(ValueError, match="finite"):
+            check_dimension_growth(coll, n=n, beta=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            fourier_collection_for_sobolev(n, 1.0)
 
 
 @pytest.mark.parametrize("beta", [1e-320, 5e-324])

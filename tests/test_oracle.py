@@ -41,6 +41,8 @@ MODELS = [
     PiecewisePolynomialModel(3, 4),
     histogram_collection([1, 2, 4, 8]).top,
     piecewise_polynomial_collection([1, 3], 3).top,
+    PiecewisePolynomialModel(7, 5),
+    piecewise_polynomial_collection([1, 2, 6, 12], 6).top,
 ]
 
 
@@ -92,7 +94,20 @@ def test_histogram_coefficients_take_linear_memory(oracle):
 def test_coefficients_match_quadrature(oracle, model):
     x, w = nodes_for(model, oracle, order=16)
     quad = model.basis_matrix(x) @ (w * oracle.density(x))
-    np.testing.assert_allclose(oracle.true_coefficients(model), quad, atol=1e-8)
+    np.testing.assert_allclose(oracle.true_coefficients(model), quad, atol=1e-12)
+
+
+def test_polynomial_coefficients_take_one_moment_call_per_level():
+    calls = []
+
+    class Counted(HistogramDensity):
+        def _legendre_moments(self, pieces, r):
+            calls.append((pieces, r))
+            return super()._legendre_moments(pieces, r)
+
+    top = piecewise_polynomial_collection([2**k for k in range(11)], 4).top
+    assert Counted([0.4, 2.2, 0.4]).true_coefficients(top).shape == (4096,)
+    assert calls == [(2**k, 4) for k in range(11)]
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: repr(o.__dict__))
