@@ -549,15 +549,20 @@ def fourier_collection_for_sobolev(n: int, gamma: float) -> ModelCollection:
     """Trigonometric collection sized for a Sobolev smoothness ``gamma``.
 
     The top cutoff is ``floor(min(n**(1/(2 gamma + 1/2)), n^2 / (ln n)^2))``
-    and the collection holds one model per cutoff from 1 up to it.
+    and the collection holds one model per cutoff from 1 up to it.  The two
+    terms are compared in logs, as ``n^2`` overflows from about ``n =
+    1.3e154``; a top dimension beyond the array index range is refused.
     """
     if not 3 <= n <= sys.float_info.max:  # NaN fails this comparison too
         raise ValueError("need n >= 3 and finite")
     if not gamma > 0:  # NaN fails this comparison too
         raise ValueError("gamma must be positive")
-    rate = float(n) ** (1.0 / (2.0 * gamma + 0.5))
-    cap = float(n) ** 2 / math.log(n) ** 2
-    top = max(int(min(rate, cap)), 1)
+    log_n, exponent = math.log(n), 1.0 / (2.0 * gamma + 0.5)
+    log_rate, log_cap = exponent * log_n, 2.0 * (log_n - math.log(log_n))
+    if min(log_rate, log_cap) >= math.log(np.iinfo(np.intp).max // 2):
+        raise ValueError(f"n = {n:g} at gamma = {gamma:g} gives a top dimension beyond the array index range")
+    # the smaller term is within the index range, so it evaluates without overflow
+    top = max(int(float(n) ** exponent if log_rate <= log_cap else float(n) ** 2 / log_n**2), 1)
     return fourier_collection(range(3, 2 * top + 2, 2))
 
 

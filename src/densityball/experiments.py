@@ -34,24 +34,27 @@ closed forms run once per block.
 about ``2**16`` weight entries, each holding the draws of as many whole
 replications as fit, or a slice of the draws of one replication when they do
 not fit; per-cell weight sums and reweighted statistics run once per group.
-The floor is then the draws and their aggregation: at the README
-``simulate-pw`` configuration about half the time goes to the integer draws
-(one ``integers`` call per replication) and a quarter to their per-cell sums,
-and seeding takes about 5%.
+The floor is then the draws and their aggregation.  A replication's
+integer draws are the values ``rng.integers`` would return, made from one
+``random_raw`` call per replication and block by numpy's bounded-integer
+rule as array passes (:meth:`densityball.weights.CellWeightDrawer._draw`
+states the rule and when it applies); timed alone they cost about 4.0 ns
+per index, against about 4.65 ns for ``integers``, which also takes a
+fresh array per call, and the per-cell sums cost about as much again.
 
 When the drawer takes one replication per draw group (``group == 1``; at
 the README ``coverage`` configuration one replication's draws fill a group
-by themselves, ``2 n n_draws > 2**16``, so every ``integers`` call draws at
-least ``2**15`` entries with the GIL released), the blocks run on
+by themselves, ``2 n n_draws > 2**16``, so every draw group holds at least
+``2**15`` entries, whose passes release the GIL), the blocks run on
 ``min(usable CPUs, 2, blocks)`` threads, the calling one included, each
 with its own drawer.  The usable CPUs are the process's affinity mask where
 the OS has one, else ``os.cpu_count()``.  The cap of 2 is the count that
-was measured.  At numpy 2.4 every kernel of a block (``integers``,
-``take``, ``add``, ``bincount``, ``einsum``) releases the GIL; what bounds
-the speed-up is the host's free CPUs and the Python work of each block,
-which runs one thread at a time (on a 2-vCPU host two busy processes
-finished only 1.3-1.6x faster than one after the other), while each thread
-adds its own drawer buffers (about 2.4 MB of peak RSS).  Threads take
+was measured.  At numpy 2.4 every kernel of a block (``random_raw``,
+``multiply``, ``take``, ``add``, ``bincount``, ``einsum``) releases the
+GIL; what bounds the speed-up is the host's free CPUs and the Python work
+of each block, which runs one thread at a time (on a 2-vCPU host two busy
+processes finished only 1.3-1.6x faster than one after the other), while
+each thread adds its own drawer buffers (about 2.4 MB of peak RSS).  Threads take
 the next block from one counter and reduce it where it ran (hits per alpha,
 or the per-replication differences); the results are combined in block
 order, so every output is bit-identical for any CPU count.  Smaller draws
@@ -86,6 +89,7 @@ from .weights import (
     CellWeightDrawer,
     WeightKind,
     WeightScheme,
+    _whole,
     make_scheme,
     replication_rngs,
 )
@@ -171,6 +175,7 @@ def _cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
 
 def order_statistic_rank(level: float, count: int) -> int:
     """Rank ``ceil(level * count)`` in 1..count, robust to float fuzz."""
+    count = _whole(count, "count")
     if count < 1:
         raise ValueError(f"need at least one order statistic, got count {count}")
     t = level * count
@@ -180,11 +185,16 @@ def order_statistic_rank(level: float, count: int) -> int:
     return min(max(int(math.ceil(t)), 1), count)
 
 
-def _check_reps(reps: int) -> None:
+def _check_counts(n_draws: int, reps: int) -> tuple[int, int]:
+    """``n_draws`` and ``reps`` as ints: whole, positive, and at most ``2**32`` replications."""
+    n_draws, reps = _whole(n_draws, "n_draws"), _whole(reps, "reps")
+    if n_draws < 1:
+        raise ValueError("need at least one weight draw")
     if reps < 1:
         raise ValueError("need at least one replication")
     if reps > 2**32:  # a replication's stream key is one 32-bit word
         raise ValueError("at most 2**32 replications")
+    return n_draws, reps
 
 
 # threads per experiment at most: the count measured to gain (on 2 CPUs); more
@@ -258,8 +268,8 @@ def _replication_blocks(
 
     When the drawer takes one replication per draw group
     (``drawer.group == 1``, as when ``2 n n_draws > 2**16`` and
-    every ``integers`` call draws at least half a chunk with the GIL
-    released), the blocks run on ``min(usable CPUs, _MAX_THREADS, blocks)``
+    every draw group holds at least half a chunk, whose passes release the
+    GIL), the blocks run on ``min(usable CPUs, _MAX_THREADS, blocks)``
     threads, each with its own drawer.  Smaller draws hand the GIL back and
     forth for less than they gain, so they stay on the calling thread.  Each
     block's stream and reduction are the same on any thread, so the results
@@ -296,7 +306,7 @@ def normalized_difference_experiment(
     kind: WeightKind | str = WeightKind.EFRON_MULTINOMIAL,
 ) -> NormalizedDifferenceResult:
     """Replicate ``n (error - estimate) / sqrt(dim)`` on fresh samples."""
-    _check_reps(reps)
+    n_draws, reps = _check_counts(n_draws, reps)
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     scale = n / math.sqrt(dim)
@@ -330,7 +340,7 @@ def coverage_experiment(
         raise ValueError("need at least one alpha level")
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ValueError("alpha levels must lie in (0, 1)")
-    _check_reps(reps)
+    n_draws, reps = _check_counts(n_draws, reps)
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
     ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])

@@ -20,6 +20,8 @@ variance is ``(n - 1) / n``.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -51,6 +53,23 @@ class WeightScheme:
     normalizer: float
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int if it is a whole number: ``3`` and ``3.0`` pass.
+
+    Python and numpy ints and floats are taken; a bool, a fraction, NaN, an
+    infinity or an int beyond the float range raises one ``ValueError`` that
+    names ``what``.  Range checks are the caller's.
+    """
+    try:
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and value == int(value):
+            return int(value)
+    except OverflowError:  # an int beyond the float range, too long to repeat
+        raise ValueError(f"{what} must be a whole number within the float range") from None
+    except TypeError:  # not a number: refused below
+        pass
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
 def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
     """Build a scheme; the normalizer is analytic, ``n / (n - 1)`` here."""
     kind = WeightKind(kind)
@@ -71,16 +90,19 @@ class CellWeightDrawer:
     draws them in blocks of about ``DRAW_CHUNK_ENTRIES`` weight entries: a
     block holds all ``size`` draws of a group of up to ``group`` samples when
     one sample's draws fit, and otherwise ``rows`` draws of a single sample.
-    Only the integer draws are made per sample; one ``take`` and one
-    ``bincount`` aggregate a whole block, with row ``(a, r)`` of the block
-    shifted by ``(a * rows + r) * n_cells``.  The block buffers are kept from
-    one call of :meth:`blocks` to the next: fresh ones per call cost more in
-    page faults than the draws themselves.
+    Per sample only its raw words are drawn, multiplied into the block, and
+    its cells are looked up; numpy's bounded-integer rule runs over the whole
+    block (:meth:`_draw`), and one ``bincount`` aggregates it, with row
+    ``(a, r)`` of the block shifted by ``(a * rows + r) * n_cells``.  The
+    block buffers are kept from one call of :meth:`blocks` to the next: fresh
+    ones per call cost more in page faults than the draws themselves.  A
+    drawer is not thread-safe; each thread needs its own.
     """
 
     def __init__(self, scheme: WeightScheme, n_cells: int, size: int):
-        if size < 1:
-            raise ValueError("need size >= 1")
+        n_cells, size = _whole(n_cells, "n_cells"), _whole(size, "size")
+        if n_cells < 1 or size < 1:
+            raise ValueError(f"need n_cells >= 1 and size >= 1, got n_cells {n_cells} and size {size}")
         n = scheme.n
         self.scheme, self.n_cells, self.size = scheme, n_cells, size
         # a block's cell sums and its points both stay within the chunk
@@ -91,9 +113,8 @@ class CellWeightDrawer:
         self.rows = min(max(DRAW_CHUNK_ENTRIES // n, 1), size)
         entries = self.group * self.rows * n
         self._efron = scheme.kind is WeightKind.EFRON_MULTINOMIAL
-        # Efron draws are ``take`` indices; Rademacher bits are ``bincount``
-        # weights, which it would otherwise convert to floats per block.
-        self._draws = np.empty(entries, dtype=np.intp if self._efron else float)
+        # int64, not intp, so that the draws can be viewed as uint64 products
+        self._draws = np.empty(entries, dtype=np.int64)
         self._bins = np.empty(entries, dtype=np.intp)
         self._shift = (n_cells * np.arange(self.group * self.rows)).reshape(self.group, self.rows, 1)
 
@@ -113,10 +134,11 @@ class CellWeightDrawer:
         uniformly from ``range(n)``, which makes the counts exactly
         multinomial(n; 1/n, ..., 1/n), and counts the cells of those indices.
         Rademacher weights are i.i.d. signs ``2 B - 1`` for fair bits ``B``,
-        so their cell sum is twice the cell's bit sum minus its count.  Either
-        way a generator draws ``rng.integers`` over a ``(block, n)`` array per
-        block: chunked integer draws return the values of one call over
-        ``(size, n)``, so the blocking does not move the stream.
+        so their cell sum is twice the cell's count of ones minus its count.
+        Either way a block's draws are the values of ``rng.integers(0, high,
+        size=(block, n))``, ``high`` being ``n`` or 2: chunked integer draws
+        return the values of one call over ``(size, n)``, so the blocking does
+        not move the stream.
         """
         n, n_cells = self.scheme.n, self.n_cells
         cells = np.asarray(cells, dtype=np.intp)
@@ -132,40 +154,76 @@ class CellWeightDrawer:
     def _group_blocks(self, rngs, cells, counts):
         n, n_cells, rows = self.scheme.n, self.n_cells, self.rows
         group = len(rngs)
-        efron = self._efron
         # Several samples share a block only when all ``size`` rows fit, so a
         # short last block has one sample, and the first ``block`` rows of
         # these row-major buffers are then the block's own layout.
-        draws = self._draws[: group * rows * n].reshape(group, rows, n)
         bins = self._bins[: group * rows * n].reshape(group, rows, n)
         shift = self._shift[:group]
-        if efron:
-            # Sample ``a`` draws its indices from ``[a n, (a + 1) n)``: a
-            # shifted range gives the values of ``[0, n)`` plus the shift,
-            # from the same bits, so they index the flattened ``cells``.
-            lows, high, flat_cells = range(0, group * n, n), n, cells.ravel()
-        else:
-            lows, high = [0] * group, 2
+        if not self._efron:
+            # a point's bin is ``2 (cell + shift) + B``: the odd bins count the ones
             np.add(cells[:, None, :], shift, out=bins)
+            bins *= 2
         for start in range(0, self.size, rows):
             block = min(rows, self.size - start)
-            if group == 1:  # a lone sample's draws are used as drawn, without a copy
-                drawn = rngs[0].integers(0, high, size=(1, block, n))
-            else:
-                drawn = draws
-                for a, rng in enumerate(rngs):
-                    draws[a] = rng.integers(lows[a], lows[a] + high, size=(rows, n))
-            chunk = bins[:, :block]
-            if efron:
-                # ``mode="clip"`` lets ``take`` write into ``chunk`` without
-                # buffering; the indices are in range, so it never clips.
-                np.take(flat_cells, drawn, out=chunk, mode="clip")
+            drawn = self._draw(rngs, n if self._efron else 2, block * n).reshape(group, block, n)
+            if self._efron:
+                chunk = bins[:, :block]
+                for a in range(group):
+                    # ``mode="clip"`` lets ``take`` write into ``chunk`` without
+                    # buffering; the indices are in range, so it never clips.
+                    np.take(cells[a], drawn[a], out=chunk[a], mode="clip")
                 chunk += shift[:, :block]
                 sums = np.bincount(chunk.ravel(), minlength=group * block * n_cells)
             else:
-                bits = np.bincount(chunk.ravel(), weights=drawn.ravel(), minlength=group * block * n_cells)
-                sums = 2.0 * bits.reshape(group, block, n_cells) - counts[:, None, :]
+                drawn += bins[:, :block]
+                ones = np.bincount(drawn.ravel(), minlength=2 * group * block * n_cells)[1::2]
+                sums = 2.0 * ones.reshape(group, block, n_cells) - counts[:, None, :]
             yield start, sums.reshape(group, block, n_cells)
+
+    def _draw(self, rngs, high: int, count: int) -> np.ndarray:
+        """Row ``a`` holds ``rngs[a].integers(0, high, size=count)``; shape ``(len(rngs), count)``.
+
+        For ``2 <= high < 2**32`` numpy maps each 32-bit output ``u`` of the
+        bit generator by Lemire's multiply-and-reject rule
+        (``buffered_bounded_lemire_uint32``; Lemire 2019, arXiv:1805.10941):
+        with ``prod = u * high``, the value is ``prod >> 32``, and ``u`` is
+        rejected, and replaced by the next output, when ``prod mod 2**32 <
+        (2**32 - high) % high``.  ``PCG64`` serves the low half of each 64-bit
+        word first, so on a little-endian host the ``uint32`` view of its
+        ``random_raw`` words is its 32-bit output in order.  Here each
+        generator draws ``count // 2`` raw words, multiplied straight into
+        the draw buffer, and one pass per step applies the rest of the rule to
+        the whole group.  A rejection shifts every later output, so a
+        generator with a rejected output is rewound by its words
+        (``advance``) and redrawn by ``integers``; rejections are rare (about
+        2e-8 per output at ``high = 100``, none when ``high`` is a power of
+        two).  The raw words are drawn only from a ``PCG64`` without a
+        buffered half (which ``integers`` would serve first), for an even
+        ``count`` and ``2 <= high < 2**32`` on a little-endian host; any
+        other generator or call is drawn by ``integers`` itself.
+        """
+        group, half = len(rngs), count // 2
+        out = self._draws[: group * count].reshape(group, count)
+        redraw = range(group)
+        if count % 2 == 0 and 2 <= high < 2**32 and sys.byteorder == "little":
+            prod = out.view(np.uint64)
+            raw = np.zeros(group, dtype=bool)
+            for a, rng in enumerate(rngs):
+                bits = rng.bit_generator
+                raw[a] = type(bits) is np.random.PCG64 and not bits.state["has_uint32"]
+                if raw[a]:
+                    np.multiply(bits.random_raw(half).view(np.uint32), high, out=prod[a], dtype=np.uint64)
+            kept = raw.copy()
+            threshold = (2**32 - high) % high
+            if threshold:  # 0 when high is a power of two: nothing is rejected
+                kept &= prod.view(np.uint32)[:, 0::2].min(axis=1) >= threshold
+            np.right_shift(prod, 32, out=prod)
+            for a in np.flatnonzero(raw & ~kept):
+                rngs[a].bit_generator.advance(-half)
+            redraw = np.flatnonzero(~kept)
+        for a in redraw:
+            out[a] = rngs[a].integers(0, high, size=count)
+        return out
 
 
 # numpy's ``SeedSequence`` hash (``numpy/random/bit_generator.pyx``), which
@@ -203,7 +261,7 @@ def replication_seed_words(master_seed: int, indices) -> np.ndarray:
     steps that take the index run over all of them at once in uint64 lanes.
     An index is one word of the spawn key, so it must lie in ``[0, 2**32)``.
     """
-    seed = int(master_seed)
+    seed = _whole(master_seed, "the seed")
     if seed < 0:
         raise ValueError("the seed must be nonnegative")
     index = np.asarray(indices).ravel()

@@ -1,6 +1,7 @@
 """Tests for the orthonormal systems and nested collections."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -381,6 +382,20 @@ def test_sobolev_collection_sizing():
 def test_dimension_growth_refuses_a_nan_sample_size():
     with pytest.raises(ValueError, match="need n >= 2"):
         check_dimension_growth(histogram_collection([1, 2]), math.nan, 0.1)
+
+
+@pytest.mark.parametrize("n", [1e160, 1e200])
+def test_sobolev_collection_refuses_a_top_dimension_beyond_the_index_range(n):
+    # n ** 2 used to overflow with an OverflowError; the top cutoff n ** 0.4 is beyond 2**62
+    with pytest.raises(ValueError, match="array index range"):
+        fourier_collection_for_sobolev(n, 1.0)
+
+
+@pytest.mark.parametrize("n", [1e160, 1e200, sys.float_info.max])
+def test_sobolev_collection_takes_a_huge_n_with_a_cutoff_in_range(n):
+    # at gamma = 100 the rate term is n ** (1 / 200.5), far below the overflowing cap n^2 / (ln n)^2
+    coll = fourier_collection_for_sobolev(n, 100.0)
+    assert coll.top.cutoff == max(int(n ** (1 / 200.5)), 1)
 
 
 def test_sobolev_collection_refuses_a_nan_smoothness():

@@ -115,6 +115,36 @@ def test_rank_needs_at_least_one_order_statistic(count):
         order_statistic_rank(0.5, count)
 
 
+@pytest.mark.parametrize("count", [2.5, 10**400, math.inf, True])
+def test_rank_count_is_a_whole_number(count):
+    # 2.5 used to give rank 2 and 10**400 an OverflowError
+    with pytest.raises(ValueError, match="count"):
+        order_statistic_rank(0.5, count)
+
+
+@pytest.mark.parametrize("experiment", ["coverage", "normalized-difference"])
+@pytest.mark.parametrize("name,value", [("n_draws", 2.5), ("n_draws", 0), ("reps", 2.5), ("reps", math.nan)])
+def test_experiment_counts_are_whole_numbers(experiment, name, value):
+    # n_draws = 2.5 used to leak numpy's TypeError, reps = 2.5 Python's
+    kwargs = dict(n=20, dim=4, n_draws=10, reps=3, seed=1)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match="weight draw" if value == 0 else name):
+        if experiment == "coverage":
+            coverage_experiment(UniformDensity(), alphas=[0.5], **kwargs)
+        else:
+            normalized_difference_experiment(UniformDensity(), **kwargs)
+
+
+def test_experiments_take_whole_float_counts():
+    kwargs = dict(n=20, dim=4, seed=1)
+    expected = normalized_difference_experiment(UniformDensity(), n_draws=10, reps=3, **kwargs)
+    result = normalized_difference_experiment(UniformDensity(), n_draws=10.0, reps=np.int64(3), **kwargs)
+    np.testing.assert_array_equal(result.monte_carlo, expected.monte_carlo)
+    assert coverage_experiment(UniformDensity(), alphas=[0.5], n_draws=10.0, reps=3.0, **kwargs) == coverage_experiment(
+        UniformDensity(), alphas=[0.5], n_draws=10, reps=3, **kwargs
+    )
+
+
 def _one_call_weights(scheme, size, rng):
     # per-point weights as one unchunked integer draw: the seeded 0.2.0 stream
     n = scheme.n
@@ -256,6 +286,10 @@ BLOCK_CASES = {
     # the points of 6 samples of 10,000 fit the chunk, those of 7 do not;
     # blocks of 6 (two groups of 3) and 2
     "replications-per-block-capped-by-their-points": (10000, 2, 8, 6, 3, 2),
+    # 1285 rows of 51 points: the first two blocks hold an odd count of
+    # entries, so they are drawn by ``integers`` (the second from a buffered
+    # half), and the short last one (430 rows) from raw words
+    "odd-entries-per-block": (51, 3000, 4, 3, 1, 1285),
 }
 
 

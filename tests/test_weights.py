@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densityball.weights import (
+    CellWeightDrawer,
     WeightKind,
     make_scheme,
     replication_rng,
@@ -237,3 +238,128 @@ def test_weight_batches_have_the_scheme_support(kind, n, size, seed):
         assert np.all((w == -1.0) | (w == 1.0))
     again = sample_weights_batch(scheme, size, np.random.default_rng(seed))
     np.testing.assert_array_equal(w, again)
+
+
+def _drawer_for(count, group=1):
+    # an Efron drawer whose draw buffer holds ``group`` rows of ``count`` entries
+    drawer = CellWeightDrawer(make_scheme("efron", count), 1, group)
+    assert drawer._draws.size >= group * count
+    return drawer
+
+
+def _assert_draws_as_integers(rngs, twins, high, count):
+    drawer = _drawer_for(count, len(rngs))
+    drawn = drawer._draw(rngs, high, count)
+    assert drawn.shape == (len(rngs), count)
+    for row, rng, twin in zip(drawn, rngs, twins):
+        np.testing.assert_array_equal(row, twin.integers(0, high, size=count))
+        # the streams go on alike: 32-bit draws (a buffered half would show) and raw words
+        halves = [r.integers(0, 7, size=3, dtype=np.uint32) for r in (rng, twin)]
+        np.testing.assert_array_equal(*halves)
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
+def _twin_rngs(make, count):
+    return [make(seed) for seed in range(count)], [make(seed) for seed in range(count)]
+
+
+# 10**6 and 3 * 10**9 reject about one 32-bit output in 4,400 and in 3, so
+# their rows take the rewind; 2, 3, 50, 100 and 12345 reject almost never
+HIGHS = [2, 3, 50, 100, 12345, 10**6, 3 * 10**9]
+
+
+@pytest.mark.parametrize("high", HIGHS)
+@pytest.mark.parametrize("count", [2, 5000, 5001, 65500])
+def test_drawn_integers_are_numpys_bounded_integers(high, count):
+    group = 3 if count <= 5001 else 1
+    rngs, twins = _twin_rngs(np.random.default_rng, group)
+    _assert_draws_as_integers(rngs, twins, high, count)
+
+
+def _rejects(seed, high, count):
+    # whether numpy's 32-bit rule rejects one of the first ``count`` outputs of default_rng(seed)
+    lo = np.random.default_rng(seed).bit_generator.random_raw(count // 2).view(np.uint32).astype(np.uint64)
+    return bool((lo * high & 0xFFFFFFFF < (2**32 - high) % high).any())
+
+
+@pytest.mark.parametrize("high", [10**6, 3 * 10**9])
+def test_a_rejected_output_rewinds_its_generator(high):
+    rngs, twins = _twin_rngs(np.random.default_rng, 3)
+    assert all(_rejects(seed, high, 20000) for seed in range(3))
+    _assert_draws_as_integers(rngs, twins, high, 20000)
+
+
+def test_a_buffered_half_is_served_first():
+    # integers(0, 7, dtype=uint32) leaves the other half of a word buffered
+    rngs, twins = _twin_rngs(np.random.default_rng, 2)
+    for rng in (rngs[0], twins[0]):
+        rng.integers(0, 7, dtype=np.uint32)
+    assert rngs[0].bit_generator.state["has_uint32"]
+    _assert_draws_as_integers(rngs, twins, 100, 1000)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_other_bit_generators_draw_as_integers(bit_generator):
+    rngs, twins = _twin_rngs(lambda seed: np.random.Generator(bit_generator(seed)), 2)
+    _assert_draws_as_integers(rngs, twins, 100, 1000)
+
+
+@pytest.mark.parametrize("high", [2**32 - 1, 2**32, 2**32 + 1, 2**40])
+def test_bounds_at_and_beyond_32_bits_draw_as_integers(high):
+    # 2**32 - 1 is the largest bound of the 32-bit rule; the others take 64-bit outputs
+    rngs, twins = _twin_rngs(np.random.default_rng, 2)
+    _assert_draws_as_integers(rngs, twins, high, 1000)
+
+
+def test_a_mixed_group_draws_as_integers():
+    # one group: a PCG64 kept as drawn, one with a buffered half, an MT19937,
+    # and a PCG64 that rejects an output, so only the last is rewound
+    def make(seed):
+        return np.random.Generator(np.random.MT19937(seed)) if seed == 2 else np.random.default_rng(seed)
+
+    high, count = 10**6, 2000
+    assert not _rejects(0, high, count) and _rejects(3, high, count)
+    rngs, twins = _twin_rngs(make, 4)
+    for rng in (rngs[1], twins[1]):
+        rng.integers(0, 7, dtype=np.uint32)
+    _assert_draws_as_integers(rngs, twins, high, count)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 1000])
+def test_advance_back_over_raw_words_restores_the_state(k):
+    bits = np.random.PCG64(11)
+    for _ in range(2):  # a fresh generator, then one that drew raw words
+        before = bits.state
+        bits.random_raw(k)
+        bits.advance(-k)
+        assert bits.state == before
+        bits.random_raw(5)
+
+
+@pytest.mark.parametrize(
+    "n_cells,size,name",
+    [(4, 2.5, "size"), (4, True, "size"), (4, math.nan, "size"), (2.5, 4, "n_cells"), (10**400, 4, "n_cells"),
+     (0, 5, "n_cells"), (4, 0, "size")],
+)
+def test_drawer_sizes_are_whole_numbers(n_cells, size, name):
+    # 2.5 used to leak numpy's TypeError and n_cells = 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match=name):
+        CellWeightDrawer(make_scheme("efron", 10), n_cells, size)
+
+
+def test_drawer_takes_whole_floats_and_numpy_integers():
+    drawer = CellWeightDrawer(make_scheme("efron", 10), np.int64(4), 3.0)
+    assert (drawer.n_cells, drawer.size) == (4, 3) and type(drawer.size) is int
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.bool_(False), math.inf, 10**400, "4"], ids=repr)
+def test_replication_seed_is_a_whole_number(seed):
+    # 1.5 used to give the stream of seed 1, and True that of seed 1
+    with pytest.raises(ValueError, match="seed"):
+        replication_rng(seed, 0)
+
+
+def test_replication_seed_takes_whole_floats_and_numpy_integers():
+    expected = replication_rng(4, 3).random(3)
+    for seed in (4.0, np.int64(4), np.uint32(4)):
+        np.testing.assert_array_equal(replication_rng(seed, 3).random(3), expected)
