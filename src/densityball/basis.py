@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from ._quadrature import piecewise_nodes
+from .weights import _whole
 
 # Basis entries evaluated per chunk of points by unit_ball_sup_norm, and
 # natural-function products per chunk by the piecewise-polynomial sums: memory
@@ -455,16 +456,6 @@ def _prime_steps(levels: tuple[int, ...]) -> tuple[int, ...]:
         if rest > 1:
             steps.append(fine)
     return tuple(steps)
-
-
-def _whole(value, what: str) -> int:
-    """``value`` as an int if it is whole: 3.0 passes; 2.5, NaN and inf raise ``ValueError``."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (OverflowError, ValueError):  # int(inf), int(nan)
-        pass
-    raise ValueError(f"{what} must be a whole number, not {value!r}")
 
 
 def _chain_levels(count: int, chain: Sequence[int] | None, what: str) -> tuple[int, ...]:

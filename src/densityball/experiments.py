@@ -277,6 +277,7 @@ def _replication_blocks(
     """
     n = scheme.n
     model = HistogramModel(dim)
+    dim = model.dim  # an int, also for a whole float such as 4.0
     drawer = CellWeightDrawer(scheme, dim, n_draws)
     firsts = range(0, reps, drawer.samples)
 

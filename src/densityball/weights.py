@@ -58,7 +58,8 @@ def _whole(value, what: str) -> int:
 
     Python and numpy ints and floats are taken; a bool, a fraction, NaN, an
     infinity or an int beyond the float range raises one ``ValueError`` that
-    names ``what``.  Range checks are the caller's.
+    names ``what``.  Range checks are the caller's.  The model sizes of
+    :mod:`densityball.basis` take the same check.
     """
     try:
         if not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and value == int(value):
@@ -207,20 +208,22 @@ class CellWeightDrawer:
         redraw = range(group)
         if count % 2 == 0 and 2 <= high < 2**32 and sys.byteorder == "little":
             prod = out.view(np.uint64)
-            raw = np.zeros(group, dtype=bool)
+            redraw, raw = [], []
             for a, rng in enumerate(rngs):
                 bits = rng.bit_generator
-                raw[a] = type(bits) is np.random.PCG64 and not bits.state["has_uint32"]
-                if raw[a]:
+                if type(bits) is np.random.PCG64 and not bits.state["has_uint32"]:
                     np.multiply(bits.random_raw(half).view(np.uint32), high, out=prod[a], dtype=np.uint64)
-            kept = raw.copy()
+                    raw.append(a)
+                else:
+                    redraw.append(a)
             threshold = (2**32 - high) % high
             if threshold:  # 0 when high is a power of two: nothing is rejected
-                kept &= prod.view(np.uint32)[:, 0::2].min(axis=1) >= threshold
+                lowest = prod.view(np.uint32)[:, 0::2].min(axis=1).tolist()
+                for a in raw:
+                    if lowest[a] < threshold:
+                        rngs[a].bit_generator.advance(-half)
+                        redraw.append(a)
             np.right_shift(prod, 32, out=prod)
-            for a in np.flatnonzero(raw & ~kept):
-                rngs[a].bit_generator.advance(-half)
-            redraw = np.flatnonzero(~kept)
         for a in redraw:
             out[a] = rngs[a].integers(0, high, size=count)
         return out

@@ -188,7 +188,7 @@ def test_histogram_chain_requires_divisors():
         histogram_collection([2**63])
     with pytest.raises(ValueError, match=str(10**23)):
         piecewise_polynomial_collection([1, 10**23], 2)
-    # a fractional or non-finite size is refused, not truncated
+    # a fractional, non-finite, bool or beyond-float size is refused, not truncated
     for build in (
         lambda: PiecewisePolynomialModel(3, 2.5),
         lambda: FourierModel(2.5),
@@ -202,6 +202,9 @@ def test_histogram_chain_requires_divisors():
         lambda: FourierModel.from_dim(math.nan),
         lambda: PiecewisePolynomialModel(3, math.inf),
         lambda: fourier_collection([3, math.inf]),
+        lambda: HistogramModel(True),
+        lambda: FourierModel(10**400),
+        lambda: PiecewisePolynomialModel(3, np.bool_(True)),
     ):
         with pytest.raises(ValueError, match="whole number"):
             build()

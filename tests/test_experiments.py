@@ -136,12 +136,15 @@ def test_experiment_counts_are_whole_numbers(experiment, name, value):
 
 
 def test_experiments_take_whole_float_counts():
-    kwargs = dict(n=20, dim=4, seed=1)
-    expected = normalized_difference_experiment(UniformDensity(), n_draws=10, reps=3, **kwargs)
-    result = normalized_difference_experiment(UniformDensity(), n_draws=10.0, reps=np.int64(3), **kwargs)
+    # dim = 4.0 used to leak numpy's TypeError from the cell counts
+    whole = dict(n=20, dim=4, n_draws=10, reps=3, seed=1)
+    floats = dict(n=20.0, dim=4.0, n_draws=10.0, reps=np.int64(3), seed=1)
+    expected = normalized_difference_experiment(UniformDensity(), **whole)
+    result = normalized_difference_experiment(UniformDensity(), **floats)
     np.testing.assert_array_equal(result.monte_carlo, expected.monte_carlo)
-    assert coverage_experiment(UniformDensity(), alphas=[0.5], n_draws=10.0, reps=3.0, **kwargs) == coverage_experiment(
-        UniformDensity(), alphas=[0.5], n_draws=10, reps=3, **kwargs
+    np.testing.assert_array_equal(result.closed_form, expected.closed_form)
+    assert coverage_experiment(UniformDensity(), alphas=[0.5], **floats) == coverage_experiment(
+        UniformDensity(), alphas=[0.5], **whole
     )
 
 

@@ -264,7 +264,7 @@ def _twin_rngs(make, count):
 
 
 # 10**6 and 3 * 10**9 reject about one 32-bit output in 4,400 and in 3, so
-# their rows take the rewind; 2, 3, 50, 100 and 12345 reject almost never
+# their long rows take the rewind; 2, 3, 50, 100 and 12345 almost never reject
 HIGHS = [2, 3, 50, 100, 12345, 10**6, 3 * 10**9]
 
 
@@ -352,7 +352,11 @@ def test_drawer_takes_whole_floats_and_numpy_integers():
     assert (drawer.n_cells, drawer.size) == (4, 3) and type(drawer.size) is int
 
 
-@pytest.mark.parametrize("seed", [1.5, True, np.bool_(False), math.inf, 10**400, "4"], ids=repr)
+@pytest.mark.parametrize(
+    "seed",
+    [1.5, True, np.bool_(False), math.inf, 10**400, "4"],
+    ids=["1.5", "True", "np-False", "inf", "10**400", "str"],
+)
 def test_replication_seed_is_a_whole_number(seed):
     # 1.5 used to give the stream of seed 1, and True that of seed 1
     with pytest.raises(ValueError, match="seed"):
