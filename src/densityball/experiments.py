@@ -38,9 +38,9 @@ The floor is then the draws and their aggregation.  A replication's
 integer draws are the values ``rng.integers`` would return, made from one
 ``random_raw`` call per replication and block by numpy's bounded-integer
 rule as array passes (:meth:`densityball.weights.CellWeightDrawer._draw`
-states the rule and when it applies); timed alone they cost about 4.0 ns
-per index, against about 4.65 ns for ``integers``, which also takes a
-fresh array per call, and the per-cell sums cost about as much again.
+states the rule and when it applies); timed alone they cost about 3 ns
+per index, against about 4 ns for ``integers``, which also takes a fresh
+array per call, and the per-cell sums cost a little more.
 
 When the drawer takes one replication per draw group (``group == 1``; at
 the README ``coverage`` configuration one replication's draws fill a group
