@@ -26,6 +26,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
+from ._checks import real, whole
 from .basis import ModelCollection, check_dimension_growth
 from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, variance_bounds
 # resampling_variance stays importable from here: perfbench's tests look it up
@@ -58,6 +59,10 @@ class ConfidenceBall:
     report: RadiusReport
 
     def __post_init__(self):
+        for name in ("selected_index", "top_dim"):
+            object.__setattr__(self, name, whole(getattr(self, name), name, low=0))
+        for name in ("radius", "beta", "eta"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         center = np.asarray(self.center, dtype=float).copy()
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
@@ -68,7 +73,8 @@ class ConfidenceBall:
         ``coefficients`` must have length ``top_dim``; a candidate with a
         component outside the top model passes its squared out-of-span norm
         as ``residual_norm_sq``, which is added in quadrature.  A NaN in
-        either is refused: no distance can be compared with the radius.
+        either is refused, as no distance can be compared with the radius,
+        and so is an infinite ``residual_norm_sq``, which is no norm.
         """
         cand = np.asarray(coefficients, dtype=float)
         if cand.shape != (self.top_dim,):
@@ -77,7 +83,8 @@ class ConfidenceBall:
             )
         if np.isnan(cand).any():
             raise ValueError("candidate coefficients must not be NaN")
-        if not residual_norm_sq >= 0:  # NaN fails this comparison too
+        residual_norm_sq = real(residual_norm_sq, "residual_norm_sq")
+        if residual_norm_sq < 0:
             raise ValueError(f"residual_norm_sq must be nonnegative, got {residual_norm_sq}")
         padded = np.zeros(self.top_dim)
         padded[: self.center.size] = self.center
@@ -90,11 +97,12 @@ def select_model_index(radius_sq_values: Sequence[float], dims: Sequence[int]) -
     """Index of the smallest radius; exact ties go to the smallest dimension.
 
     Invariant under rescaling all values by a common positive constant.
+    A value that is not finite is refused: NaN would fail every comparison.
     """
-    if len(radius_sq_values) != len(dims) or not radius_sq_values:
+    values = [real(value, "radius_sq_values") for value in radius_sq_values]
+    if len(values) != len(dims) or not values:
         raise ValueError("need one dimension per radius value")
-    order = range(len(dims))
-    return min(order, key=lambda i: (radius_sq_values[i], dims[i], i))
+    return min(range(len(dims)), key=lambda i: (values[i], dims[i], i))
 
 
 def build_confidence_ball(sample: Sample, collection: ModelCollection, config: BoundConfig) -> ConfidenceBall:
@@ -156,12 +164,12 @@ def ball_from_doc(doc: dict) -> ConfidenceBall:
     rows = tuple(_model_radius(row[name] for name, _ in REPORT_COLUMNS) for row in doc["models"])
     return ConfidenceBall(
         selected_model=doc["selected_model"],
-        selected_index=int(doc["selected_index"]),
+        selected_index=doc["selected_index"],
         center=np.array(doc["center_coefficients"], dtype=float),
-        radius=float(doc["radius"]),
-        top_dim=int(doc["top_dim"]),
-        beta=float(doc["beta"]),
-        eta=float(doc["eta"]),
+        radius=doc["radius"],
+        top_dim=doc["top_dim"],
+        beta=doc["beta"],
+        eta=doc["eta"],
         growth_check_ok=bool(doc["growth_check_ok"]),
         report=rows,
     )

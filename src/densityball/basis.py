@@ -32,15 +32,14 @@ included, on entry to ``basis_matrix`` and ``basis_sums``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import real, whole
 from ._quadrature import piecewise_nodes
-from .weights import _whole
 
 # Basis entries evaluated per chunk of points by unit_ball_sup_norm, and
 # natural-function products per chunk by the piecewise-polynomial sums: memory
@@ -67,11 +66,7 @@ class Model:
     """
 
     def __init__(self, dim: int, c1: float, label: str):
-        if dim < 1:
-            raise ValueError("model dimension must be positive")
-        self.dim = int(dim)
-        self.c1 = float(c1)
-        self.label = str(label)
+        self.dim, self.c1, self.label = whole(dim, "model dimension", low=1), real(c1, "c1"), str(label)
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at ``x``; shape ``(dim, len(x))``."""
@@ -218,15 +213,13 @@ class FourierModel(Model):
     """
 
     def __init__(self, cutoff: int):
-        self.cutoff = _whole(cutoff, "frequency cutoff")
-        if self.cutoff < 0:
-            raise ValueError("frequency cutoff must be >= 0")
+        self.cutoff = whole(cutoff, "frequency cutoff", low=0)
         dim = 2 * self.cutoff + 1
         super().__init__(dim, 1.0, f"fourier-{dim}")
 
     @classmethod
     def from_dim(cls, dim: int) -> "FourierModel":
-        dim = _whole(dim, "trigonometric dimension")
+        dim = whole(dim, "trigonometric dimension")
         if dim < 1 or dim % 2 == 0:
             raise ValueError("trigonometric dimension must be odd and positive")
         return cls((dim - 1) // 2)
@@ -340,9 +333,7 @@ class PiecewisePolynomialModel(Model):
 
     def __init__(self, pieces: int, degree_bound: int, chain: Sequence[int] | None = None):
         self.levels = _prime_steps(_chain_levels(pieces, chain, "piece"))
-        self.degree_bound = r = _whole(degree_bound, "degree bound")
-        if r < 1:
-            raise ValueError("degree bound must be >= 1")
+        self.degree_bound = r = whole(degree_bound, "degree bound", low=1)
         self.pieces = self.levels[-1]
         # sum_l psi_l(x)^2 = pieces sum_k (2k+1) P_k(u)^2 peaks at u = +-1, where
         # every P_k^2 is 1, at pieces r^2 = r dim, so c1 = sqrt(r)
@@ -460,12 +451,10 @@ def _prime_steps(levels: tuple[int, ...]) -> tuple[int, ...]:
 
 def _chain_levels(count: int, chain: Sequence[int] | None, what: str) -> tuple[int, ...]:
     """The divisor chain ``chain`` up to ``count``, or ``(count,)`` without a chain."""
-    count = _whole(count, f"{what} count")
-    vals = (count,) if chain is None else tuple(_whole(c, f"{what} count") for c in chain)
+    count = whole(count, f"{what} count", low=1)
+    vals = (count,) if chain is None else tuple(whole(c, f"{what} count", low=1) for c in chain)
     if not vals:
         raise ValueError(f"empty {what} chain")
-    if min(vals) < 1:
-        raise ValueError(f"{what} counts must be positive")
     if max(vals) > _INDEX_LIMIT:
         raise ValueError(f"{what} count {max(vals)} exceeds the largest array index {_INDEX_LIMIT}")
     for a, b in zip(vals, vals[1:]):
@@ -544,9 +533,8 @@ def fourier_collection_for_sobolev(n: int, gamma: float) -> ModelCollection:
     terms are compared in logs, as ``n^2`` overflows from about ``n =
     1.3e154``; a top dimension beyond the array index range is refused.
     """
-    if not 3 <= n <= sys.float_info.max:  # NaN fails this comparison too
-        raise ValueError("need n >= 3 and finite")
-    if not gamma > 0:  # NaN fails this comparison too
+    n, gamma = whole(n, "n", low=3), real(gamma, "gamma")
+    if gamma <= 0:
         raise ValueError("gamma must be positive")
     log_n, exponent = math.log(n), 1.0 / (2.0 * gamma + 0.5)
     log_rate, log_cap = exponent * log_n, 2.0 * (log_n - math.log(log_n))
@@ -621,8 +609,7 @@ def log_ratio(numerator: float, beta: float) -> float:
 
 def check_dimension_growth(collection: ModelCollection, n: int, beta: float) -> GrowthReport:
     """Check ``2 sqrt(d_top) ln(6 N / beta) / n <= c_m`` for the collection."""
-    if not 2 <= n <= sys.float_info.max:  # NaN fails this comparison too
-        raise ValueError("need n >= 2 and finite")
+    n, beta = whole(n, "n", low=2), real(beta, "beta")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     d_top = collection.top.dim

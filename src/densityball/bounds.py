@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real
 from .basis import ModelCollection, log_ratio
 
 EPSILON_GRID = tuple(float(e) for e in np.linspace(0.01, 0.99, 99))
@@ -29,6 +30,7 @@ EPSILON_GRID = tuple(float(e) for e in np.linspace(0.01, 0.99, 99))
 
 def variance_deviation_constant(c1: float, c3: float) -> float:
     """Explicit constant of the variance deviation term."""
+    c1, c3 = real(c1, "c1"), real(c3, "c3")
     if c1 <= 0 or c3 <= 0:
         raise ValueError("constants must be positive")
     return 2040.0 * c1 * max(1.0, c1, 1.5 * c1 * c3)
@@ -40,9 +42,10 @@ def bias_deviation_constant(epsilon: float | np.ndarray, c1: float, c3: float) -
     ``epsilon`` is a number, giving a float, or an array, giving the
     constant at each of its entries; every entry must lie in (0, 1).
     """
-    eps = np.asarray(epsilon, dtype=float)
+    eps = np.asarray(epsilon if np.ndim(epsilon) else real(epsilon, "epsilon"), dtype=float)
     if not np.all((eps > 0.0) & (eps < 1.0)):  # NaN fails these comparisons too
         raise ValueError("epsilon must lie in (0, 1)")
+    c1, c3 = real(c1, "c1"), real(c3, "c3")
     kappa = variance_deviation_constant(c1, c3) + (2.0 / eps) * max(2.0, 2.0 * c1, c3 * c1 * c1 / 9.0)
     return float(kappa) if eps.ndim == 0 else kappa
 
@@ -64,8 +67,7 @@ class BoundConfig:
 
     def __post_init__(self):
         for name in ("beta", "m2", "m_inf", "eta", "kappa_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         for name in ("m2", "m_inf"):

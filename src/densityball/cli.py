@@ -22,13 +22,14 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from ._checks import real, whole
 from .ball import ball_to_doc, build_confidence_ball
 from .basis import (
     ModelCollection,
@@ -140,35 +141,17 @@ def _string(value, where: str) -> str:
     return value
 
 
-def _number(value, where: str, integral: bool = False) -> float | int:
-    """A finite JSON number; with ``integral``, one with an integer value."""
+def _number(rule, value, where: str) -> float | int:
+    """A JSON number that passes ``rule``: :func:`~densityball._checks.real` or ``whole``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, not {_type_name(value)}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    if not integral:
-        return number
-    if not number.is_integer():
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+    return rule(value, where)
 
 
-def _integer(value, where: str) -> int:
-    return _number(value, where, integral=True)
-
-
-def _numbers(value, where: str, integral: bool = False) -> list:
+def _numbers(rule, value, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be an array of numbers, not {_type_name(value)}")
-    return [_number(v, f"{where}[{i}]", integral) for i, v in enumerate(value)]
-
-
-def _integers(value, where: str) -> list[int]:
-    return _numbers(value, where, integral=True)
+    return [_number(rule, v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def _decimal(cast):
@@ -211,22 +194,22 @@ def _json_object(text: str) -> dict:
 # tuple lists the flag's choices.  Config values are checked in row order.
 KEYS = (
     ("collection.family", _string, tuple(COLLECTIONS), "collection family"),
-    ("collection.dims", _integers, _comma_list(_INT, "integer"), "comma-separated model dimensions"),
+    ("collection.dims", partial(_numbers, whole), _comma_list(_INT, "integer"), "comma-separated model dimensions"),
     ("weights.kind", _string, tuple(kind.value for kind in WeightKind), "weight scheme"),
     ("oracle.kind", _string, ("uniform", "histogram", "cosine"), "simulation density"),
     ("oracle.params", _object, _json_object, "JSON oracle parameters"),
-    ("beta", _number, _FLOAT, "confidence parameter in (0, 1)"),
-    ("eta", _number, _FLOAT, "out-of-span radius"),
-    ("m2", _number, _FLOAT, "L2-norm bound on the density"),
-    ("mInf", _number, _FLOAT, "sup-norm bound on the density"),
-    ("kappaScale", _number, _FLOAT, "constant multiplier"),
-    ("n", _integer, _INT, "sample size"),
-    ("dm", _integer, _INT, "model dimension for the experiments"),
-    ("nb", _integer, _INT, "weight draws per replication"),
-    ("reps", _integer, _INT, "number of replications"),
-    ("seed", _integer, _INT, "master seed for all randomness"),
+    ("beta", partial(_number, real), _FLOAT, "confidence parameter in (0, 1)"),
+    ("eta", partial(_number, real), _FLOAT, "out-of-span radius"),
+    ("m2", partial(_number, real), _FLOAT, "L2-norm bound on the density"),
+    ("mInf", partial(_number, real), _FLOAT, "sup-norm bound on the density"),
+    ("kappaScale", partial(_number, real), _FLOAT, "constant multiplier"),
+    ("n", partial(_number, whole), _INT, "sample size"),
+    ("dm", partial(_number, whole), _INT, "model dimension for the experiments"),
+    ("nb", partial(_number, whole), _INT, "weight draws per replication"),
+    ("reps", partial(_number, whole), _INT, "number of replications"),
+    ("seed", partial(_number, whole), _INT, "master seed for all randomness"),
     ("input", _string, str, "sample file (one value per line)"),
-    ("alphaGrid", _numbers, _comma_list(_FLOAT, "float"), "comma-separated alpha levels"),
+    ("alphaGrid", partial(_numbers, real), _comma_list(_FLOAT, "float"), "comma-separated alpha levels"),
 )
 
 
@@ -236,7 +219,7 @@ def _attr(key: str) -> str:
 
 
 def settings_from_mapping(raw: dict) -> Settings:
-    """Type-check a parsed config mapping; any ill-typed value is a ConfigError."""
+    """Type-check a parsed config mapping: a ConfigError for an ill-typed value, a ValueError for a bad number."""
     _require_keys(_object(raw, "config"), {key.partition(".")[0] for key, *_ in KEYS}, "config")
     s = Settings()
     for key, check, _, _ in KEYS:
@@ -271,13 +254,13 @@ def build_oracle(settings: Settings) -> DensityOracle:
         _require_keys(params, {"cellValues"}, "oracle.params (histogram)")
         if "cellValues" not in params:
             raise ConfigError("histogram oracle needs oracle.params.cellValues")
-        return HistogramDensity(_numbers(params["cellValues"], "oracle.params.cellValues"))
+        return HistogramDensity(_numbers(real, params["cellValues"], "oracle.params.cellValues"))
     if kind == "cosine":
         _require_keys(params, {"amplitude", "frequency"}, "oracle.params (cosine)")
         try:
             return CosineTiltDensity(
-                _number(params.get("amplitude", 0.3), "oracle.params.amplitude"),
-                _number(params.get("frequency", 1), "oracle.params.frequency", integral=True),
+                _number(real, params.get("amplitude", 0.3), "oracle.params.amplitude"),
+                _number(whole, params.get("frequency", 1), "oracle.params.frequency"),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ._quadrature import density_gram
-from .basis import Model, check_unit_interval
+from .basis import Model, check_unit_interval, whole  # via basis: the estimators import basis and _quadrature only
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def prefix_estimates(
     * centered: the sum over ``l < d`` of
       ``(S_l - n t_l)^2 - (Q_l - 2 t_l S_l + n t_l^2)``, or ``None`` without ``true``.
     """
-    dims = np.asarray(dims)
+    dims, n = np.asarray(dims), whole(n, "n", low=2)
     pairs = n * (n - 1.0)
     variance = np.cumsum(np.maximum(squares - sums * sums / n, 0.0))[dims - 1] / pairs
     # suffix[d] = sum over l >= d of the off-diagonal terms; 0 at the top model

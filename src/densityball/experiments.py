@@ -83,16 +83,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real, whole
 from .basis import HistogramModel
 from .oracle import DensityOracle
-from .weights import (
-    CellWeightDrawer,
-    WeightKind,
-    WeightScheme,
-    _whole,
-    make_scheme,
-    replication_rngs,
-)
+from .weights import CellWeightDrawer, WeightKind, WeightScheme, make_scheme, replication_rngs
 
 DEFAULT_SEED = 4
 
@@ -175,10 +169,10 @@ def _cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
 
 def order_statistic_rank(level: float, count: int) -> int:
     """Rank ``ceil(level * count)`` in 1..count, robust to float fuzz."""
-    count = _whole(count, "count")
+    level, count = real(level, "level"), whole(count, "count")
     if count < 1:
         raise ValueError(f"need at least one order statistic, got count {count}")
-    t = level * count
+    t = min(max(level, 0.0), 1.0) * count  # clamped as the rank is, so that 1e308 * count cannot overflow
     nearest = round(t)
     if abs(t - nearest) < 1e-9:
         t = nearest
@@ -187,11 +181,9 @@ def order_statistic_rank(level: float, count: int) -> int:
 
 def _check_counts(n_draws: int, reps: int) -> tuple[int, int]:
     """``n_draws`` and ``reps`` as ints: whole, positive, and at most ``2**32`` replications."""
-    n_draws, reps = _whole(n_draws, "n_draws"), _whole(reps, "reps")
+    n_draws, reps = whole(n_draws, "n_draws"), whole(reps, "reps", low=1)
     if n_draws < 1:
         raise ValueError("need at least one weight draw")
-    if reps < 1:
-        raise ValueError("need at least one replication")
     if reps > 2**32:  # a replication's stream key is one 32-bit word
         raise ValueError("at most 2**32 replications")
     return n_draws, reps
@@ -336,7 +328,7 @@ def coverage_experiment(
     the order statistic of rank ``ceil(alpha * n_draws)`` of the reweighted
     statistics; rows come back as ``(alpha, frequency)`` in alpha order.
     """
-    alphas = sorted(float(a) for a in alphas)
+    alphas = sorted(real(a, "alpha") for a in alphas)
     if not alphas:
         raise ValueError("need at least one alpha level")
     if any(not 0.0 < a < 1.0 for a in alphas):

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from ._checks import real, whole
 from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _cells, _legendre_table
 from .estimators import Sample
 
@@ -92,9 +93,7 @@ def residual_norm_sq(oracle: DensityOracle, model: Model) -> float:
 
 def sample_from(oracle: DensityOracle, n: int, rng: np.random.Generator) -> Sample:
     """Draw an i.i.d. :class:`Sample` of size ``n`` from the oracle."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return Sample(oracle.sample_points(n, rng))
+    return Sample(oracle.sample_points(whole(n, "n", low=2), rng))
 
 
 class UniformDensity(DensityOracle):
@@ -208,20 +207,11 @@ class CosineTiltDensity(DensityOracle):
     """
 
     def __init__(self, amplitude: float, frequency: int):
-        try:
-            finite = math.isfinite(amplitude) and math.isfinite(frequency)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError("amplitude and frequency must be finite")
-        if abs(amplitude) * math.sqrt(2.0) > 1.0 + 1e-12:
+        self.amplitude, self.frequency = real(amplitude, "amplitude"), whole(frequency, "frequency", low=1)
+        if abs(self.amplitude) * math.sqrt(2.0) > 1.0 + 1e-12:
             raise ValueError("need |amplitude| * sqrt(2) <= 1 to keep the density nonnegative")
-        if frequency < 1 or int(frequency) != frequency:
-            raise ValueError("frequency must be a positive integer")
-        if not math.isfinite(2.0 * math.pi * frequency):  # an infinite phase makes the density NaN everywhere
+        if not math.isfinite(2.0 * math.pi * self.frequency):  # an infinite phase makes the density NaN everywhere
             raise ValueError("frequency is too large: 2 pi frequency overflows a float")
-        self.amplitude = float(amplitude)
-        self.frequency = int(frequency)
         self.norm2 = math.sqrt(1.0 + self.amplitude**2)
         self.norm_inf = 1.0 + abs(self.amplitude) * math.sqrt(2.0)
 

@@ -20,13 +20,14 @@ variance is ``(n - 1) / n``.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from ._checks import whole
 
 # Weight entries (rows * n) drawn per chunk: the draw's integer temporaries
 # stay O(DRAW_CHUNK_ENTRIES) whatever the batch size, and chunked integer draws
@@ -53,31 +54,12 @@ class WeightScheme:
     normalizer: float
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int if it is a whole number: ``3`` and ``3.0`` pass.
-
-    Python and numpy ints and floats are taken; a bool, a fraction, NaN, an
-    infinity or an int beyond the float range raises one ``ValueError`` that
-    names ``what``.  Range checks are the caller's.  The model sizes of
-    :mod:`densityball.basis` take the same check.
-    """
-    try:
-        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and value == int(value):
-            return int(value)
-    except OverflowError:  # an int beyond the float range, too long to repeat
-        raise ValueError(f"{what} must be a whole number within the float range") from None
-    except TypeError:  # not a number: refused below
-        pass
-    raise ValueError(f"{what} must be a whole number, got {value!r}")
-
-
 def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
     """Build a scheme; the normalizer is analytic, ``n / (n - 1)`` here."""
-    kind = WeightKind(kind)
-    # NaN and inf fail the first test, a fraction the second; the drawers size their arrays by n
-    if not 2 <= n <= np.iinfo(np.intp).max or n % 1:
-        raise ValueError(f"resampling needs an integer n >= 2 within the array index range, got {n}")
-    return WeightScheme(kind=kind, n=int(n), normalizer=n / (n - 1.0))
+    kind, n = WeightKind(kind), whole(n, "n", low=2)
+    if n > np.iinfo(np.intp).max:  # the drawers size their arrays by n
+        raise ValueError(f"resampling needs n within the array index range, got {n}")
+    return WeightScheme(kind=kind, n=n, normalizer=n / (n - 1.0))
 
 
 class CellWeightDrawer:
@@ -101,9 +83,7 @@ class CellWeightDrawer:
     """
 
     def __init__(self, scheme: WeightScheme, n_cells: int, size: int):
-        n_cells, size = _whole(n_cells, "n_cells"), _whole(size, "size")
-        if n_cells < 1 or size < 1:
-            raise ValueError(f"need n_cells >= 1 and size >= 1, got n_cells {n_cells} and size {size}")
+        n_cells, size = whole(n_cells, "n_cells", low=1), whole(size, "size", low=1)
         n = scheme.n
         self.scheme, self.n_cells, self.size = scheme, n_cells, size
         # a block's cell sums and its points both stay within the chunk
@@ -264,9 +244,7 @@ def replication_seed_words(master_seed: int, indices) -> np.ndarray:
     steps that take the index run over all of them at once in uint64 lanes.
     An index is one word of the spawn key, so it must lie in ``[0, 2**32)``.
     """
-    seed = _whole(master_seed, "the seed")
-    if seed < 0:
-        raise ValueError("the seed must be nonnegative")
+    seed = whole(master_seed, "the seed", low=0)
     index = np.asarray(indices).ravel()
     if index.size and (index.dtype.kind not in "iu" or index.min() < 0 or index.max() > _MASK32):
         raise ValueError("replication indices must lie in [0, 2**32)")

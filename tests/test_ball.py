@@ -110,9 +110,10 @@ def test_contains_refuses_nan():
         ball.contains(np.where(np.arange(ball.top_dim) == 1, math.nan, center_padded))
     with pytest.raises(ValueError, match="residual_norm_sq"):
         ball.contains(center_padded, residual_norm_sq=math.nan)
-    # an infinite distance is a distance: outside
+    # an infinite distance is a distance: outside; an infinite residual_norm_sq is no norm: refused
     assert not ball.contains(center_padded + math.inf)
-    assert not ball.contains(center_padded, residual_norm_sq=math.inf)
+    with pytest.raises(ValueError, match="residual_norm_sq"):
+        ball.contains(center_padded, residual_norm_sq=math.inf)
 
 
 def test_a_standalone_first_level_gives_the_ball_of_its_chain():
