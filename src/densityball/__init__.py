@@ -69,7 +69,7 @@ from .weights import (
     replication_rng,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "BoundConfig",

@@ -76,7 +76,10 @@ class ConfidenceBall:
         either is refused, as no distance can be compared with the radius,
         and so is an infinite ``residual_norm_sq``, which is no norm.
         """
-        cand = np.asarray(coefficients, dtype=float)
+        try:
+            cand = np.asarray(coefficients, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("coefficients must be finite, got an int beyond the float range") from None
         if cand.shape != (self.top_dim,):
             raise ValueError(
                 f"candidate must have {self.top_dim} top-model coefficients, got shape {cand.shape}"

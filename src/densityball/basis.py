@@ -510,19 +510,24 @@ class ModelCollection:
 
 def histogram_collection(dims: Sequence[int]) -> ModelCollection:
     """Nested histograms over a divisor chain of cell counts (e.g. dyadic)."""
-    chain = sorted(dims)
+    chain = _sorted_whole(dims, "histogram count")
     return ModelCollection([HistogramModel(d, chain) for d in chain])
 
 
 def fourier_collection(dims: Sequence[int]) -> ModelCollection:
     """Nested trigonometric spaces of the given odd dimensions, ``2 j + 1`` for cutoff ``j``."""
-    return ModelCollection([FourierModel.from_dim(d) for d in sorted(dims)])
+    return ModelCollection([FourierModel.from_dim(d) for d in _sorted_whole(dims, "trigonometric dimension")])
 
 
 def piecewise_polynomial_collection(piece_counts: Sequence[int], degree_bound: int) -> ModelCollection:
     """Nested piecewise-polynomial spaces over a divisor chain of pieces."""
-    chain = sorted(piece_counts)
+    chain = _sorted_whole(piece_counts, "piece count")
     return ModelCollection([PiecewisePolynomialModel(p, degree_bound, chain) for p in chain])
+
+
+def _sorted_whole(values: Sequence[int], what: str) -> list[int]:
+    """``values`` checked as whole numbers, then sorted: a string among ints cannot be sorted."""
+    return sorted(whole(value, what) for value in values)
 
 
 def fourier_collection_for_sobolev(n: int, gamma: float) -> ModelCollection:

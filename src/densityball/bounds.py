@@ -33,7 +33,7 @@ def variance_deviation_constant(c1: float, c3: float) -> float:
     c1, c3 = real(c1, "c1"), real(c3, "c3")
     if c1 <= 0 or c3 <= 0:
         raise ValueError("constants must be positive")
-    return 2040.0 * c1 * max(1.0, c1, 1.5 * c1 * c3)
+    return _finite_constant(2040.0 * c1 * max(1.0, c1, 1.5 * c1 * c3), c1, c3)
 
 
 def bias_deviation_constant(epsilon: float | np.ndarray, c1: float, c3: float) -> float | np.ndarray:
@@ -46,8 +46,18 @@ def bias_deviation_constant(epsilon: float | np.ndarray, c1: float, c3: float) -
     if not np.all((eps > 0.0) & (eps < 1.0)):  # NaN fails these comparisons too
         raise ValueError("epsilon must lie in (0, 1)")
     c1, c3 = real(c1, "c1"), real(c3, "c3")
-    kappa = variance_deviation_constant(c1, c3) + (2.0 / eps) * max(2.0, 2.0 * c1, c3 * c1 * c1 / 9.0)
+    variance, spread = variance_deviation_constant(c1, c3), max(2.0, 2.0 * c1, c3 * c1 * c1 / 9.0)
+    # the constant is largest at the smallest epsilon: if it is finite there, no entry overflows
+    _finite_constant(variance + 2.0 / float(eps.min()) * spread, c1, c3)
+    kappa = variance + (2.0 / eps) * spread
     return float(kappa) if eps.ndim == 0 else kappa
+
+
+def _finite_constant(kappa: float, c1: float, c3: float) -> float:
+    """``kappa`` if it is finite: finite constants whose product overflows are refused."""
+    if not math.isfinite(kappa):
+        raise ValueError(f"c1 and c3 must keep the deviation constant finite, got c1 = {c1:g}, c3 = {c3:g}")
+    return kappa
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Fourier model or per polynomial level:
 * ``_legendre_moments(pieces, r)``, the per-piece Legendre moments of one
   grid, from the Legendre antiderivative identity and, against a cosine
   density, from ``int_{-1}^{1} P_k(u) e^{i theta u} du = 2 i^k j_k(theta)``
-  with ``j_k`` the spherical Bessel function.
+  with ``j_k`` the spherical Bessel function, by recurrence
+  (:func:`_spherical_bessel`).
 
 Chain members reduce to these by linearity: each piecewise model maps
 per-level values through its own map, a histogram the cell masses of each
@@ -242,10 +243,38 @@ class CosineTiltDensity(DensityOracle):
         return cosine, np.zeros(cutoff)
 
     def _legendre_moments(self, pieces, r):
-        from scipy.special import spherical_jn  # on first use: nothing else in the package needs scipy
-
         k = np.arange(r)
         theta = math.pi * self.frequency / pieces
         phase = (2 * np.arange(pieces)[:, None] + 1) * theta + k * math.pi / 2.0
-        osc = np.sqrt(2.0 * (2 * k + 1)) * spherical_jn(k, theta) * np.cos(phase) / math.sqrt(pieces)
+        osc = np.sqrt(2.0 * (2 * k + 1)) * _spherical_bessel(r, theta) * np.cos(phase) / math.sqrt(pieces)
         return np.where(k == 0, 1.0 / math.sqrt(pieces), 0.0) + self.amplitude * osc
+
+
+def _spherical_bessel(r: int, theta: float) -> np.ndarray:
+    """The spherical Bessel functions ``j_0(theta) .. j_{r-1}(theta)`` for one ``theta > 0``.
+
+    Both ways run ``j_{k-1} + j_{k+1} = (2k+1) j_k / theta``.  Upward from
+    ``j_0`` and ``j_1`` it is stable while ``k <= theta``.  Otherwise it runs
+    downward from well above ``r`` (Miller's algorithm, Gautschi 1967),
+    rescaled before it overflows, normalised by ``sum (2k+1) j_k^2 = 1``, and
+    signed by the larger of ``j_0`` and ``j_1``: near a zero of ``sin theta``
+    the sign of ``j_0`` is noise.
+    """
+    sin, cos = math.sin(theta), math.cos(theta)
+    first = (sin / theta, (sin / theta - cos) / theta)  # theta**2 overflows from about 1.3e154
+    if theta >= r:
+        values = list(first)
+        for k in range(1, r - 1):
+            values.append((2 * k + 1) / theta * values[k] - values[k - 1])
+        return np.array(values[:r])
+    top = r + 30 + math.isqrt(40 * r)
+    values = [0.0, 1.0]  # j_{top+1} and j_top, up to a common factor
+    for k in range(top, 0, -1):
+        values.append((2 * k + 1) / theta * values[-1] - values[-2])
+        if abs(values[-1]) > 1e200:
+            values = [value * 1e-200 for value in values]
+    j = np.array(values[::-1])
+    j /= np.abs(j).max()  # the squares below stay finite
+    j /= math.sqrt(np.arange(1, 2 * j.size, 2) @ (j * j))
+    i = 0 if abs(first[0]) >= abs(first[1]) else 1
+    return j[:r] if (j[i] < 0) == (first[i] < 0) else -j[:r]

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._checks import whole
+from ._checks import real, whole
 
 # Weight entries (rows * n) drawn per chunk: the draw's integer temporaries
 # stay O(DRAW_CHUNK_ENTRIES) whatever the batch size, and chunked integer draws
@@ -53,13 +53,20 @@ class WeightScheme:
     n: int
     normalizer: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "kind", WeightKind(self.kind))
+        object.__setattr__(self, "n", whole(self.n, "n", low=2))
+        if self.n > np.iinfo(np.intp).max:  # the drawers size their arrays by n
+            raise ValueError(f"resampling needs n within the array index range, got {self.n}")
+        object.__setattr__(self, "normalizer", real(self.normalizer, "normalizer"))
+        if self.normalizer <= 0:
+            raise ValueError(f"normalizer must be positive, got {self.normalizer}")
+
 
 def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
     """Build a scheme; the normalizer is analytic, ``n / (n - 1)`` here."""
-    kind, n = WeightKind(kind), whole(n, "n", low=2)
-    if n > np.iinfo(np.intp).max:  # the drawers size their arrays by n
-        raise ValueError(f"resampling needs n within the array index range, got {n}")
-    return WeightScheme(kind=kind, n=n, normalizer=n / (n - 1.0))
+    n = whole(n, "n", low=2)  # n - 1.0 overflows for an int beyond the float range
+    return WeightScheme(kind, n, n / (n - 1.0))
 
 
 class CellWeightDrawer:

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import reprlib
 
 import numpy as np
 import pytest
@@ -79,6 +80,10 @@ REFUSED = {
     "rank-nan": (lambda: db.order_statistic_rank(math.nan, 10), "level"),
     "variance-constant-nan": (lambda: db.variance_deviation_constant(math.nan, 1), "c1"),
     "variance-constant-inf": (lambda: db.variance_deviation_constant(math.inf, 1), "c1"),
+    "variance-constant-overflow": (lambda: db.variance_deviation_constant(1e200, 1), "c1 and c3"),
+    "bias-constant-overflow": (lambda: db.bias_deviation_constant(0.5, 1e200, 1), "c1 and c3"),
+    "contains-huge-coefficient": (lambda: BALL.contains([10**400] + [0.0] * (BALL.top_dim - 1)), "coefficients"),
+    "WeightScheme-fraction": (lambda: db.WeightScheme(db.WeightKind.EFRON_MULTINOMIAL, 2.5, math.nan), "n"),
     "growth-fraction": (lambda: db.check_dimension_growth(COLLECTION, 2.5, 0.1), "n"),
     "cosine-bool": (lambda: db.CosineTiltDensity(0.3, True), "frequency"),
     "sample-fraction": (lambda: db.sample_from(db.UniformDensity(), 2.5, np.random.default_rng(0)), "n"),
@@ -170,6 +175,10 @@ ROWS = {
         lambda first, second: db.select_model_index([first, second], [1, 2]), dict(first=POSITIVE, second=POSITIVE)
     ),
     "variance_deviation_constant": (db.variance_deviation_constant, dict(c1=POSITIVE, c3=POSITIVE)),
+    "WeightScheme": (
+        lambda n, normalizer: db.WeightScheme("efron", n, normalizer),
+        dict(n=st.integers(2, 10**6), normalizer=POSITIVE),
+    ),
 }
 
 
@@ -204,6 +213,39 @@ def test_a_number_is_taken_or_refused_with_one_value_error(name, data):
     assert _all_finite(result)
 
 
+# Public callables that take a sequence of numbers, each with a valid sequence; one entry of it is
+# replaced by an edge value.  Counts also meet a fraction.
+SEQUENCE_EDGES = (math.nan, math.inf, -math.inf, 10**400, True, "3")
+SEQUENCES = {
+    "ConfidenceBall.contains-coefficients": (BALL.contains, [0.0] * BALL.top_dim, SEQUENCE_EDGES),
+    "HistogramDensity-cell_values": (db.HistogramDensity, [1.0, 1.0, 1.0], SEQUENCE_EDGES),
+    "histogram_collection-dims": (db.histogram_collection, [1, 2, 4], SEQUENCE_EDGES + (2.5,)),
+    "fourier_collection-dims": (db.fourier_collection, [1, 3, 5], SEQUENCE_EDGES + (2.5,)),
+    "piecewise_polynomial_collection-dims": (
+        lambda dims: db.piecewise_polynomial_collection(dims, 2), [1, 2, 4], SEQUENCE_EDGES + (2.5,)
+    ),
+}
+SEQUENCE_CASES = [
+    pytest.param(name, position, edge, id=f"{name}-{position}-{reprlib.repr(edge)}")
+    for name, (_, valid, edges) in SEQUENCES.items()
+    for position in range(len(valid))
+    for edge in edges
+]
+
+
+@pytest.mark.parametrize("name,position,edge", SEQUENCE_CASES)
+def test_an_edge_value_in_a_sequence_is_taken_or_refused_with_one_value_error(name, position, edge):
+    call, valid, _ = SEQUENCES[name]
+    values = list(valid)
+    values[position] = edge
+    try:
+        result = call(values)
+    except ValueError as exc:  # any other exception fails the test
+        assert _alone(exc)
+        return
+    assert _all_finite(result)
+
+
 def _takes_a_number(obj) -> bool:
     """Whether a public callable has a parameter annotated ``int`` or ``float`` (alone or in a union)."""
     try:
@@ -215,11 +257,11 @@ def _takes_a_number(obj) -> bool:
 
 def test_every_public_callable_that_takes_a_number_has_a_fuzz_row():
     # A dataclass without __post_init__ is a record: it stores what its producer checked
-    # (GrowthReport, ModelRadius, SupNormReport, WeightScheme), so it has no row.
+    # (GrowthReport, ModelRadius, SupNormReport), so it has no row.
     records = {
         name for name in db.__all__
         if dataclasses.is_dataclass(getattr(db, name)) and not hasattr(getattr(db, name), "__post_init__")
     }
     takers = {name for name in db.__all__ if callable(getattr(db, name)) and _takes_a_number(getattr(db, name))}
-    assert records & takers == {"GrowthReport", "ModelRadius", "SupNormReport", "WeightScheme"}
+    assert records & takers == {"GrowthReport", "ModelRadius", "SupNormReport"}
     assert takers - records <= set(ROWS)

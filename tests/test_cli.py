@@ -876,33 +876,34 @@ def test_cli_never_imports_scipy(sample_file, tmp_path):
 
 
 POLYNOMIAL_GUARD = """
-import json, sys
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
 import numpy as np
 from densityball import (
-    BoundConfig, HistogramDensity, UniformDensity, build_confidence_ball, check_sup_norm_control,
-    piecewise_polynomial_collection, replication_rng, sample_from,
+    BoundConfig, CosineTiltDensity, HistogramDensity, UniformDensity, build_confidence_ball,
+    check_sup_norm_control, piecewise_polynomial_collection, replication_rng, sample_from,
 )
 collection = piecewise_polynomial_collection([1, 2, 6], 3)
 sample = sample_from(HistogramDensity([1.5, 0.5]), 200, replication_rng(3, 0))
 collection.top.basis_sums(sample.points)
 build_confidence_ball(sample, collection, BoundConfig(beta=0.1, m2=2.0, m_inf=2.0))
 assert all(check_sup_norm_control(model).holds for model in collection)
-for oracle in (UniformDensity(), HistogramDensity([0.4, 2.2, 0.4])):
+for oracle in (UniformDensity(), HistogramDensity([0.4, 2.2, 0.4]), CosineTiltDensity(0.3, 3)):
     assert np.all(np.isfinite(oracle.true_coefficients(collection.top)))
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print("ok")
 """
 
 
 def test_polynomial_work_never_imports_scipy():
-    # a fresh interpreter: the Legendre values are a numpy recurrence, and only
-    # the cosine oracle's polynomial moments need scipy
+    # a fresh interpreter without scipy: the Legendre values and the cosine
+    # oracle's spherical Bessel functions are numpy recurrences
     src = str(Path(densityball.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", POLYNOMIAL_GUARD], capture_output=True, text=True, env=env, timeout=120, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 def test_import_loads_numpy_random_only_if_numpy_does():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from densityball._quadrature import nodes_for
 from densityball.basis import (
@@ -18,6 +19,7 @@ from densityball.oracle import (
     CosineTiltDensity,
     HistogramDensity,
     UniformDensity,
+    _spherical_bessel,
     residual_norm_sq,
     sample_from,
 )
@@ -95,6 +97,15 @@ def test_coefficients_match_quadrature(oracle, model):
     x, w = nodes_for(model, oracle, order=16)
     quad = model.basis_matrix(x) @ (w * oracle.density(x))
     np.testing.assert_allclose(oracle.true_coefficients(model), quad, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 12, 20, 40])
+def test_spherical_bessel_matches_scipy(r):
+    # tiny to huge arguments, the zeros k pi of sin, and arguments whose square overflows
+    thetas = np.concatenate([np.logspace(-8, 6, 2000), math.pi * np.arange(1, 200), [1e18, 3e300]])
+    got = np.array([_spherical_bessel(r, float(theta)) for theta in thetas])
+    assert got.shape == (thetas.size, r)
+    np.testing.assert_allclose(got, spherical_jn(np.arange(r), thetas[:, None]), rtol=0, atol=1e-14)
 
 
 def test_polynomial_coefficients_take_one_moment_call_per_level():
