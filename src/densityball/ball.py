@@ -26,7 +26,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from ._checks import real, whole
+from ._checks import real, reals, whole
 from .basis import ModelCollection, check_dimension_growth
 from .bounds import BoundConfig, ModelRadius, RadiusReport, bias_bounds, radii, variance_bounds
 # resampling_variance stays importable from here: perfbench's tests look it up
@@ -76,10 +76,7 @@ class ConfidenceBall:
         either is refused, as no distance can be compared with the radius,
         and so is an infinite ``residual_norm_sq``, which is no norm.
         """
-        try:
-            cand = np.asarray(coefficients, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            raise ValueError("coefficients must be finite, got an int beyond the float range") from None
+        cand = reals(coefficients, "coefficients")
         if cand.shape != (self.top_dim,):
             raise ValueError(
                 f"candidate must have {self.top_dim} top-model coefficients, got shape {cand.shape}"

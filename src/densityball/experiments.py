@@ -45,16 +45,15 @@ array per call, and the per-cell sums cost a little more.
 When the drawer takes one replication per draw group (``group == 1``; at
 the README ``coverage`` configuration one replication's draws fill a group
 by themselves, ``2 n n_draws > 2**16``, so every draw group holds at least
-``2**15`` entries, whose passes release the GIL), the blocks run on
-``min(usable CPUs, 2, blocks)`` threads, the calling one included, each
-with its own drawer.  The usable CPUs are the process's affinity mask where
-the OS has one, else ``os.cpu_count()``.  The cap of 2 is the count that
-was measured.  At numpy 2.4 every kernel of a block (``random_raw``,
-``multiply``, ``take``, ``add``, ``bincount``, ``einsum``) releases the
-GIL; what bounds the speed-up is the host's free CPUs and the Python work
-of each block, which runs one thread at a time (on a 2-vCPU host two busy
-processes finished only 1.3-1.6x faster than one after the other), while
-each thread adds its own drawer buffers (about 2.4 MB of peak RSS).  Threads take
+``2**15`` entries), the blocks run on ``min(usable CPUs, 2, blocks)``
+threads (:func:`_usable_cpus`, ``_MAX_THREADS``), the calling one included,
+each with its own drawer.  At numpy 2.4 every kernel of a block
+(``random_raw``, ``multiply``, ``take``, ``add``, ``bincount``, ``einsum``)
+releases the GIL but ``bincount``'s min/max pass; what bounds the speed-up
+is that pass, the host's free CPUs and the Python work of each block, which
+runs one thread at a time (on a 2-vCPU host two busy processes finished
+only 1.3-1.6x faster than one after the other), while each thread adds its
+own drawer (about 1.3 MB of peak RSS).  Threads take
 the next block from one counter and reduce it where it ran (hits per alpha,
 or the per-replication differences); the results are combined in block
 order, so every output is bit-identical for any CPU count.  Smaller draws
@@ -98,16 +97,12 @@ class NormalizedDifferenceResult:
     monte_carlo: np.ndarray
     closed_form: np.ndarray
 
-    def summary(self) -> dict[str, tuple[float, float]]:
+    def summary(self) -> dict[str, tuple[float, float, float, float]]:
         """(mean, sd, min, max) per column, keyed by column name."""
         out = {}
         for name, col in (("monte_carlo", self.monte_carlo), ("closed_form", self.closed_form)):
-            out[name] = (
-                float(np.mean(col)),
-                float(np.std(col, ddof=1)) if col.size > 1 else 0.0,
-                float(np.min(col)),
-                float(np.max(col)),
-            )
+            sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
+            out[name] = (float(np.mean(col)), sd, float(np.min(col)), float(np.max(col)))
         return out
 
 
@@ -157,11 +152,7 @@ def cell_resampling_statistics(
 
 
 def _cell_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """Points per cell of each row of ``cells``, shape ``(rows, n_cells)``.
-
-    Row ``a`` is shifted by ``a * n_cells`` so that one ``bincount`` counts
-    every row.
-    """
+    """Points per cell of each row of ``cells``, shape ``(rows, n_cells)``, by one ``bincount`` of shifted rows."""
     rows = cells.shape[0]
     shifted = cells + n_cells * np.arange(rows)[:, None]
     return np.bincount(shifted.ravel(), minlength=rows * n_cells).reshape(rows, n_cells)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from ._checks import real, whole
+from ._checks import real, reals, whole
 from .basis import FourierModel, HistogramModel, Model, PiecewisePolynomialModel, _cells, _legendre_table
 from .estimators import Sample
 
@@ -129,10 +129,7 @@ class HistogramDensity(DensityOracle):
     """
 
     def __init__(self, cell_values):
-        try:
-            values = np.asarray(cell_values, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            raise ValueError("cell values must be finite") from None
+        values = reals(cell_values, "cell values")
         if values.ndim != 1 or values.size < 1:
             raise ValueError("cell_values must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(values)):

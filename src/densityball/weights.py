@@ -83,8 +83,9 @@ class CellWeightDrawer:
     Per sample only its raw words are drawn, multiplied into the block, and
     its cells are looked up; numpy's bounded-integer rule runs over the whole
     block (:meth:`_draw`), and one ``bincount`` aggregates it, with row
-    ``(a, r)`` of the block shifted by ``(a * rows + r) * n_cells``.  The
-    block buffers are kept from one call of :meth:`blocks` to the next: fresh
+    ``(a, r)`` of the block shifted by ``(a * rows + r) * n_cells``.  Efron
+    draws are binned in the draw buffer itself, Rademacher draws in a bin
+    table; both are kept from one call of :meth:`blocks` to the next: fresh
     ones per call cost more in page faults than the draws themselves.  A
     drawer is not thread-safe; each thread needs its own.
     """
@@ -103,7 +104,7 @@ class CellWeightDrawer:
         self._efron = scheme.kind is WeightKind.EFRON_MULTINOMIAL
         # int64, not intp, so that the draws can be viewed as uint64 products
         self._draws = np.empty(entries, dtype=np.int64)
-        self._bins = np.empty(entries, dtype=np.intp)
+        self._bins = None if self._efron else np.empty(entries, dtype=np.intp)
         self._shift = (n_cells * np.arange(self.group * self.rows)).reshape(self.group, self.rows, 1)
 
     def blocks(
@@ -143,25 +144,24 @@ class CellWeightDrawer:
         n, n_cells, rows = self.scheme.n, self.n_cells, self.rows
         group = len(rngs)
         # Several samples share a block only when all ``size`` rows fit, so a
-        # short last block has one sample, and the first ``block`` rows of
-        # these row-major buffers are then the block's own layout.
-        bins = self._bins[: group * rows * n].reshape(group, rows, n)
+        # short last block has one sample, and the first ``block`` rows of the
+        # row-major shift and bin tables are then the block's own layout.
         shift = self._shift[:group]
         if not self._efron:
             # a point's bin is ``2 (cell + shift) + B``: the odd bins count the ones
+            bins = self._bins[: group * rows * n].reshape(group, rows, n)
             np.add(cells[:, None, :], shift, out=bins)
             bins *= 2
         for start in range(0, self.size, rows):
             block = min(rows, self.size - start)
             drawn = self._draw(rngs, n if self._efron else 2, block * n).reshape(group, block, n)
             if self._efron:
-                chunk = bins[:, :block]
                 for a in range(group):
-                    # ``mode="clip"`` lets ``take`` write into ``chunk`` without
-                    # buffering; the indices are in range, so it never clips.
-                    np.take(cells[a], drawn[a], out=chunk[a], mode="clip")
-                chunk += shift[:, :block]
-                sums = np.bincount(chunk.ravel(), minlength=group * block * n_cells)
+                    # each index becomes its cell in place: ``take`` reads entry ``i`` before it
+                    # writes it, and ``mode="clip"`` (the indices never clip) keeps ``out`` unbuffered
+                    np.take(cells[a], drawn[a], out=drawn[a], mode="clip")
+                drawn += shift[:, :block]
+                sums = np.bincount(drawn.ravel(), minlength=group * block * n_cells)
             else:
                 drawn += bins[:, :block]
                 ones = np.bincount(drawn.ravel(), minlength=2 * group * block * n_cells)[1::2]
@@ -289,11 +289,10 @@ class _SeedWords:
 
     ``spawn`` builds ``SeedSequence(seed, spawn_key=(index,))`` from the
     words' ``key`` on first use and spawns from it, so a stream spawns the
-    children of that sequence.  The
-    class is registered as a ``numpy.random.bit_generator
-    .ISpawnableSeedSequence`` on first use, not subclassed, so that importing
-    this module does not itself load ``numpy.random`` (about 5 MB), which
-    numpy 2 loads only when it is first used.
+    children of that sequence.  The class is registered as a
+    ``numpy.random.bit_generator.ISpawnableSeedSequence`` on first use, not
+    subclassed, so that importing this module does not itself load
+    ``numpy.random`` (about 5 MB), which numpy 2 loads only when it is used.
     """
 
     __slots__ = ("words", "key", "_sequence")

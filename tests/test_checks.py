@@ -246,6 +246,28 @@ def test_an_edge_value_in_a_sequence_is_taken_or_refused_with_one_value_error(na
     assert _all_finite(result)
 
 
+@pytest.mark.parametrize("name,what", [("ConfidenceBall.contains-coefficients", "coefficients"),
+                                       ("HistogramDensity-cell_values", "cell values")])
+@pytest.mark.parametrize("edge", [True, np.True_, "3"], ids=repr)
+def test_a_bool_or_a_string_among_real_numbers_is_refused(name, what, edge):
+    # each used to be taken as a number: ["3", 0, 0, 0] as (3, 0, 0, 0) and [True, 1, 1] as (1, 1, 1)
+    call, valid, _ = SEQUENCES[name]
+    for position in range(len(valid)):
+        values = list(valid)
+        values[position] = edge
+        with pytest.raises(ValueError, match=f"^{what} must be real numbers, got ") as info:
+            call(values)
+        assert _alone(info.value)
+
+
+def test_python_and_numpy_numbers_and_numeric_arrays_are_real_numbers():
+    numbers = [np.float64(0.0), np.int64(0), 0, np.float32(0.0)]
+    for candidate in (numbers, np.zeros(BALL.top_dim, dtype=int), np.zeros(BALL.top_dim, dtype=object)):
+        assert BALL.contains(candidate)
+    for values in ([np.int64(1), 1.0, np.float32(1.0)], np.ones(3, dtype=np.uint8), np.ones(3, dtype=object)):
+        np.testing.assert_array_equal(db.HistogramDensity(values).cell_values, [1.0, 1.0, 1.0])
+
+
 def _takes_a_number(obj) -> bool:
     """Whether a public callable has a parameter annotated ``int`` or ``float`` (alone or in a union)."""
     try:

@@ -77,6 +77,15 @@ def test_validation():
         HistogramDensity([10**400, 1])
 
 
+def test_a_histogram_density_keeps_its_own_cell_values():
+    # the values used to alias a float array, so editing it moved the density but not the sampler's cdf
+    values = np.array([1.5, 0.5])
+    oracle = HistogramDensity(values)
+    values[:] = [0.5, 1.5]
+    np.testing.assert_array_equal(oracle.cell_values, [1.5, 0.5])
+    assert oracle.density(np.array([0.25]))[0] == 1.5
+
+
 @pytest.mark.parametrize("oracle", [UniformDensity(), HistogramDensity([1.5, 0.5]), CosineTiltDensity(0.3, 3)])
 def test_histogram_coefficients_take_linear_memory(oracle):
     # per-level cell masses through the model's own map; a (dim, cells) matrix at 4096 cells is 128 MiB

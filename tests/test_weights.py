@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,28 @@ def test_drawer_sizes_are_whole_numbers(n_cells, size, name):
 def test_drawer_takes_whole_floats_and_numpy_integers():
     drawer = CellWeightDrawer(make_scheme("efron", 10), np.int64(4), 3.0)
     assert (drawer.n_cells, drawer.size) == (4, 3) and type(drawer.size) is int
+
+
+@pytest.mark.parametrize(
+    "n,n_cells,size,reps", [(100, 50, 10_000, 1), (50, 10, 100, 13)], ids=["coverage", "simulate-pw"]
+)
+def test_an_efron_drawer_bins_its_draws_in_its_draw_buffer(n, n_cells, size, reps):
+    # the README shapes of the two studies; a second buffer as large as the draw buffer overshoots the margin
+    rngs = replication_rngs(0, range(reps))
+    cells = np.random.default_rng(1).integers(0, n_cells, size=(reps, n))
+    counts = np.stack([np.bincount(row, minlength=n_cells) for row in cells])
+    tracemalloc.start()
+    try:
+        drawer = CellWeightDrawer(make_scheme("efron", n), n_cells, size)
+        for _ in drawer.blocks(rngs, cells, counts):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps <= drawer.samples
+    raw_words = 8 * (drawer.rows * n // 2)  # one replication's, per block
+    block_sums = 8 * drawer.group * drawer.rows * n_cells
+    assert peak < 1.25 * (drawer._draws.nbytes + raw_words + block_sums)
 
 
 @pytest.mark.parametrize(
