@@ -51,6 +51,9 @@ CHUNK_ENTRIES = 2**20
 POWER_CHUNK_ENTRIES = 2**14
 # Cells and pieces are indexed with np.intp, so no count may exceed this.
 _INDEX_LIMIT = np.iinfo(np.intp).max
+# Models per Sobolev collection at most: building one costs about 2.8 us and
+# 280 B, so 2**20 of them take about 3 s and 280 MB.
+MAX_SOBOLEV_MODELS = 2**20
 # Trial divisors of a polynomial refinement ratio stay below this, so a huge
 # prime ratio costs at most this many divisions; a ratio left unsplit is then
 # at least 2**32, and its (ratio r)^2 block could never be built anyway.
@@ -536,7 +539,8 @@ def fourier_collection_for_sobolev(n: int, gamma: float) -> ModelCollection:
     The top cutoff is ``floor(min(n**(1/(2 gamma + 1/2)), n^2 / (ln n)^2))``
     and the collection holds one model per cutoff from 1 up to it.  The two
     terms are compared in logs, as ``n^2`` overflows from about ``n =
-    1.3e154``; a top dimension beyond the array index range is refused.
+    1.3e154``; a top dimension beyond the array index range is refused, and
+    so is a top cutoff above ``MAX_SOBOLEV_MODELS``, before any model is built.
     """
     n, gamma = whole(n, "n", low=3), real(gamma, "gamma")
     if gamma <= 0:
@@ -547,6 +551,10 @@ def fourier_collection_for_sobolev(n: int, gamma: float) -> ModelCollection:
         raise ValueError(f"n = {n:g} at gamma = {gamma:g} gives a top dimension beyond the array index range")
     # the smaller term is within the index range, so it evaluates without overflow
     top = max(int(float(n) ** exponent if log_rate <= log_cap else float(n) ** 2 / log_n**2), 1)
+    if top > MAX_SOBOLEV_MODELS:
+        raise ValueError(
+            f"n = {n:g} at gamma = {gamma:g} gives {top} models, more than the {MAX_SOBOLEV_MODELS} a collection holds"
+        )
     return fourier_collection(range(3, 2 * top + 2, 2))
 
 

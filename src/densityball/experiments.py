@@ -30,11 +30,22 @@ array operations.  A block holds as many replications as keep the per-cell
 weight sums of all their draws, and their sample points, within about
 ``2**16`` values each, at most ``2**10``; sample validation, cell indices, cell counts, exact errors and
 closed forms run once per block.
-:class:`densityball.weights.CellWeightDrawer` draws its weights in groups of
-about ``2**16`` weight entries, each holding the draws of as many whole
-replications as fit, or a slice of the draws of one replication when they do
-not fit; per-cell weight sums and reweighted statistics run once per group.
-The floor is then the draws and their aggregation.  A replication's
+:class:`densityball.weights.CellWeightDrawer` draws its weights in draw
+blocks: the draws of as many whole replications as fit ``2**16`` weight
+entries, or, when they do not fit (one replication per draw group), a slice
+of up to ``2**17`` entries of one replication's draws; per-cell weight sums
+and reweighted statistics run once per draw block.  The floor is then the
+draws and their aggregation.
+
+``coverage_experiment`` needs of each replication only the count of its
+statistics strictly below its exact error (alpha hits when at most
+``rank - 1`` are), so it counts them as each draw block arrives and stops
+drawing a replication once its count decides every alpha
+(:func:`_count_below`); each replication has its own stream, so the skipped
+draws move no other.  At the README configuration with 12 replications and
+the README alpha grid, an op draws about 86 of its 96 draw blocks (85.6 over
+seeds 1-40).  ``normalized_difference_experiment`` draws every weight, as
+its mean needs all of them.  A replication's
 integer draws are the values ``rng.integers`` would return, made from one
 ``random_raw`` call per replication and block by numpy's bounded-integer
 rule as array passes (:meth:`densityball.weights.CellWeightDrawer._draw`
@@ -47,13 +58,18 @@ the README ``coverage`` configuration one replication's draws fill a group
 by themselves, ``2 n n_draws > 2**16``, so every draw group holds at least
 ``2**15`` entries), the blocks run on ``min(usable CPUs, 2, blocks)``
 threads (:func:`_usable_cpus`, ``_MAX_THREADS``), the calling one included,
-each with its own drawer.  At numpy 2.4 every kernel of a block
+each with its own drawer.  At numpy 2.4 every kernel of a draw block
 (``random_raw``, ``multiply``, ``take``, ``add``, ``bincount``, ``einsum``)
 releases the GIL but ``bincount``'s min/max pass; what bounds the speed-up
 is that pass, the host's free CPUs and the Python work of each block, which
 runs one thread at a time (on a 2-vCPU host two busy processes finished
 only 1.3-1.6x faster than one after the other), while each thread adds its
-own drawer (about 1.3 MB of peak RSS).  Threads take
+own drawer (about 2.2 MB of peak RSS).  Each numpy call hands the GIL back
+and forth, so one-replication draw blocks take up to ``2**17`` entries: a
+``coverage`` op at the README configuration with 12 replications made
+260-300 voluntary context switches on two threads, against 530-700 with
+``2**16``-entry blocks and none on one thread (``getrusage``, 2-vCPU
+host).  Threads take
 the next block from one counter and reduce it where it ran (hits per alpha,
 or the per-replication differences); the results are combined in block
 order, so every output is bit-identical for any CPU count.  Smaller draws
@@ -75,6 +91,7 @@ from the same integer counts, so the exact error here equals
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -88,6 +105,10 @@ from .oracle import DensityOracle
 from .weights import CellWeightDrawer, WeightKind, WeightScheme, make_scheme, replication_rngs
 
 DEFAULT_SEED = 4
+# Weight draws per replication at most: one replication's float64 statistics,
+# which normalized_difference_experiment holds as one array, must stay within
+# the byte index range; coverage_experiment holds none, and takes the same counts.
+MAX_DRAWS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -139,11 +160,13 @@ def cell_resampling_statistics(
     entry ``r`` of a sample's row of the result is
     ``normalizer (d / n^2) sum_k (A_rk - mean(W_r) c_k)^2``, equal to
     ``resampling_statistics`` for the per-point weights behind ``A_r``.
+    Efron ``cell_weights`` are overwritten by their deviations ``A_r - c``.
     """
     n, d = scheme.n, counts.shape[-1]
     if scheme.kind is WeightKind.EFRON_MULTINOMIAL:
-        # mean(W) = 1 exactly: integer sums give integer deviations, squared and summed exactly
-        dev = np.subtract(cell_weights, counts[..., None, :])
+        # mean(W) = 1 exactly: integer sums give integer deviations, squared and summed exactly;
+        # they overwrite the sums, so no (..., batch, d) temporary is made
+        dev = np.subtract(cell_weights, counts[..., None, :], out=cell_weights)
     else:
         dev = cell_weights.sum(axis=-1, keepdims=True) / n * counts[..., None, :]
         np.subtract(cell_weights, dev, out=dev)  # one (..., batch, d) temporary, not two
@@ -171,13 +194,39 @@ def order_statistic_rank(level: float, count: int) -> int:
 
 
 def _check_counts(n_draws: int, reps: int) -> tuple[int, int]:
-    """``n_draws`` and ``reps`` as ints: whole, positive, and at most ``2**32`` replications."""
+    """``n_draws`` and ``reps`` as ints: whole, positive, and at most ``MAX_DRAWS`` draws and ``2**32`` replications."""
     n_draws, reps = whole(n_draws, "n_draws"), whole(reps, "reps", low=1)
     if n_draws < 1:
         raise ValueError("need at least one weight draw")
+    if n_draws > MAX_DRAWS:
+        raise ValueError(f"at most {MAX_DRAWS} weight draws per replication, got {n_draws}")
     if reps > 2**32:  # a replication's stream key is one 32-bit word
         raise ValueError("at most 2**32 replications")
     return n_draws, reps
+
+
+def _count_below(stat_blocks, errors: np.ndarray, thresholds: list[int], n_draws: int) -> np.ndarray:
+    """Statistics strictly below ``errors[a]`` in row ``a``, counted until every hit is decided.
+
+    ``stat_blocks`` yields blocks of shape ``(len(errors), rows)`` that
+    cover draws ``0 .. n_draws - 1`` of each row in order; one row may span
+    several blocks, several rows come in one block that covers all their
+    draws.  ``error <= sort(stats)[t]`` exactly when at most ``t``
+    statistics lie strictly below ``error`` (one equal to it is not).
+    After ``end`` draws with ``b`` of them below, the final count lies in
+    ``[b, b + n_draws - end]``, so once no ``t`` of the sorted
+    ``thresholds`` lies in ``[b, b + n_draws - end)``, the count compares
+    with every ``t`` as the final one would, and no further block is taken.
+    """
+    below, end = np.zeros(len(errors), dtype=np.intp), 0
+    for stats in stat_blocks:
+        below += np.count_nonzero(stats < errors[:, None], axis=1)
+        end += stats.shape[1]
+        b = int(below[0])  # a block of several rows is their only one: end == n_draws
+        i = bisect.bisect_left(thresholds, b)
+        if i == len(thresholds) or thresholds[i] >= b + n_draws - end:
+            break
+    return below
 
 
 # threads per experiment at most: the count measured to gain (on 2 CPUs); more
@@ -241,13 +290,15 @@ def _map_in_threads(work, tasks, threads: int, state, new_state) -> list:
 def _replication_blocks(
     oracle: DensityOracle, scheme: WeightScheme, dim: int, n_draws: int, reps: int, seed: int, reduce
 ) -> list:
-    """``reduce(counts, stats)`` of each block of consecutive replications, in block order.
+    """``reduce(counts, groups)`` of each block of consecutive replications, in block order.
 
-    A block's cell counts have shape ``(g, dim)`` and its statistics
-    ``(g, n_draws)``.  Per replication only its sample and (inside
-    :class:`CellWeightDrawer`) its weight draws are made; the generators of
-    a block are seeded in one vectorised pass, and the rest is one array
-    operation per block or per draw group of the drawer.
+    A block's cell counts have shape ``(g, dim)``, and ``groups`` is the
+    drawer's :meth:`CellWeightDrawer.blocks` over its replications, whose
+    weight sums are drawn as ``reduce`` takes them.  Per replication only
+    its sample and (inside :class:`CellWeightDrawer`) its weight draws are
+    made; the generators of a block are seeded in one vectorised pass, and
+    the rest is one array operation per block or per draw block of the
+    drawer.
 
     When the drawer takes one replication per draw group
     (``drawer.group == 1``, as when ``2 n n_draws > 2**16`` and
@@ -269,12 +320,7 @@ def _replication_blocks(
         points = np.stack([oracle.sample_points(n, rng) for rng in rngs])
         cells = model.cell_index(points)
         counts = _cell_counts(cells, dim)
-        stats = np.empty((len(rngs), n_draws))
-        for a, start, sums in drawer.blocks(rngs, cells, counts):
-            group, rows = sums.shape[:2]
-            group_counts = counts[a : a + group]
-            stats[a : a + group, start : start + rows] = cell_resampling_statistics(group_counts, sums, scheme)
-        return reduce(counts, stats)
+        return reduce(counts, drawer.blocks(rngs, cells, counts))
 
     threads = min(_usable_cpus(), _MAX_THREADS, len(firsts)) if drawer.group == 1 else 1
     return _map_in_threads(block, firsts, threads, drawer, lambda: CellWeightDrawer(scheme, dim, n_draws))
@@ -295,7 +341,13 @@ def normalized_difference_experiment(
     true = oracle.true_coefficients(HistogramModel(dim))
     scale = n / math.sqrt(dim)
 
-    def differences(counts, stats):
+    def differences(counts, groups):
+        # the mean needs every draw: one row per replication, reduced as one array
+        stats = np.empty((len(counts), n_draws))
+        for samples, blocks in groups:
+            for start, sums in blocks:
+                rows = slice(start, start + sums.shape[1])
+                stats[samples, rows] = cell_resampling_statistics(counts[samples], sums, scheme)
         error = cell_error_sq(counts, true)
         return scale * (error - stats.mean(axis=1)), scale * (error - cell_resampling_variance(counts))
 
@@ -317,7 +369,9 @@ def coverage_experiment(
 
     For each replication the exact squared projection error is compared to
     the order statistic of rank ``ceil(alpha * n_draws)`` of the reweighted
-    statistics; rows come back as ``(alpha, frequency)`` in alpha order.
+    statistics; rows come back as ``(alpha, frequency)`` in alpha order.  A
+    replication's draws stop once its count below the error decides every
+    alpha (:func:`_count_below`), which leaves the table unchanged.
     """
     alphas = sorted(real(a, "alpha") for a in alphas)
     if not alphas:
@@ -327,11 +381,17 @@ def coverage_experiment(
     n_draws, reps = _check_counts(n_draws, reps)
     scheme = make_scheme(kind, n)
     true = oracle.true_coefficients(HistogramModel(dim))
-    ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])
+    # alpha hits when at most rank - 1 statistics lie strictly below the error
+    most_below = np.array([order_statistic_rank(a, n_draws) - 1 for a in alphas])
+    thresholds = sorted(set(most_below.tolist()))
 
-    def block_hits(counts, stats):
-        stats.sort(axis=1)
-        return np.sum(cell_error_sq(counts, true)[:, None] <= stats[:, ranks - 1], axis=0)
+    def block_hits(counts, groups):
+        errors = cell_error_sq(counts, true)
+        below = np.empty(len(counts), dtype=np.intp)
+        for samples, blocks in groups:
+            stats = (cell_resampling_statistics(counts[samples], sums, scheme) for _, sums in blocks)
+            below[samples] = _count_below(stats, errors[samples], thresholds, n_draws)
+        return np.count_nonzero(below[:, None] <= most_below, axis=0)
 
     hits = sum(_replication_blocks(oracle, scheme, dim, n_draws, reps, seed, block_hits))
     return [(a, float(h / reps)) for a, h in zip(alphas, hits)]

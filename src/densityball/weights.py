@@ -77,9 +77,15 @@ class CellWeightDrawer:
     samples: as many as keep the cell sums of all their draws,
     ``samples * size * n_cells`` values, and their ``samples * n`` points
     within ``DRAW_CHUNK_ENTRIES``, and at most ``MAX_BLOCK_SAMPLES``.  It
-    draws them in blocks of about ``DRAW_CHUNK_ENTRIES`` weight entries: a
-    block holds all ``size`` draws of a group of up to ``group`` samples when
-    one sample's draws fit, and otherwise ``rows`` draws of a single sample.
+    draws them in blocks of weight entries: when the draws of several
+    samples fit the chunk, a block holds all ``size`` draws of a group of up
+    to ``group`` of them; otherwise (``group == 1``) it holds ``rows`` draws
+    of one sample, up to ``2 * DRAW_CHUNK_ENTRIES`` entries.  The larger
+    one-sample block halves the numpy calls per sample, each of which hands
+    the GIL back and forth when two threads draw: a ``coverage`` op at the
+    README configuration (12 replications, each in 8 blocks of 1310 rows)
+    made 260-300 voluntary context switches on two threads against 530-700
+    with blocks of one chunk (``getrusage``, 2-vCPU host).
     Per sample only its raw words are drawn, multiplied into the block, and
     its cells are looked up; numpy's bounded-integer rule runs over the whole
     block (:meth:`_draw`), and one ``bincount`` aggregates it, with row
@@ -99,7 +105,9 @@ class CellWeightDrawer:
             max(DRAW_CHUNK_ENTRIES // (size * n_cells), 1), max(DRAW_CHUNK_ENTRIES // n, 1), MAX_BLOCK_SAMPLES
         )
         self.group = min(max(DRAW_CHUNK_ENTRIES // (size * n), 1), self.samples)
-        self.rows = min(max(DRAW_CHUNK_ENTRIES // n, 1), size)
+        # a block of one sample takes up to twice the chunk: half as many calls per sample
+        block_entries = 2 * DRAW_CHUNK_ENTRIES if self.group == 1 else DRAW_CHUNK_ENTRIES
+        self.rows = min(max(block_entries // n, 1), size)
         entries = self.group * self.rows * n
         self._efron = scheme.kind is WeightKind.EFRON_MULTINOMIAL
         # int64, not intp, so that the draws can be viewed as uint64 products
@@ -109,15 +117,18 @@ class CellWeightDrawer:
 
     def blocks(
         self, rngs: Sequence[np.random.Generator], cells: np.ndarray, counts: np.ndarray
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(first, start, sums)``: draws ``start ..`` of samples ``first ..``.
+    ) -> Iterator[tuple[slice, Iterator[tuple[int, np.ndarray]]]]:
+        """Yield ``(samples, blocks)`` per group of samples: their slice, and an iterator of ``(start, sums)``.
 
         Sample ``a`` draws with ``rngs[a]`` and has its points in the cells
         ``cells[a]`` (shape ``(len(rngs), n)``), ``counts[a, k]`` of them in
         cell ``k``.  ``sums[a, r, k]`` is the sum of ``W_i`` over the points
-        of cell ``k`` in draw ``start + r`` of sample ``first + a``; the
-        blocks cover draws ``0 .. size - 1`` of each group of samples in
-        order, group after group.
+        of cell ``k`` in draw ``start + r`` of sample ``samples.start + a``; a
+        group's blocks cover its draws ``0 .. size - 1`` in order, and each
+        block is drawn when it is taken.  A caller that stops taking a
+        group's blocks skips the rest of its draws; every sample has its own
+        stream, so the next group draws what it would have drawn anyway.
+        A group of several samples is one block.
 
         Efron weights are resample counts: a draw takes ``n`` indices
         uniformly from ``range(n)``, which makes the counts exactly
@@ -136,9 +147,8 @@ class CellWeightDrawer:
         if cells.shape != (len(rngs), n) or cells.min() < 0 or cells.max() >= n_cells:
             raise ValueError(f"cells must hold {n} indices in [0, {n_cells}) per sample")
         for first in range(0, len(rngs), self.group):
-            last = first + self.group
-            for start, sums in self._group_blocks(rngs[first:last], cells[first:last], counts[first:last]):
-                yield first, start, sums
+            samples = slice(first, min(first + self.group, len(rngs)))
+            yield samples, self._group_blocks(rngs[samples], cells[samples], counts[samples])
 
     def _group_blocks(self, rngs, cells, counts):
         n, n_cells, rows = self.scheme.n, self.n_cells, self.rows

@@ -92,8 +92,9 @@ def sample_weights_batch(scheme, size, rng):
     n = scheme.n
     out = np.empty((size, n))
     points = np.arange(n)[None]
-    for _, start, sums in CellWeightDrawer(scheme, n, size).blocks([rng], points, np.ones_like(points)):
-        out[start : start + sums.shape[1]] = sums[0]
+    for _, group in CellWeightDrawer(scheme, n, size).blocks([rng], points, np.ones_like(points)):
+        for start, sums in group:
+            out[start : start + sums.shape[1]] = sums[0]
     return out
 
 

@@ -401,6 +401,20 @@ def test_sobolev_collection_takes_a_huge_n_with_a_cutoff_in_range(n):
     assert coll.top.cutoff == max(int(n ** (1 / 200.5)), 1)
 
 
+def test_sobolev_collection_refuses_more_models_than_it_holds_before_building_any(monkeypatch):
+    # n = 1e30 at gamma = 1 gives a top cutoff of 1e12: about a month of model building
+    built = []
+    monkeypatch.setattr(basis, "fourier_collection", built.append)
+    with pytest.raises(ValueError, match=r"^n = 1e\+30 at gamma = 1 gives \d+ models, more than the 1048576"):
+        fourier_collection_for_sobolev(10**30, 1.0)
+    # at gamma = 1/4 the top cutoff is n: 2**20 models are built, one more is refused
+    with pytest.raises(ValueError, match="gives 1048577 models"):
+        fourier_collection_for_sobolev(2**20 + 1, 0.25)
+    assert built == []
+    fourier_collection_for_sobolev(2**20, 0.25)
+    assert built == [range(3, 2 * 2**20 + 2, 2)]
+
+
 def test_sobolev_collection_refuses_a_nan_smoothness():
     with pytest.raises(ValueError, match="^gamma must be finite"):
         fourier_collection_for_sobolev(100, math.nan)

@@ -148,6 +148,18 @@ def test_experiments_take_whole_float_counts():
     )
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [functools.partial(coverage_experiment, alphas=[0.5]), normalized_difference_experiment],
+    ids=["coverage", "normalized-difference"],
+)
+def test_experiments_refuse_more_draws_than_a_replication_array_holds(experiment):
+    # coverage keeps no (reps, n_draws) array, whose size numpy used to refuse; it would draw for ever
+    assert experiments.MAX_DRAWS == (2**63 - 1) // 8
+    with pytest.raises(ValueError, match=f"^at most {experiments.MAX_DRAWS} weight draws per replication"):
+        experiment(UniformDensity(), n=20, dim=4, n_draws=experiments.MAX_DRAWS + 1, reps=1)
+
+
 def _one_call_weights(scheme, size, rng):
     # per-point weights as one unchunked integer draw: the seeded 0.2.0 stream
     n = scheme.n
@@ -179,7 +191,7 @@ def test_cell_statistics_match_the_per_point_references(kind, oracle, n, dim, si
     with mock.patch.object(weights, "DRAW_CHUNK_ENTRIES", chunk):
         drawer = CellWeightDrawer(scheme, dim, size)
         blocks = drawer.blocks([np.random.default_rng(seed + 1)], cells[None], counts[None])
-        cell_w = np.concatenate([sums[0] for _, _, sums in blocks])
+        cell_w = np.concatenate([sums[0] for _, group in blocks for _, sums in group])
         point_w = sample_weights_batch(scheme, size, np.random.default_rng(seed + 1))
     np.testing.assert_array_equal(point_w, _one_call_weights(scheme, size, np.random.default_rng(seed + 1)))
 
@@ -213,7 +225,7 @@ def test_integer_efron_statistics_equal_the_float_expression(n, dim, size, seed)
     counts = np.bincount(cells, minlength=dim)
     scheme = make_scheme("efron", n)
     blocks = CellWeightDrawer(scheme, dim, size).blocks([rng], cells[None], counts[None])
-    sums = np.concatenate([s[0] for _, _, s in blocks])
+    sums = np.concatenate([s[0] for _, group in blocks for _, s in group])
     assert sums.dtype.kind == "i"
     expected = _float_cell_statistics(counts, sums, scheme)
     assert np.array_equal(cell_resampling_statistics(counts, sums, scheme), expected)
@@ -276,23 +288,27 @@ def _assert_matches_per_point_replications(oracle, n, dim, n_draws, reps, seed, 
 
 # (n, n_draws, reps, replications per block, replications per draw group,
 # draw rows per draw block) at dim 7, the shipped chunk of 2**16 weight
-# entries and cap of 2**10 replications
+# entries, draw blocks of one replication of up to 2**17 entries, and cap of
+# 2**10 replications
 BLOCK_CASES = {
     # blocks of 93, 93, 14: groups of 13 with a short last one of 2, then 13 and a lone sample
     "reps-not-a-multiple-of-the-block": (50, 100, 200, 93, 13, 100),
     "reps-within-one-block": (50, 100, 5, 93, 13, 100),
     "one-replication-fills-the-chunk": (64, 1024, 3, 9, 1, 1024),
-    "one-replication-spans-blocks": (50, 2000, 6, 4, 1, 1310),
+    # draw blocks of 1310, 1310 and 380 rows of 100 points
+    "one-replication-spans-blocks": (100, 3000, 6, 3, 1, 1310),
+    # draw blocks of 2048 rows of 64 points, exactly 2**17 entries, then 4 rows
+    "one-replication-fills-twice-the-chunk": (64, 4100, 3, 2, 1, 2048),
     "replications-per-block-capped": (4, 2, 1500, weights.MAX_BLOCK_SAMPLES, weights.MAX_BLOCK_SAMPLES, 2),
     # the cell sums of 3 * 3000 draws fit the chunk, those of 4 * 3000 do not
     "replications-per-block-capped-by-the-chunk": (20, 3000, 7, 3, 1, 3000),
     # the points of 6 samples of 10,000 fit the chunk, those of 7 do not;
     # blocks of 6 (two groups of 3) and 2
     "replications-per-block-capped-by-their-points": (10000, 2, 8, 6, 3, 2),
-    # 1285 rows of 51 points: the first two blocks hold an odd count of
+    # 1899 rows of 69 points: the first two blocks hold an odd count of
     # entries, so they are drawn by ``integers`` (the second from a buffered
     # half), and the short last one (430 rows) from raw words
-    "odd-entries-per-block": (51, 3000, 4, 3, 1, 1285),
+    "odd-entries-per-block": (69, 4228, 3, 2, 1, 1899),
 }
 
 
@@ -304,6 +320,69 @@ def test_batched_replications_match_the_per_point_references_at_block_boundaries
     drawer = CellWeightDrawer(make_scheme(kind, n), dim, n_draws)
     assert (drawer.samples, drawer.group, drawer.rows) == (samples, group, rows)
     _assert_matches_per_point_replications(HistogramDensity([0.5, 1.5, 1.0]), n, dim, n_draws, reps, seed, kind)
+
+
+@st.composite
+def _statistic_streams(draw):
+    # small integer statistics, so that some equal the error; ranks may repeat;
+    # one row may span several blocks, several rows come in one block
+    rows, n_draws = draw(st.integers(1, 3)), draw(st.integers(1, 60))
+    stats = np.array(draw(st.lists(st.integers(0, 6), min_size=rows * n_draws, max_size=rows * n_draws)))
+    errors = np.array(draw(st.lists(st.integers(0, 6), min_size=rows, max_size=rows)))
+    ranks = np.array(draw(st.lists(st.integers(1, n_draws), min_size=1, max_size=8)))
+    cuts = sorted(draw(st.sets(st.integers(1, n_draws - 1), max_size=6))) if rows == 1 and n_draws > 1 else []
+    return stats.reshape(rows, n_draws).astype(float), errors.astype(float), ranks, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=_statistic_streams())
+# every statistic equals the error, and the ranks repeat: nothing lies below it
+@example(stream=(np.ones((1, 6)), np.ones(1), np.array([1, 1, 6, 3]), [2, 4]))
+def test_counting_below_until_decided_gives_the_sorted_threshold_hits(stream):
+    stats, errors, ranks, cuts = stream
+    n_draws = stats.shape[1]
+    taken = []
+
+    def blocks():
+        for block in np.split(stats, cuts, axis=1):
+            taken.append(block.shape[1])
+            yield block
+
+    below = experiments._count_below(blocks(), errors, sorted(set((ranks - 1).tolist())), n_draws)
+    expected = errors[:, None] <= np.sort(stats, axis=1)[:, ranks - 1]
+    np.testing.assert_array_equal(below[:, None] <= ranks - 1, expected)
+    # a block is taken only while some hit is open after the blocks before it
+    for end in np.cumsum(taken)[:-1]:
+        b = int(np.count_nonzero(stats[0, :end] < errors[0]))
+        assert any(b <= t < b + n_draws - end for t in ranks - 1)
+
+
+def test_a_decided_replication_draws_no_further_blocks(monkeypatch):
+    # the benchmark's coverage op: README configuration and alpha grid, 12
+    # replications, each drawn in blocks of one replication; the mean of
+    # simulate-pw needs every draw
+    n, dim, n_draws, reps, seed = 100, 50, 10_000, 12, 1
+    alphas = [round(0.5 + 0.05 * i, 2) for i in range(10)]
+    drawn = []
+
+    class Drawer(CellWeightDrawer):
+        def _draw(self, rngs, high, count):
+            drawn.append(len(rngs))
+            return super()._draw(rngs, high, count)
+
+    monkeypatch.setattr(experiments, "CellWeightDrawer", Drawer)
+    drawer = CellWeightDrawer(make_scheme("efron", n), dim, n_draws)
+    every_block = reps * -(-n_draws // drawer.rows)
+    assert drawer.group == 1
+    table = coverage_experiment(UniformDensity(), n, dim, n_draws, reps, alphas, seed=seed)
+    assert len(drawn) < every_block and set(drawn) == {1}
+    replays = _per_point_replications(UniformDensity(), n, dim, n_draws, reps, seed, "efron")
+    ranks = np.array([order_statistic_rank(a, n_draws) for a in alphas])
+    hits = sum(error <= np.sort(stats)[ranks - 1] for error, stats, _ in replays)
+    assert table == [(a, float(h / reps)) for a, h in zip(alphas, hits)]
+    drawn.clear()
+    normalized_difference_experiment(UniformDensity(), n, dim, n_draws, reps, seed=seed)
+    assert len(drawn) == every_block
 
 
 ALPHAS = [round(0.05 * i, 2) for i in range(1, 20)]

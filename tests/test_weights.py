@@ -366,8 +366,9 @@ def test_an_efron_drawer_bins_its_draws_in_its_draw_buffer(n, n_cells, size, rep
     tracemalloc.start()
     try:
         drawer = CellWeightDrawer(make_scheme("efron", n), n_cells, size)
-        for _ in drawer.blocks(rngs, cells, counts):
-            pass
+        for _, group in drawer.blocks(rngs, cells, counts):
+            for _ in group:
+                pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
