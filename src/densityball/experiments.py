@@ -24,18 +24,17 @@ closed form is ``d (n - sum c^2 / n) / (n (n - 1))``, and the reweighted
 statistic is ``normalizer (d / n^2) sum_k (A_k - mean(W) c_k)^2``; with
 Efron weights ``mean(W) = 1`` exactly, so ``A - c`` and its square sum are
 integers.  Per replication only its sample and its integer weight draws are
-made; the streams of a block of replications are seeded in one vectorised
-pass (:func:`densityball.weights.replication_rngs`), and the rest runs as
-array operations.  A block holds as many replications as keep the per-cell
-weight sums of all their draws, and their sample points, within about
-``2**16`` values each, at most ``2**10``; sample validation, cell indices, cell counts, exact errors and
-closed forms run once per block.
-:class:`densityball.weights.CellWeightDrawer` draws its weights in draw
-blocks: the draws of as many whole replications as fit ``2**16`` weight
-entries, or, when they do not fit (one replication per draw group), a slice
-of up to ``2**17`` entries of one replication's draws; per-cell weight sums
-and reweighted statistics run once per draw block.  The floor is then the
-draws and their aggregation.
+made, and the rest runs as array operations.  A block of replications is one
+draw group of :class:`densityball.weights.CellWeightDrawer`: as many as keep
+their weight draws, the per-cell sums of those draws and their sample points
+within ``2**17`` values each, at most ``2**10``.  Sample validation, cell
+indices, cell counts, exact errors and closed forms run once per block.  The
+streams of a run of whole blocks, at most ``2**10`` replications, are seeded
+in one vectorised pass (:func:`densityball.weights.replication_seed_words`).
+The drawer draws a block's weights in draw blocks of up to ``2**17``
+entries: all the draws of its replications when several fit, else a slice
+of one replication's draws; per-cell weight sums and reweighted statistics
+run once per draw block.  The floor is then the draws and their aggregation.
 
 ``coverage_experiment`` needs of each replication only the count of its
 statistics strictly below its exact error (alpha hits when at most
@@ -55,8 +54,8 @@ array per call, and the per-cell sums cost a little more.
 
 When the drawer takes one replication per draw group (``group == 1``; at
 the README ``coverage`` configuration one replication's draws fill a group
-by themselves, ``2 n n_draws > 2**16``, so every draw group holds at least
-``2**15`` entries), the blocks run on ``min(usable CPUs, 2, blocks)``
+by themselves, ``2 n n_draws > 2**17``, so every draw group holds more than
+``2**16`` entries), the blocks run on ``min(usable CPUs, 2, blocks)``
 threads (:func:`_usable_cpus`, ``_MAX_THREADS``), the calling one included,
 each with its own drawer.  At numpy 2.4 every kernel of a draw block
 (``random_raw``, ``multiply``, ``take``, ``add``, ``bincount``, ``einsum``)
@@ -65,12 +64,12 @@ is that pass, the host's free CPUs and the Python work of each block, which
 runs one thread at a time (on a 2-vCPU host two busy processes finished
 only 1.3-1.6x faster than one after the other), while each thread adds its
 own drawer (about 2.2 MB of peak RSS).  Each numpy call hands the GIL back
-and forth, so one-replication draw blocks take up to ``2**17`` entries: a
-``coverage`` op at the README configuration with 12 replications made
-260-300 voluntary context switches on two threads, against 530-700 with
-``2**16``-entry blocks and none on one thread (``getrusage``, 2-vCPU
-host).  Threads take
-the next block from one counter and reduce it where it ran (hits per alpha,
+and forth, so draw blocks take up to ``2**17`` entries: a ``coverage`` op
+at the README configuration with 12 replications made 260-300 voluntary
+context switches on two threads, against 530-700 with ``2**16``-entry
+blocks and none on one thread (``getrusage``, 2-vCPU host).  Threads take
+the next block from one counter, which seeds each run of blocks as its
+first block is taken, and reduce it where it ran (hits per alpha,
 or the per-replication differences); the results are combined in block
 order, so every output is bit-identical for any CPU count.  Smaller draws
 (the ``simulate-pw`` configuration) stay on the calling thread, where the
@@ -102,7 +101,8 @@ import numpy as np
 from ._checks import real, whole
 from .basis import HistogramModel
 from .oracle import DensityOracle
-from .weights import CellWeightDrawer, WeightKind, WeightScheme, make_scheme, replication_rngs
+from .weights import MAX_BLOCK_SAMPLES, CellWeightDrawer, WeightKind, WeightScheme, make_scheme
+from .weights import _seeded_rngs, replication_seed_words
 
 DEFAULT_SEED = 4
 # Weight draws per replication at most: one replication's float64 statistics,
@@ -246,13 +246,14 @@ def _map_in_threads(work, tasks, threads: int, state, new_state) -> list:
 
     The caller works with ``state``, every other thread with its own
     ``new_state()``; each thread takes the next task from one lock-protected
-    iterator and puts the result in the task's slot, so results come back in
-    task order.  When any thread raises (an interrupt of the caller
-    included), the others stop at their next task; every thread is joined
-    before the first exception is re-raised.
+    iterator over ``tasks`` (so a generator makes each task as it is taken,
+    on one thread at a time) and puts the result in the task's slot, so
+    results come back in task order.  When any thread raises (an interrupt
+    of the caller included), the others stop at their next task; every
+    thread is joined before the first exception is re-raised.
     """
-    results = [None] * len(tasks)
-    pending = iter(range(len(tasks)))
+    results = {}
+    pending = enumerate(tasks)
     lock = threading.Lock()
     errors = []
 
@@ -261,10 +262,10 @@ def _map_in_threads(work, tasks, threads: int, state, new_state) -> list:
             own = new_state() if own is None else own
             while not errors:
                 with lock:
-                    i = next(pending, None)
-                if i is None:
+                    task = next(pending, None)
+                if task is None:
                     return
-                results[i] = work(own, tasks[i])
+                results[task[0]] = work(own, task[1])
         except BaseException as exc:  # the caller re-raises it
             errors.append(exc)
 
@@ -284,46 +285,55 @@ def _map_in_threads(work, tasks, threads: int, state, new_state) -> list:
                 errors.append(exc)
     if errors:
         raise errors[0]
-    return results
+    return [results[i] for i in range(len(results))]
 
 
 def _replication_blocks(
     oracle: DensityOracle, scheme: WeightScheme, dim: int, n_draws: int, reps: int, seed: int, reduce
 ) -> list:
-    """``reduce(counts, groups)`` of each block of consecutive replications, in block order.
+    """``reduce(counts, blocks)`` of each block of consecutive replications, in block order.
 
-    A block's cell counts have shape ``(g, dim)``, and ``groups`` is the
-    drawer's :meth:`CellWeightDrawer.blocks` over its replications, whose
-    weight sums are drawn as ``reduce`` takes them.  Per replication only
-    its sample and (inside :class:`CellWeightDrawer`) its weight draws are
-    made; the generators of a block are seeded in one vectorised pass, and
-    the rest is one array operation per block or per draw block of the
-    drawer.
+    A block is one draw group of the drawer, ``drawer.group`` replications
+    (the last one may be short); its cell counts have shape ``(g, dim)``,
+    and ``blocks`` is the drawer's :meth:`CellWeightDrawer.blocks` over its
+    replications, whose weight sums are drawn as ``reduce`` takes them.  Per
+    replication only its sample and (inside :class:`CellWeightDrawer`) its
+    weight draws are made; the streams of a run of whole blocks, at most
+    ``MAX_BLOCK_SAMPLES`` replications and so 32 KiB of state words, are
+    seeded in one vectorised pass as its first block is taken, and the rest
+    is one array operation per block or per draw block of the drawer.
 
     When the drawer takes one replication per draw group
-    (``drawer.group == 1``, as when ``2 n n_draws > 2**16`` and
-    every draw group holds at least half a chunk, whose passes release the
-    GIL), the blocks run on ``min(usable CPUs, _MAX_THREADS, blocks)``
-    threads, each with its own drawer.  Smaller draws hand the GIL back and
-    forth for less than they gain, so they stay on the calling thread.  Each
-    block's stream and reduction are the same on any thread, so the results
-    are too.
+    (``drawer.group == 1``, as when ``2 n n_draws > 2**17`` and every draw
+    group holds more than half a chunk, whose passes release the GIL), the
+    blocks run on ``min(usable CPUs, _MAX_THREADS, blocks)`` threads, each
+    with its own drawer.  Smaller draws hand the GIL back and forth for less
+    than they gain, so they stay on the calling thread.  Each block's stream
+    and reduction are the same on any thread, so the results are too.
     """
     n = scheme.n
     model = HistogramModel(dim)
     dim = model.dim  # an int, also for a whole float such as 4.0
     drawer = CellWeightDrawer(scheme, dim, n_draws)
-    firsts = range(0, reps, drawer.samples)
+    group = drawer.group
+    run = MAX_BLOCK_SAMPLES // group * group
 
-    def block(drawer, first):
-        rngs = replication_rngs(seed, range(first, min(first + drawer.samples, reps)))
+    def seeded_blocks():
+        for first in range(0, reps, run):
+            words = replication_seed_words(seed, range(first, min(first + run, reps)))
+            for offset in range(0, len(words), group):
+                yield first + offset, words[offset : offset + group]
+
+    def block(drawer, task):
+        first, words = task
+        rngs = _seeded_rngs(seed, range(first, first + len(words)), words)
         points = np.stack([oracle.sample_points(n, rng) for rng in rngs])
         cells = model.cell_index(points)
         counts = _cell_counts(cells, dim)
         return reduce(counts, drawer.blocks(rngs, cells, counts))
 
-    threads = min(_usable_cpus(), _MAX_THREADS, len(firsts)) if drawer.group == 1 else 1
-    return _map_in_threads(block, firsts, threads, drawer, lambda: CellWeightDrawer(scheme, dim, n_draws))
+    threads = min(_usable_cpus(), _MAX_THREADS, -(-reps // group)) if group == 1 else 1
+    return _map_in_threads(block, seeded_blocks(), threads, drawer, lambda: CellWeightDrawer(scheme, dim, n_draws))
 
 
 def normalized_difference_experiment(
@@ -341,13 +351,11 @@ def normalized_difference_experiment(
     true = oracle.true_coefficients(HistogramModel(dim))
     scale = n / math.sqrt(dim)
 
-    def differences(counts, groups):
+    def differences(counts, blocks):
         # the mean needs every draw: one row per replication, reduced as one array
         stats = np.empty((len(counts), n_draws))
-        for samples, blocks in groups:
-            for start, sums in blocks:
-                rows = slice(start, start + sums.shape[1])
-                stats[samples, rows] = cell_resampling_statistics(counts[samples], sums, scheme)
+        for start, sums in blocks:
+            stats[:, start : start + sums.shape[1]] = cell_resampling_statistics(counts, sums, scheme)
         error = cell_error_sq(counts, true)
         return scale * (error - stats.mean(axis=1)), scale * (error - cell_resampling_variance(counts))
 
@@ -385,12 +393,9 @@ def coverage_experiment(
     most_below = np.array([order_statistic_rank(a, n_draws) - 1 for a in alphas])
     thresholds = sorted(set(most_below.tolist()))
 
-    def block_hits(counts, groups):
-        errors = cell_error_sq(counts, true)
-        below = np.empty(len(counts), dtype=np.intp)
-        for samples, blocks in groups:
-            stats = (cell_resampling_statistics(counts[samples], sums, scheme) for _, sums in blocks)
-            below[samples] = _count_below(stats, errors[samples], thresholds, n_draws)
+    def block_hits(counts, blocks):
+        stats = (cell_resampling_statistics(counts, sums, scheme) for _, sums in blocks)
+        below = _count_below(stats, cell_error_sq(counts, true), thresholds, n_draws)
         return np.count_nonzero(below[:, None] <= most_below, axis=0)
 
     hits = sum(_replication_blocks(oracle, scheme, dim, n_draws, reps, seed, block_hits))

@@ -29,11 +29,11 @@ import numpy as np
 
 from ._checks import real, whole
 
-# Weight entries (rows * n) drawn per chunk: the draw's integer temporaries
-# stay O(DRAW_CHUNK_ENTRIES) whatever the batch size, and chunked integer draws
-# return exactly the values of one call for the whole batch, so the chunking
-# does not move the stream.
-DRAW_CHUNK_ENTRIES = 2**16
+# Weight entries (rows * n) drawn per block, and cell sums and points per group
+# of samples, at most: the draw's integer temporaries stay O(DRAW_CHUNK_ENTRIES)
+# whatever the batch size, and chunked integer draws return exactly the values
+# of one call for the whole batch, so the chunking does not move the stream.
+DRAW_CHUNK_ENTRIES = 2**17
 # Samples per call of ``CellWeightDrawer.blocks`` at most: each holds a
 # generator of about 1 KB while the call draws, and past a few hundred samples
 # the per-call overhead is already negligible next to their draws.
@@ -70,22 +70,22 @@ def make_scheme(kind: WeightKind | str, n: int) -> WeightScheme:
 
 
 class CellWeightDrawer:
-    """Per-cell sums of ``size`` weight vectors per sample, for several samples at once.
+    """Per-cell sums of ``size`` weight vectors per sample, for a group of samples at once.
 
     Each sample has its own generator and ``scheme.n`` points, each in one of
-    ``n_cells`` cells.  One call of :meth:`blocks` takes up to ``samples``
-    samples: as many as keep the cell sums of all their draws,
-    ``samples * size * n_cells`` values, and their ``samples * n`` points
-    within ``DRAW_CHUNK_ENTRIES``, and at most ``MAX_BLOCK_SAMPLES``.  It
-    draws them in blocks of weight entries: when the draws of several
-    samples fit the chunk, a block holds all ``size`` draws of a group of up
-    to ``group`` of them; otherwise (``group == 1``) it holds ``rows`` draws
-    of one sample, up to ``2 * DRAW_CHUNK_ENTRIES`` entries.  The larger
-    one-sample block halves the numpy calls per sample, each of which hands
-    the GIL back and forth when two threads draw: a ``coverage`` op at the
-    README configuration (12 replications, each in 8 blocks of 1310 rows)
-    made 260-300 voluntary context switches on two threads against 530-700
-    with blocks of one chunk (``getrusage``, 2-vCPU host).
+    ``n_cells`` cells.  One call of :meth:`blocks` takes up to ``group``
+    samples: as many as keep their draws, ``group * size * n`` weight
+    entries, the cell sums of those draws, ``group * size * n_cells``
+    values, and so their ``group * n`` points within
+    ``DRAW_CHUNK_ENTRIES``, and at most ``MAX_BLOCK_SAMPLES``.  It draws them
+    in blocks of ``rows`` draws of every sample, up to ``DRAW_CHUNK_ENTRIES``
+    entries: all ``size`` draws when several samples fit (``group > 1``),
+    else a slice of one sample's draws.  Blocks of ``2**17`` entries, not
+    ``2**16``, halve the numpy calls per sample, each of which hands the GIL
+    back and forth when two threads draw: a ``coverage`` op at the README
+    configuration (12 replications, each in 8 blocks of 1310 rows) made
+    260-300 voluntary context switches on two threads against 530-700 with
+    blocks of ``2**16`` entries (``getrusage``, 2-vCPU host).
     Per sample only its raw words are drawn, multiplied into the block, and
     its cells are looked up; numpy's bounded-integer rule runs over the whole
     block (:meth:`_draw`), and one ``bincount`` aggregates it, with row
@@ -100,14 +100,9 @@ class CellWeightDrawer:
         n_cells, size = whole(n_cells, "n_cells", low=1), whole(size, "size", low=1)
         n = scheme.n
         self.scheme, self.n_cells, self.size = scheme, n_cells, size
-        # a block's cell sums and its points both stay within the chunk
-        self.samples = min(
-            max(DRAW_CHUNK_ENTRIES // (size * n_cells), 1), max(DRAW_CHUNK_ENTRIES // n, 1), MAX_BLOCK_SAMPLES
-        )
-        self.group = min(max(DRAW_CHUNK_ENTRIES // (size * n), 1), self.samples)
-        # a block of one sample takes up to twice the chunk: half as many calls per sample
-        block_entries = 2 * DRAW_CHUNK_ENTRIES if self.group == 1 else DRAW_CHUNK_ENTRIES
-        self.rows = min(max(block_entries // n, 1), size)
+        # a group's draws, their cell sums and its points all stay within the chunk
+        self.group = min(max(DRAW_CHUNK_ENTRIES // (size * max(n, n_cells)), 1), MAX_BLOCK_SAMPLES)
+        self.rows = min(max(DRAW_CHUNK_ENTRIES // n, 1), size)
         entries = self.group * self.rows * n
         self._efron = scheme.kind is WeightKind.EFRON_MULTINOMIAL
         # int64, not intp, so that the draws can be viewed as uint64 products
@@ -117,18 +112,18 @@ class CellWeightDrawer:
 
     def blocks(
         self, rngs: Sequence[np.random.Generator], cells: np.ndarray, counts: np.ndarray
-    ) -> Iterator[tuple[slice, Iterator[tuple[int, np.ndarray]]]]:
-        """Yield ``(samples, blocks)`` per group of samples: their slice, and an iterator of ``(start, sums)``.
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, sums)`` per block of draws of the samples, in draw order.
 
         Sample ``a`` draws with ``rngs[a]`` and has its points in the cells
         ``cells[a]`` (shape ``(len(rngs), n)``), ``counts[a, k]`` of them in
         cell ``k``.  ``sums[a, r, k]`` is the sum of ``W_i`` over the points
-        of cell ``k`` in draw ``start + r`` of sample ``samples.start + a``; a
-        group's blocks cover its draws ``0 .. size - 1`` in order, and each
-        block is drawn when it is taken.  A caller that stops taking a
-        group's blocks skips the rest of its draws; every sample has its own
-        stream, so the next group draws what it would have drawn anyway.
-        A group of several samples is one block.
+        of cell ``k`` in draw ``start + r`` of sample ``a``; the blocks cover
+        draws ``0 .. size - 1`` in order, and each block is drawn when it is
+        taken.  A caller that stops taking blocks skips the rest of the
+        draws; every sample has its own stream, so no other sample's draws
+        move.  Several samples share a block only when all their ``size``
+        draws fit, so they come in one block.
 
         Efron weights are resample counts: a draw takes ``n`` indices
         uniformly from ``range(n)``, which makes the counts exactly
@@ -140,18 +135,12 @@ class CellWeightDrawer:
         return the values of one call over ``(size, n)``, so the blocking does
         not move the stream.
         """
-        n, n_cells = self.scheme.n, self.n_cells
+        n, n_cells, rows = self.scheme.n, self.n_cells, self.rows
         cells = np.asarray(cells, dtype=np.intp)
-        if not 0 < len(rngs) <= self.samples:
-            raise ValueError(f"need 1 to {self.samples} samples per call")
+        if not 0 < len(rngs) <= self.group:
+            raise ValueError(f"need 1 to {self.group} samples per call")
         if cells.shape != (len(rngs), n) or cells.min() < 0 or cells.max() >= n_cells:
             raise ValueError(f"cells must hold {n} indices in [0, {n_cells}) per sample")
-        for first in range(0, len(rngs), self.group):
-            samples = slice(first, min(first + self.group, len(rngs)))
-            yield samples, self._group_blocks(rngs[samples], cells[samples], counts[samples])
-
-    def _group_blocks(self, rngs, cells, counts):
-        n, n_cells, rows = self.scheme.n, self.n_cells, self.rows
         group = len(rngs)
         # Several samples share a block only when all ``size`` rows fit, so a
         # short last block has one sample, and the first ``block`` rows of the
@@ -322,6 +311,13 @@ class _SeedWords:
         return self._sequence.spawn(n_children)
 
 
+def _seeded_rngs(master_seed: int, indices, words: np.ndarray) -> list[np.random.Generator]:
+    """The streams of the replications ``indices`` from their rows of :func:`replication_seed_words`."""
+    np.random.bit_generator.ISpawnableSeedSequence.register(_SeedWords)  # a no-op once registered
+    seed = int(master_seed)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row, seed, index))) for row, index in zip(words, indices)]
+
+
 def replication_rngs(master_seed: int, indices) -> list[np.random.Generator]:
     """Independent reproducible streams for the replications ``indices``.
 
@@ -331,12 +327,7 @@ def replication_rngs(master_seed: int, indices) -> list[np.random.Generator]:
     from :func:`replication_seed_words`, and spawns as that generator does.
     """
     words = replication_seed_words(master_seed, indices)
-    np.random.bit_generator.ISpawnableSeedSequence.register(_SeedWords)  # a no-op once registered
-    seed = int(master_seed)
-    return [
-        np.random.Generator(np.random.PCG64(_SeedWords(row, seed, index)))
-        for row, index in zip(words, np.asarray(indices).ravel().tolist())
-    ]
+    return _seeded_rngs(master_seed, np.asarray(indices).ravel().tolist(), words)
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densityball
+from densityball import experiments, weights
 from densityball.cli import (
     KEYS,
     ConfigError,
@@ -976,13 +977,39 @@ def test_simulate_pw_tables_keep_their_digests(tmp_path, kind):
 
 
 def test_simulate_pw_reruns_at_the_readme_config_are_byte_identical(tmp_path):
-    # 1000 replications fill 15 blocks of 65 (five draw groups of 13 each) and
-    # a last one of 25 (groups of 13 and 12)
+    # 1000 replications fill 38 blocks (draw groups) of 26 and a last one of 12
     argv = ["simulate-pw", "--n", "50", "--dm", "10", "--nb", "100", "--reps", "1000", "--seed", "9"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,n,dm,nb,reps,runs",
+    [
+        ("simulate-pw", 50, 10, 100, 1000, 1),  # 39 blocks of up to 26 in one run of 1014
+        ("coverage", 100, 50, 10_000, 12, 1),  # 12 blocks of one
+        ("simulate-pw", 4, 2, 2, 2100, 3),  # one block of 1024 per run
+    ],
+    ids=["simulate-pw", "coverage", "runs-of-one-block"],
+)
+def test_replications_are_seeded_once_per_run_of_blocks(monkeypatch, tmp_path, command, n, dm, nb, reps, runs):
+    # a run is the whole draw groups within MAX_BLOCK_SAMPLES replications
+    seed_words, sizes = weights.replication_seed_words, []
+
+    def counting(seed, indices):
+        sizes.append(len(indices))
+        return seed_words(seed, indices)
+
+    for module in (weights, experiments):
+        monkeypatch.setattr(module, "replication_seed_words", counting, raising=False)
+    argv = [command, "--n", str(n), "--dm", str(dm), "--nb", str(nb), "--reps", str(reps)]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    group = weights.CellWeightDrawer(weights.make_scheme("efron", n), dm, nb).group
+    run = weights.MAX_BLOCK_SAMPLES // group * group
+    assert len(sizes) == -(-reps // run) == runs
+    assert sizes == [min(run, reps - first) for first in range(0, reps, run)]
 
 
 def test_tiny_beta_gives_no_false_growth_warning(tmp_path, capsys):

@@ -191,7 +191,7 @@ def test_cell_statistics_match_the_per_point_references(kind, oracle, n, dim, si
     with mock.patch.object(weights, "DRAW_CHUNK_ENTRIES", chunk):
         drawer = CellWeightDrawer(scheme, dim, size)
         blocks = drawer.blocks([np.random.default_rng(seed + 1)], cells[None], counts[None])
-        cell_w = np.concatenate([sums[0] for _, group in blocks for _, sums in group])
+        cell_w = np.concatenate([sums[0] for _, sums in blocks])
         point_w = sample_weights_batch(scheme, size, np.random.default_rng(seed + 1))
     np.testing.assert_array_equal(point_w, _one_call_weights(scheme, size, np.random.default_rng(seed + 1)))
 
@@ -225,7 +225,7 @@ def test_integer_efron_statistics_equal_the_float_expression(n, dim, size, seed)
     counts = np.bincount(cells, minlength=dim)
     scheme = make_scheme("efron", n)
     blocks = CellWeightDrawer(scheme, dim, size).blocks([rng], cells[None], counts[None])
-    sums = np.concatenate([s[0] for _, group in blocks for _, s in group])
+    sums = np.concatenate([s[0] for _, s in blocks])
     assert sums.dtype.kind == "i"
     expected = _float_cell_statistics(counts, sums, scheme)
     assert np.array_equal(cell_resampling_statistics(counts, sums, scheme), expected)
@@ -286,39 +286,44 @@ def _assert_matches_per_point_replications(oracle, n, dim, n_draws, reps, seed, 
         assert abs(result.closed_form[j] - cf) <= tol
 
 
-# (n, n_draws, reps, replications per block, replications per draw group,
-# draw rows per draw block) at dim 7, the shipped chunk of 2**16 weight
-# entries, draw blocks of one replication of up to 2**17 entries, and cap of
-# 2**10 replications
+# (n, n_draws, reps, replications per block (draw group), draw rows per draw
+# block) at dim 7, the shipped chunk of 2**17 weight entries, and cap of 2**10
+# replications
 BLOCK_CASES = {
-    # blocks of 93, 93, 14: groups of 13 with a short last one of 2, then 13 and a lone sample
-    "reps-not-a-multiple-of-the-block": (50, 100, 200, 93, 13, 100),
-    "reps-within-one-block": (50, 100, 5, 93, 13, 100),
-    "one-replication-fills-the-chunk": (64, 1024, 3, 9, 1, 1024),
+    # blocks of 26, seven of them, then a short last one of 18
+    "reps-not-a-multiple-of-the-block": (50, 100, 200, 26, 100),
+    "reps-within-one-block": (50, 100, 5, 26, 100),
+    # 1024 draws of 128 points, exactly 2**17 entries, in one draw block
+    "one-replication-fills-the-chunk": (128, 1024, 3, 1, 1024),
     # draw blocks of 1310, 1310 and 380 rows of 100 points
-    "one-replication-spans-blocks": (100, 3000, 6, 3, 1, 1310),
-    # draw blocks of 2048 rows of 64 points, exactly 2**17 entries, then 4 rows
-    "one-replication-fills-twice-the-chunk": (64, 4100, 3, 2, 1, 2048),
-    "replications-per-block-capped": (4, 2, 1500, weights.MAX_BLOCK_SAMPLES, weights.MAX_BLOCK_SAMPLES, 2),
-    # the cell sums of 3 * 3000 draws fit the chunk, those of 4 * 3000 do not
-    "replications-per-block-capped-by-the-chunk": (20, 3000, 7, 3, 1, 3000),
-    # the points of 6 samples of 10,000 fit the chunk, those of 7 do not;
-    # blocks of 6 (two groups of 3) and 2
-    "replications-per-block-capped-by-their-points": (10000, 2, 8, 6, 3, 2),
+    "one-replication-spans-blocks": (100, 3000, 6, 1, 1310),
+    # draw blocks of 2048 rows of 64 points, exactly 2**17 entries each, then 4 rows
+    "one-replication-fills-twice-the-chunk": (64, 4100, 3, 1, 2048),
+    # blocks of 1024 and 476, each its own seeding run
+    "replications-per-block-capped": (4, 2, 1500, weights.MAX_BLOCK_SAMPLES, 2),
+    # the cell sums of 3 * 6000 draws fit the chunk, those of 4 * 6000 do not,
+    # though the draws of 4 (5 points each) would; blocks of 3, 3 and 1
+    "replications-per-block-capped-by-the-chunk": (5, 6000, 7, 3, 6000),
+    # the points of 13 samples of 10,000, one draw each, fit the chunk, those
+    # of 14 do not; blocks of 13 and 2
+    "replications-per-block-capped-by-their-points": (10000, 1, 15, 13, 1),
+    # blocks of 300 (300 * 4 * 109 <= 2**17 < 301 * 4 * 109): a seeding run is
+    # the 3 of them within 2**10 replications, and the last block, of 6, starts the next
+    "replications-cross-a-seeding-run": (109, 4, 906, 300, 4),
     # 1899 rows of 69 points: the first two blocks hold an odd count of
     # entries, so they are drawn by ``integers`` (the second from a buffered
     # half), and the short last one (430 rows) from raw words
-    "odd-entries-per-block": (69, 4228, 3, 2, 1, 1899),
+    "odd-entries-per-block": (69, 4228, 3, 1, 1899),
 }
 
 
 @pytest.mark.parametrize("kind", ["efron", "rademacher"])
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_batched_replications_match_the_per_point_references_at_block_boundaries(kind, case):
-    n, n_draws, reps, samples, group, rows = BLOCK_CASES[case]
+    n, n_draws, reps, group, rows = BLOCK_CASES[case]
     dim, seed = 7, 23
     drawer = CellWeightDrawer(make_scheme(kind, n), dim, n_draws)
-    assert (drawer.samples, drawer.group, drawer.rows) == (samples, group, rows)
+    assert (drawer.group, drawer.rows) == (group, rows)
     _assert_matches_per_point_replications(HistogramDensity([0.5, 1.5, 1.0]), n, dim, n_draws, reps, seed, kind)
 
 
@@ -420,14 +425,14 @@ def _assert_identical(a, b):
 
 
 # the BLOCK_CASES whose replications each fill a draw group (group == 1)
-THREADED_CASES = sorted(case for case, shape in BLOCK_CASES.items() if shape[4] == 1)
+THREADED_CASES = sorted(case for case, shape in BLOCK_CASES.items() if shape[3] == 1)
 
 
 @pytest.mark.parametrize("kind", ["efron", "rademacher"])
 @pytest.mark.parametrize("case", THREADED_CASES)
 def test_threaded_replications_are_bit_identical_for_any_cpu_count(monkeypatch, kind, case):
-    n, n_draws, _, samples, _, _ = BLOCK_CASES[case]
-    reps = 2 * samples + 1  # three blocks, the last one short
+    n, n_draws = BLOCK_CASES[case][:2]
+    reps = 3  # three blocks of one replication
     args = (HistogramDensity([0.5, 1.5, 1.0]), n, 7, n_draws, reps, 23, kind)
     serial = _run_with_cpus(monkeypatch, 1, *args)
     assert serial[0] == 1
@@ -446,7 +451,7 @@ def test_replications_with_cell_sums_that_fill_the_chunk_take_the_threaded_path(
     # sums fill the chunk, though its draws (10,000 entries) do not
     n, dim, n_draws = 10, 100, 1000
     drawer = CellWeightDrawer(make_scheme("efron", n), dim, n_draws)
-    assert (drawer.samples, drawer.group) == (1, 1)
+    assert drawer.group == 1
     assert 2 * n * n_draws < weights.DRAW_CHUNK_ENTRIES
     args = (CosineTiltDensity(0.4, 2), n, dim, n_draws, 5, 3, "efron")
     serial = _run_with_cpus(monkeypatch, 1, *args)
@@ -456,20 +461,29 @@ def test_replications_with_cell_sums_that_fill_the_chunk_take_the_threaded_path(
 
 
 def test_replications_with_small_draws_stay_on_the_calling_thread(monkeypatch):
-    # the simulate-pw shape: 13 replications share a draw group, so every
+    # the simulate-pw shape: 26 replications share a draw group, so every
     # integers call draws 5,000 entries and the GIL hand-offs would cost more
     n, n_draws = 50, 100
-    assert CellWeightDrawer(make_scheme("efron", n), 10, n_draws).group == 13
+    assert CellWeightDrawer(make_scheme("efron", n), 10, n_draws).group == 26
     threads, _, _ = _run_with_cpus(monkeypatch, 4, UniformDensity(), n, 10, n_draws, 400, 9, "efron")
     assert threads == 1
 
 
 def test_threaded_replications_under_rapid_thread_switches(monkeypatch):
-    # 8 threads whatever the CPU count, switching every microsecond
-    args = (CosineTiltDensity(0.4, 2), 10, 7, 5000, 17, 5, "efron")
-    assert CellWeightDrawer(make_scheme("efron", 10), 7, 5000).samples == 1
+    # 8 threads whatever the CPU count, switching every microsecond, and
+    # seeding runs of 4 blocks, so that the threads take 5 runs' first blocks
+    args = (CosineTiltDensity(0.4, 2), 10, 7, 14000, 17, 5, "efron")
+    assert CellWeightDrawer(make_scheme("efron", 10), 7, 14000).group == 1
     serial = _run_with_cpus(monkeypatch, 1, *args)
     monkeypatch.setattr(experiments, "_MAX_THREADS", 8)
+    monkeypatch.setattr(experiments, "MAX_BLOCK_SAMPLES", 4)
+    seed_words, runs = experiments.replication_seed_words, []
+
+    def counting(seed, indices):
+        runs.append(list(indices))
+        return seed_words(seed, indices)
+
+    monkeypatch.setattr(experiments, "replication_seed_words", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -478,6 +492,8 @@ def test_threaded_replications_under_rapid_thread_switches(monkeypatch):
         sys.setswitchinterval(interval)
     assert threaded[0] == 8
     _assert_identical(threaded, serial)
+    # each run seeded once per experiment, in order
+    assert runs == 2 * [list(range(first, min(first + 4, 17))) for first in range(0, 17, 4)]
 
 
 CALLER = "experiment-caller"
@@ -532,7 +548,7 @@ def test_a_failing_replication_stops_every_thread_and_raises_its_error(monkeypat
     oracle = _FailingOracle(error, fail_at=3, caller_only=isinstance(error, KeyboardInterrupt))
     reps = 200
     before = threading.active_count()
-    outcome = _run_in_a_thread(lambda: experiment(oracle, n=10, dim=7, n_draws=5000, reps=reps, seed=5))
+    outcome = _run_in_a_thread(lambda: experiment(oracle, n=10, dim=7, n_draws=14000, reps=reps, seed=5))
     assert outcome.get("error") is error
     assert len(made) == 3
     # each other thread finishes the block under way, and at most one it took as the error came

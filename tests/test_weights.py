@@ -155,10 +155,10 @@ def test_replication_streams_are_keyed_and_reproducible():
 
 
 # 1 to 5 seed words (2**128 + 3 has more than the pool's 4), and indices at
-# the draw-group edge of the README simulate-pw config (13), at the block cap
-# (1024) and at the last 32-bit key
+# the draw-group edge of the README simulate-pw config (26), at its seeding
+# run's edge (1014), at the block cap (1024) and at the last 32-bit key
 SEEDS = [0, 4, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3]
-INDICES = [0, 12, 13, 1023, 1024, 2**32 - 1]
+INDICES = [0, 25, 26, 1013, 1014, 1023, 1024, 2**32 - 1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -356,7 +356,7 @@ def test_drawer_takes_whole_floats_and_numpy_integers():
 
 
 @pytest.mark.parametrize(
-    "n,n_cells,size,reps", [(100, 50, 10_000, 1), (50, 10, 100, 13)], ids=["coverage", "simulate-pw"]
+    "n,n_cells,size,reps", [(100, 50, 10_000, 1), (50, 10, 100, 26)], ids=["coverage", "simulate-pw"]
 )
 def test_an_efron_drawer_bins_its_draws_in_its_draw_buffer(n, n_cells, size, reps):
     # the README shapes of the two studies; a second buffer as large as the draw buffer overshoots the margin
@@ -366,13 +366,12 @@ def test_an_efron_drawer_bins_its_draws_in_its_draw_buffer(n, n_cells, size, rep
     tracemalloc.start()
     try:
         drawer = CellWeightDrawer(make_scheme("efron", n), n_cells, size)
-        for _, group in drawer.blocks(rngs, cells, counts):
-            for _ in group:
-                pass
+        for _ in drawer.blocks(rngs, cells, counts):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert reps <= drawer.samples
+    assert reps <= drawer.group
     raw_words = 8 * (drawer.rows * n // 2)  # one replication's, per block
     block_sums = 8 * drawer.group * drawer.rows * n_cells
     assert peak < 1.25 * (drawer._draws.nbytes + raw_words + block_sums)
