@@ -332,7 +332,7 @@ def _replication_blocks(
         counts = _cell_counts(cells, dim)
         return reduce(counts, drawer.blocks(rngs, cells, counts))
 
-    threads = min(_usable_cpus(), _MAX_THREADS, -(-reps // group)) if group == 1 else 1
+    threads = min(_usable_cpus(), _MAX_THREADS, reps) if group == 1 else 1
     return _map_in_threads(block, seeded_blocks(), threads, drawer, lambda: CellWeightDrawer(scheme, dim, n_draws))
 
 

@@ -34,9 +34,11 @@ from ._checks import real, whole
 # whatever the batch size, and chunked integer draws return exactly the values
 # of one call for the whole batch, so the chunking does not move the stream.
 DRAW_CHUNK_ENTRIES = 2**17
-# Samples per call of ``CellWeightDrawer.blocks`` at most: each holds a
-# generator of about 1 KB while the call draws, and past a few hundred samples
-# the per-call overhead is already negligible next to their draws.
+# Samples per call of ``CellWeightDrawer.blocks``, and replications per seeding
+# pass of the simulation studies, at most: each sample holds a generator of
+# about 1 KB while the call draws (and 32 B of seed words until it is made),
+# and past a few hundred samples the per-call overhead is already negligible
+# next to their draws.
 MAX_BLOCK_SAMPLES = 2**10
 
 
